@@ -15,8 +15,10 @@ extends multiplicatively over forest factors.
 Leaf growth at every vertex is a weight +1 derivation; its iterates starting
 from the one-vertex tree give the chain ``delta(1), delta(2), ...`` whose
 span closure under the coproduct is checked degree by degree with exact
-membership solves.  ``add_root`` (a basis forest goes to the tree grown over
-it) is the Hochschild 1-cocycle partner of the coproduct.
+membership solves.  The grafting side grows the same trees, so only one
+growth chain is built: ``delta(k)`` is ``operators.x_k(k - 1)`` with each
+tree read as a one-tree forest.  ``add_root`` (a basis forest goes to the
+tree grown over it) is the Hochschild 1-cocycle partner of the coproduct.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactlin import LinComb, Tensor, add_to, solve_membership, tensor
-from .trees import (EMPTY_FOREST, LEAF, Forest, Tree, admissible_cuts, b_plus,
+from . import operators as ops
+from .exactlin import (LinComb, Tensor, add_to, extend_linear, solve_membership,
+                       tensor)
+from .trees import (EMPTY_FOREST, Forest, Tree, admissible_cuts, b_plus,
                     natural_growth_terms)
 
 UNIT = LinComb.term(EMPTY_FOREST)
@@ -88,11 +92,8 @@ def forest_coproduct(f: Forest) -> LinComb:
 
 
 def coproduct(x: LinComb) -> LinComb:
-    out: dict = {}
-    for f, c in x.terms.items():
-        for key, coeff in forest_coproduct(f).terms.items():
-            add_to(out, key, c * coeff)
-    return LinComb(out)
+    """Cut coproduct, linear over ``forest_coproduct``."""
+    return extend_linear(forest_coproduct)(x)
 
 
 def counit(x: LinComb) -> Fraction:
@@ -117,15 +118,8 @@ def forest_antipode(f: Forest) -> LinComb:
 
 
 def antipode(x: LinComb) -> LinComb:
-    out: dict = {}
-    for f, c in x.terms.items():
-        for key, coeff in forest_antipode(f).terms.items():
-            add_to(out, key, c * coeff)
-    return LinComb(out)
-
-
-def tree_growth(t: Tree) -> LinComb:
-    return LinComb((Forest((grown,)), 1) for grown in natural_growth_terms(t))
+    """Antipode, linear over ``forest_antipode``."""
+    return extend_linear(forest_antipode)(x)
 
 
 def forest_growth(f: Forest) -> LinComb:
@@ -140,28 +134,19 @@ def forest_growth(f: Forest) -> LinComb:
 
 def natural_growth(x: LinComb) -> LinComb:
     """Attach one new leaf at every vertex; a derivation, weight +1."""
-    out: dict = {}
-    for f, c in x.terms.items():
-        for key, coeff in forest_growth(f).terms.items():
-            add_to(out, key, c * coeff)
-    return LinComb(out)
+    return extend_linear(forest_growth)(x)
 
 
-_delta_cache: list[LinComb] = []
-
-
+@lru_cache(maxsize=None)
 def delta(k: int) -> LinComb:
     """The k-th growth iterate of the one-vertex tree (k >= 1).
 
-    An integer combination of trees with exactly k vertices.
+    An integer combination of trees with exactly k vertices: the grafting
+    chain ``x_k(k - 1)`` with each tree read as a one-tree forest.
     """
     if k < 1:
         raise ValueError("delta is defined for k >= 1")
-    if not _delta_cache:
-        _delta_cache.append(tree_monomial(LEAF))
-    while len(_delta_cache) < k:
-        _delta_cache.append(natural_growth(_delta_cache[-1]))
-    return _delta_cache[k - 1]
+    return ops.x_k(k - 1).map_keys(lambda t: Forest((t,)))
 
 
 def add_root(x: LinComb) -> LinComb:

@@ -4,10 +4,18 @@
 Keys may be any hashable objects exposing an ``encoding`` string (trees,
 forests, tensor pairs); the encoding gives deterministic ordering for
 serialization and for the elimination routines.  Products, coproducts and
-brackets are defined on basis keys elsewhere and lifted here with
-``extend_linear`` / ``extend_bilinear``.  ``solve_membership`` and ``rank``
-run dense Gaussian elimination over the rationals, keeping every check
-bit-exact.
+brackets are defined on basis keys elsewhere and lifted here.
+
+The rule for lifting: a basis map that returns a ``LinComb`` is made linear
+only through ``extend_linear`` / ``extend_bilinear``, called at use time so
+that the basis map is looked up by name on each call.  A map that builds a
+single key per input (a forest union, or a ``Tensor`` of two legs as in
+``tensor``, ``map_left``, ``map_right`` and ``tensor_multiply`` here) stays
+a direct loop: wrapping every key in a one-term ``LinComb`` only to unpack
+it again costs time on the hottest paths.
+
+``solve_membership`` and ``rank`` run dense Gaussian elimination over the
+rationals, keeping every check bit-exact.
 """
 
 from __future__ import annotations

@@ -25,11 +25,8 @@ from fractions import Fraction
 from .exactlin import LinComb, Tensor, add_to
 from .trees import LEAF, Tree, enumerate_trees
 from . import grossman_larson as gl
+from .grossman_larson import tree_degree
 from .operators import m_tree
-
-
-def tree_degree(t: Tree) -> int:
-    return t.size - 1
 
 
 def trees_up_to_degree(bound: int) -> list[Tree]:

@@ -19,7 +19,8 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactlin import LinComb, Tensor, add_to, rank, tensor
+from .exactlin import (LinComb, Tensor, add_to, extend_bilinear, extend_linear,
+                       rank, tensor)
 from .trees import LEAF, Tree, enumerate_trees, graft_many
 
 UNIT = LinComb.term(LEAF)
@@ -45,13 +46,8 @@ def tree_product(t1: Tree, t2: Tree) -> LinComb:
 
 
 def product(a: LinComb, b: LinComb) -> LinComb:
-    out: dict = {}
-    for ta, ca in a.terms.items():
-        for tb, cb in b.terms.items():
-            scale = ca * cb
-            for key, coeff in tree_product(ta, tb).terms.items():
-                add_to(out, key, scale * coeff)
-    return LinComb(out)
+    """Grafting product, bilinear over ``tree_product``."""
+    return extend_bilinear(tree_product)(a, b)
 
 
 @lru_cache(maxsize=None)
@@ -68,11 +64,8 @@ def tree_coproduct(t: Tree) -> LinComb:
 
 
 def coproduct(x: LinComb) -> LinComb:
-    out: dict = {}
-    for t, c in x.terms.items():
-        for key, coeff in tree_coproduct(t).terms.items():
-            add_to(out, key, c * coeff)
-    return LinComb(out)
+    """Subset-split coproduct, linear over ``tree_coproduct``."""
+    return extend_linear(tree_coproduct)(x)
 
 
 def counit(x: LinComb) -> Fraction:
@@ -85,21 +78,16 @@ def tree_antipode(t: Tree) -> LinComb:
     """Connected graded recursion through the reduced coproduct."""
     if t == LEAF:
         return UNIT
-    out = {t: Fraction(-1)}
-    for key, coeff in tree_coproduct(t).terms.items():
-        if key.left == LEAF or key.right == LEAF:
-            continue
-        for k2, c2 in product(tree_antipode(key.left), LinComb.term(key.right)).terms.items():
-            add_to(out, k2, -coeff * c2)
-    return LinComb(out)
+    reduced = LinComb((key, c) for key, c in tree_coproduct(t).terms.items()
+                      if key.left != LEAF and key.right != LEAF)
+    step = extend_linear(
+        lambda key: product(tree_antipode(key.left), LinComb.term(key.right)))
+    return LinComb.term(t, -1) - step(reduced)
 
 
 def antipode(x: LinComb) -> LinComb:
-    out: dict = {}
-    for t, c in x.terms.items():
-        for key, coeff in tree_antipode(t).terms.items():
-            add_to(out, key, c * coeff)
-    return LinComb(out)
+    """Antipode, linear over ``tree_antipode``."""
+    return extend_linear(tree_antipode)(x)
 
 
 def primitive_basis(n: int) -> list[Tree]:

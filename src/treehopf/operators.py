@@ -14,7 +14,7 @@ right action factors through the counit, and its transpose is studied in
 
 from __future__ import annotations
 
-from .exactlin import LinComb, add_to
+from .exactlin import LinComb, extend_linear
 from .trees import LEAF, Tree, natural_growth_terms
 from . import grossman_larson as gl
 
@@ -27,11 +27,7 @@ def n_tree(t: Tree) -> LinComb:
 
 def n_apply(x: LinComb) -> LinComb:
     """Attach one new leaf at every vertex of every term (degree +1)."""
-    out: dict = {}
-    for t, c in x.terms.items():
-        for key, coeff in n_tree(t).terms.items():
-            add_to(out, key, c * coeff)
-    return LinComb(out)
+    return extend_linear(n_tree)(x)
 
 
 _xk_cache: list[LinComb] = []
@@ -56,8 +52,4 @@ def m_tree(t: Tree) -> LinComb:
 
 def m_apply(x: LinComb) -> LinComb:
     """Right multiplication by the two-vertex chain, killing the unit."""
-    out: dict = {}
-    for t, c in x.terms.items():
-        for key, coeff in m_tree(t).terms.items():
-            add_to(out, key, c * coeff)
-    return LinComb(out)
+    return extend_linear(m_tree)(x)

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactlin import LinComb, add_to
-from .trees import (Forest, Tree, admissible_cuts, aut_order, enumerate_trees,
-                    graft)
+from .exactlin import LinComb, extend_bilinear
+from .trees import Forest, Tree, aut_order, enumerate_trees, graft, single_cuts
 
 
 def star_trees(t1: Tree, t2: Tree) -> LinComb:
@@ -31,20 +30,15 @@ def star_trees(t1: Tree, t2: Tree) -> LinComb:
 
 
 def star(a: LinComb, b: LinComb) -> LinComb:
-    out: dict = {}
-    for ta, ca in a.terms.items():
-        for tb, cb in b.terms.items():
-            scale = ca * cb
-            for key, coeff in star_trees(ta, tb).terms.items():
-                add_to(out, key, scale * coeff)
-    return LinComb(out)
+    """Single grafting, bilinear over ``star_trees``."""
+    return extend_bilinear(star_trees)(a, b)
 
 
 def single_cut_count(t1: Tree, t2: Tree, t: Tree) -> int:
     """Raw number of one-edge cuts of t with branch t1 and trunk t2."""
     target = Forest((t1,))
-    return sum(1 for cut in admissible_cuts(t)
-               if cut.order == 1 and cut.branch == target and cut.trunk == t2)
+    return sum(1 for cut in single_cuts(t)
+               if cut.branch == target and cut.trunk == t2)
 
 
 def star_by_cut_counting(t1: Tree, t2: Tree, max_size: int | None = None) -> LinComb:

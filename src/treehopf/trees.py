@@ -248,6 +248,7 @@ def admissible_cuts(t: Tree) -> tuple[Cut, ...]:
     return tuple(cuts)
 
 
+@lru_cache(maxsize=None)
 def single_cuts(t: Tree) -> tuple[Cut, ...]:
     """The one-edge cuts, one per non-root vertex."""
     subs = preorder_subtrees(t)

@@ -19,8 +19,8 @@ from . import graded_dual as gd
 from . import grossman_larson as gl
 from . import operators as ops
 from . import tree_lie
-from .exactlin import (LinComb, Tensor, add_to, map_left, map_right, rank,
-                       swap_legs, tensor, tensor_multiply)
+from .exactlin import (LinComb, Tensor, add_to, extend_linear, map_left,
+                       map_right, rank, swap_legs, tensor, tensor_multiply)
 from .serialize import lincomb_to_text
 from .trees import (EMPTY_FOREST, LEAF, Forest, Tree, admissible_cuts,
                     b_minus, b_plus, canonicalize, count_trees_recurrence,
@@ -67,6 +67,15 @@ def _coassociativity_sides(cop, x: LinComb):
                            inner.right.encoding), c * c2)
     return ({k: v for k, v in left.items() if v},
             {k: v for k, v in right.items() if v})
+
+
+def _antipode_sides(cop: LinComb, basis_antipode, product):
+    """m(S (x) id) and m(id (x) S) applied to a coproduct ``cop``."""
+    left = extend_linear(lambda key: product(basis_antipode(key.left),
+                                             LinComb.term(key.right)))
+    right = extend_linear(lambda key: product(LinComb.term(key.left),
+                                              basis_antipode(key.right)))
+    return left(cop), right(cop)
 
 
 def _counit_legs(x: LinComb, unit_key):
@@ -159,17 +168,9 @@ def _suite_hr(D: int, rec: _Recorder) -> None:
         for f in by_weight[w]:
             df = ck.forest_coproduct(f)
             expected = ck.UNIT if f == EMPTY_FOREST else LinComb.zero()
-            acc_left: dict = {}
-            acc_right: dict = {}
-            for key, c in df.terms.items():
-                for k2, c2 in ck.product(ck.forest_antipode(key.left),
-                                         LinComb.term(key.right)).terms.items():
-                    add_to(acc_left, k2, c * c2)
-                for k2, c2 in ck.product(LinComb.term(key.left),
-                                         ck.forest_antipode(key.right)).terms.items():
-                    add_to(acc_right, k2, c * c2)
-            rec.check("hr.antipode_left", [f.encoding], LinComb(acc_left), expected)
-            rec.check("hr.antipode_right", [f.encoding], LinComb(acc_right), expected)
+            left, right = _antipode_sides(df, ck.forest_antipode, ck.product)
+            rec.check("hr.antipode_left", [f.encoding], left, expected)
+            rec.check("hr.antipode_right", [f.encoding], right, expected)
             rec.check("hr.antipode_grading", [f.encoding],
                       all(k.weight == f.weight
                           for k in ck.forest_antipode(f).terms), True)
@@ -210,7 +211,7 @@ def _suite_hr(D: int, rec: _Recorder) -> None:
 # the grafting Hopf algebra
 
 def _suite_gl(D: int, rec: _Recorder) -> None:
-    singles = [t for n in range(1, D + 3) for t in enumerate_trees(n)]
+    singles = gd.trees_up_to_degree(D + 1)
 
     for t in singles:
         dt = gl.tree_coproduct(t)
@@ -226,17 +227,9 @@ def _suite_gl(D: int, rec: _Recorder) -> None:
                   all(k.left.size + k.right.size == t.size + 1
                       for k in dt.terms), True)
         expected = gl.UNIT if t == LEAF else LinComb.zero()
-        acc_left: dict = {}
-        acc_right: dict = {}
-        for key, c in dt.terms.items():
-            for k2, c2 in gl.product(gl.tree_antipode(key.left),
-                                     LinComb.term(key.right)).terms.items():
-                add_to(acc_left, k2, c * c2)
-            for k2, c2 in gl.product(LinComb.term(key.left),
-                                     gl.tree_antipode(key.right)).terms.items():
-                add_to(acc_right, k2, c * c2)
-        rec.check("gl.antipode_left", [t.encoding], LinComb(acc_left), expected)
-        rec.check("gl.antipode_right", [t.encoding], LinComb(acc_right), expected)
+        left, right = _antipode_sides(dt, gl.tree_antipode, gl.product)
+        rec.check("gl.antipode_left", [t.encoding], left, expected)
+        rec.check("gl.antipode_right", [t.encoding], right, expected)
         rec.check("gl.unit_laws", [t.encoding],
                   (gl.tree_product(LEAF, t), gl.tree_product(t, LEAF)),
                   (LinComb.term(t), LinComb.term(t)))
@@ -361,7 +354,7 @@ def _suite_lie(D: int, rec: _Recorder) -> None:
 # growth and chain-multiplication operators
 
 def _suite_operators(D: int, rec: _Recorder) -> None:
-    basis = [t for n in range(1, D + 2) for t in enumerate_trees(n)]
+    basis = gd.trees_up_to_degree(D)
     chain = LinComb.term(ops.CHAIN2)
 
     for b in basis:

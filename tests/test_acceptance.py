@@ -5,6 +5,7 @@ lines; every comparison is exact rational arithmetic, so there are no
 numeric tolerances anywhere.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -26,6 +27,26 @@ CHERRY = parse_tree("[[][]]")
 @pytest.fixture(scope="module")
 def reports():
     return {name: verify.run_suite(name, 5) for name in verify.SUITES}
+
+
+# sha256 of each report at max_degree 5 as ``verify`` prints it
+# (``json.dumps(report, sort_keys=True)`` plus a newline).  Refactors must
+# keep every law, bound and checked count, so every digest must hold.
+REPORT_DIGESTS = {
+    "trees": "3b53ecdcc8050cdb00b77649b940cdce9df95acfd81110cb155d2944711b7bfe",
+    "hr": "f5633c7be14a45d97ac5601fb0de4947b16686667c8098f8818fc669026bb000",
+    "gl": "625bbcaa8461240acd90a20f3d209dc336f1cdbe511deb8fe11fbfbce9218e7e",
+    "lie": "9808aea9f0e826d7d69728e3c30ee2dd72b7bbcc8fbc8acde61d697f327f7522",
+    "operators": "c669f37355671f3c8c023a55a68a920dc8cd4dc16e506fa5559e3c0f3ae33f5a",
+    "dual": "3a208cc8793b66595a92a1c5ac927bdf7a1ce9b5f20054c448ae2764b5d77ff7",
+}
+
+
+def test_verify_reports_pinned(reports):
+    assert sorted(REPORT_DIGESTS) == sorted(verify.SUITES)
+    for name in verify.SUITES:
+        text = json.dumps(reports[name], sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[name], name
 
 
 def _laws(report, prefixes):

@@ -141,6 +141,12 @@ def test_delta_chain():
         ck.delta(0)
 
 
+def test_forest_growth_continues_delta_chain():
+    # delta is read off the grafting chain x_k; forest-side growth must agree
+    for k in range(1, 8):
+        assert ck.natural_growth(ck.delta(k)) == ck.delta(k + 1)
+
+
 def test_delta_homogeneous():
     for k in range(1, 7):
         assert all(f.weight == k for f in ck.delta(k).support())
