@@ -24,7 +24,8 @@ from . import verify
 from .exactlin import LinComb
 from .serialize import (encode_key, encode_z_key, lincomb_from_obj,
                         lincomb_to_json, lincomb_to_text, parse_z_key)
-from .trees import TreeParseError, enumerate_trees, parse_forest, parse_tree
+from .trees import (TreeParseError, count_trees_recurrence, enumerate_trees,
+                    parse_forest, parse_tree)
 
 
 @dataclass
@@ -120,9 +121,9 @@ def _report_text(report: dict) -> str:
 
 
 def _cmd_enum(args) -> CommandResult:
-    trees = enumerate_trees(args.size)
     if args.count_only:
-        return CommandResult("ok", str(len(trees)), 0)
+        return CommandResult("ok", str(count_trees_recurrence(args.size)), 0)
+    trees = enumerate_trees(args.size)
     encodings = [t.encoding for t in trees]
     if args.format == "text":
         return CommandResult("ok", "\n".join(encodings), 0)

@@ -4,6 +4,9 @@ Linear basis: all rooted trees, with the one-vertex tree as the unit.  For
 trees a and b, ``tree_product(a, b)`` detaches the root subtrees s_1..s_r of
 a and attaches them to vertices of b in all ``size(b) ** r`` ways; isomorphic
 results merge, so the total coefficient mass is exactly ``size(b) ** r``.
+Equal root subtrees of a are enumerated as multisets of vertices of b, each
+with its multinomial weight (the number of ordered assignments that give
+it), so the mass is still ``size(b) ** r``.
 ``tree_coproduct`` splits the root subtrees over the ``2 ** r`` ordered
 subset pairs (one binary choice per child slot, so repeated subtrees create
 multiplicities) and regrows a root on each side.
@@ -18,6 +21,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
 from .exactlin import (LinComb, Tensor, add_to, extend_bilinear, extend_linear,
                        rank, tensor)
@@ -30,18 +34,36 @@ def tree_degree(t: Tree) -> int:
     return t.size - 1
 
 
+def _multisets(n: int, m: int):
+    """Multisets of m vertices out of ``range(n)``, with multinomial weights.
+
+    The weight m! / prod(mult!) counts the ordered m-tuples that list the
+    multiset.
+    """
+    for sites in itertools.combinations_with_replacement(range(n), m):
+        weight = factorial(m)
+        for _, same in itertools.groupby(sites):
+            weight //= factorial(len(list(same)))
+        yield sites, weight
+
+
 @lru_cache(maxsize=None)
 def tree_product(t1: Tree, t2: Tree) -> LinComb:
     """Grafting product of basis trees.
 
-    Enumerates every assignment of the root subtrees of t1 to vertices of
+    Sums over every assignment of the root subtrees of t1 to vertices of
     t2; attachments are simultaneous, so vertex indices always refer to the
-    original t2.
+    original t2.  Equal root subtrees are interchangeable, so each run of
+    equal scions picks a multiset of vertices, weighted by the number of
+    assignments that give it.
     """
-    subtrees = t1.children
+    runs = [[([(v, scion) for v in sites], weight)
+             for sites, weight in _multisets(t2.size, len(list(group)))]
+            for scion, group in itertools.groupby(t1.children)]
     out: dict = {}
-    for assignment in itertools.product(range(t2.size), repeat=len(subtrees)):
-        add_to(out, graft_many(t2, zip(assignment, subtrees)), 1)
+    for choice in itertools.product(*runs):
+        placements = [p for sites, _ in choice for p in sites]
+        add_to(out, graft_many(t2, placements), prod(w for _, w in choice))
     return LinComb(out)
 
 

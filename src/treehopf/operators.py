@@ -4,7 +4,9 @@
 trees it coincides with left multiplication by the two-vertex chain, which
 makes it a coderivation.  Its iterates on the unit give the sequence
 ``x_k(k)``, a divided-power-free polynomial chain: products add indices and
-the coproduct of ``x_k(m)`` is binomial.
+the coproduct of ``x_k(m)`` is binomial.  The basis map ``n_tree`` is
+cached, like ``gl.tree_product``; the cached combinations are never
+mutated.
 
 ``m_apply`` multiplies every non-unit basis tree by the two-vertex chain on
 the right and kills the unit; it is a derivation into the bimodule whose
@@ -14,6 +16,8 @@ right action factors through the counit, and its transpose is studied in
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .exactlin import LinComb, extend_linear
 from .trees import LEAF, Tree, natural_growth_terms
 from . import grossman_larson as gl
@@ -21,6 +25,7 @@ from . import grossman_larson as gl
 CHAIN2 = Tree((LEAF,))
 
 
+@lru_cache(maxsize=None)
 def n_tree(t: Tree) -> LinComb:
     return LinComb((grown, 1) for grown in natural_growth_terms(t))
 

@@ -3,6 +3,9 @@
 JSON schema: ``{"terms": [{"basis": "<encoding>", "coeff": "<p>/<q>"}, ...]}``
 with terms sorted by basis encoding.  Integer coefficients omit the
 denominator, and ``"3"`` is accepted on input as shorthand for ``"3/1"``.
+On input a coefficient must be a JSON string matching ``-?[0-9]+(/[0-9]+)?``
+with a nonzero denominator; JSON numbers, booleans and anything else are
+rejected with ``ValueError``.
 Tensor keys render as ``"<left> | <right>"``; the Lie-side basis renders with
 a ``"Z:"`` prefix on the tree encoding.
 """
@@ -10,6 +13,7 @@ a ``"Z:"`` prefix on the tree encoding.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .exactlin import LinComb, Tensor
@@ -55,6 +59,10 @@ def lincomb_to_json(x: LinComb, encode=encode_key) -> str:
     return json.dumps(lincomb_to_obj(x, encode), sort_keys=True)
 
 
+# "p" or "p/q" with q != 0; [0-9] keeps out non-ASCII digits
+_COEFF = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def lincomb_from_obj(obj, parse_key) -> LinComb:
     if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise ValueError("expected an object with a 'terms' list")
@@ -62,7 +70,11 @@ def lincomb_from_obj(obj, parse_key) -> LinComb:
     for entry in obj["terms"]:
         if not isinstance(entry, dict) or "basis" not in entry or "coeff" not in entry:
             raise ValueError(f"malformed term entry: {entry!r}")
-        pairs.append((parse_key(entry["basis"]), Fraction(entry["coeff"])))
+        coeff = entry["coeff"]
+        if not isinstance(coeff, str) or not _COEFF.fullmatch(coeff):
+            raise ValueError("coefficient must be a string 'p' or 'p/q' with "
+                             f"q != 0: {entry!r}")
+        pairs.append((parse_key(entry["basis"]), Fraction(coeff)))
     return LinComb(pairs)
 
 

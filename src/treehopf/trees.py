@@ -14,6 +14,7 @@ after construction and every operation is pure.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from functools import lru_cache
 
 
@@ -169,7 +170,9 @@ def graft_many(host: Tree, placements) -> Tree:
 
     ``placements`` is an iterable of (preorder index, scion tree) pairs; all
     indices refer to the original host, so simultaneous attachments do not
-    disturb each other.
+    disturb each other.  Only the vertices on the paths from the root to the
+    graft sites are rebuilt; every other subtree of the host is shared, as
+    the same object, with the result.
     """
     extra: dict[int, list[Tree]] = {}
     for vertex, scion in placements:
@@ -177,13 +180,20 @@ def graft_many(host: Tree, placements) -> Tree:
             raise IndexError(
                 f"vertex {vertex} out of range for tree of size {host.size}")
         extra.setdefault(vertex, []).append(scion)
+    sites = sorted(extra)
 
     def rebuild(node: Tree, index: int) -> Tree:
         child_index = index + 1
         kids = []
         for child in node.children:
-            kids.append(rebuild(child, child_index))
-            child_index += child.size
+            # the child covers the preorder interval [child_index, end)
+            end = child_index + child.size
+            hit = bisect_left(sites, child_index)
+            if hit < len(sites) and sites[hit] < end:
+                kids.append(rebuild(child, child_index))
+            else:
+                kids.append(child)
+            child_index = end
         kids.extend(extra.get(index, ()))
         return Tree(kids)
 
@@ -301,7 +311,7 @@ def count_trees_recurrence(n: int) -> int:
     cross-check each other.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError("tree size must be >= 1")
     counts = [0, 1]
     while len(counts) <= n:
         m = len(counts) - 1

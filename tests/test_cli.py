@@ -4,8 +4,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conftest import roundtrip_ok
 from treehopf.cli import run
+from treehopf.trees import enumerate_trees
 
 
 def ok(argv):
@@ -19,6 +22,14 @@ def test_enum_count_only():
     assert ok(["enum", "--size", "7", "--count-only"]) == "48"
 
 
+def test_enum_count_only_uses_recurrence():
+    # A000081(30); enumerating these trees would not finish
+    assert ok(["enum", "--size", "30", "--count-only"]) == "354426847597"
+    for n in range(1, 10):
+        assert ok(["enum", "--size", str(n), "--count-only"]) == \
+            str(len(enumerate_trees(n)))
+
+
 def test_enum_lists_trees():
     payload = ok(["enum", "--size", "3"])
     assert json.loads(payload) == ["[[[]]]", "[[][]]"]
@@ -28,6 +39,9 @@ def test_enum_lists_trees():
 
 def test_enum_bad_size():
     assert run(["enum", "--size", "0"]).exit_code == 2
+    result = run(["enum", "--size", "0", "--count-only"])
+    assert result.exit_code == 2
+    assert result.payload == "error: tree size must be >= 1"
 
 
 def test_prod_gl():
@@ -105,6 +119,21 @@ def test_file_inputs(tmp_path):
     assert json.loads(payload) == {"terms": [{"basis": "Z:[[][]]", "coeff": "2"}]}
     missing = run(["bracket", f"@{tmp_path / 'missing.json'}", "[[]]"])
     assert missing.exit_code == 2
+
+
+@pytest.mark.parametrize("coeff", ['"1/0"', "1.5", "true"])
+def test_bad_coefficient_exits_two_without_traceback(tmp_path, coeff):
+    path = tmp_path / "element.json"
+    path.write_text('{"terms": [{"basis": "[[]]", "coeff": %s}]}' % coeff,
+                    encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "treehopf", "grow", "--algebra", "gl", f"@{path}"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: coefficient")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_usage_errors():

@@ -1,12 +1,13 @@
 """The grafting Hopf algebra: product, split coproduct, antipode, primitives."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from treehopf import grossman_larson as gl
 from treehopf.exactlin import LinComb, Tensor, combine, swap_legs, tensor
-from treehopf.trees import LEAF, enumerate_trees, parse_tree
+from treehopf.trees import LEAF, enumerate_trees, graft_many, parse_tree
 
 E = LEAF
 L2 = parse_tree("[[]]")
@@ -49,6 +50,20 @@ def test_product_mass_conservation():
                     p = gl.tree_product(ta, tb)
                     assert p.mass() == Fraction(tb.size ** ta.fertility)
                     assert all(k.size == ta.size + tb.size - 1 for k in p.support())
+
+
+def test_product_matches_tuple_enumeration():
+    # every one of the size(b) ** r ordered assignments, one graft each;
+    # stars such as [[][][][][]] exercise the multinomial weights most
+    trees = [t for n in range(1, 7) for t in enumerate_trees(n)]
+    hosts = [t for n in range(1, 6) for t in enumerate_trees(n)]
+    for a in trees:
+        for b in hosts:
+            out = {}
+            for sites in itertools.product(range(b.size), repeat=a.fertility):
+                grown = graft_many(b, zip(sites, a.children))
+                out[grown] = out.get(grown, 0) + 1
+            assert gl.tree_product(a, b) == LinComb(out), (a, b)
 
 
 def test_product_not_commutative():

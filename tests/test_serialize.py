@@ -43,6 +43,15 @@ def test_malformed_objects_rejected():
         lincomb_from_obj({"terms": [{"basis": "[]"}]}, parse_tree)
 
 
+@pytest.mark.parametrize("coeff", ["1/0", "-2/00", 1.5, 3, True, None,
+                                   "1.5", " 3", "+3", "3\n", "1/-2"])
+def test_coefficient_grammar_is_strict(coeff):
+    obj = {"terms": [{"basis": "[]", "coeff": coeff}]}
+    with pytest.raises(ValueError, match="coefficient") as info:
+        lincomb_from_obj(obj, parse_tree)
+    assert repr(coeff) in str(info.value)
+
+
 def test_forest_and_tensor_keys():
     f = parse_forest("[] [[]]")
     x = LinComb.term(Tensor(f, Forest((E,))))

@@ -109,6 +109,54 @@ def test_graft_many_attaches_simultaneously():
     assert graft_many(L2, [(0, E), (0, E)]) == parse_tree("[[][][]]")
 
 
+def rebuild_all(host, placements):
+    """Reference graft: rebuild every vertex of the host."""
+    extra = {}
+    for vertex, scion in placements:
+        extra.setdefault(vertex, []).append(scion)
+
+    def rebuild(node, index):
+        child_index = index + 1
+        kids = []
+        for child in node.children:
+            kids.append(rebuild(child, child_index))
+            child_index += child.size
+        kids.extend(extra.get(index, ()))
+        return Tree(kids)
+
+    return rebuild(host, 0)
+
+
+def test_graft_many_matches_full_rebuild():
+    for n in range(1, 7):
+        for host in enumerate_trees(n):
+            for scion in (E, L2):
+                for v in range(n):
+                    placements = [(v, scion)]
+                    assert graft_many(host, placements) == \
+                        rebuild_all(host, placements)
+                    for w in range(n):
+                        placements = [(v, scion), (w, scion)]
+                        assert graft_many(host, placements) == \
+                            rebuild_all(host, placements)
+
+
+def test_graft_many_shares_subtrees_off_the_graft_paths():
+    for n in range(1, 7):
+        for host in enumerate_trees(n):
+            subs = preorder_subtrees(host)
+            for v in range(n):
+                for w in range(v, n):
+                    grown = graft_many(host, [(v, E), (w, E)])
+                    shared = {id(node) for node in preorder_subtrees(grown)}
+                    for u in range(1, n):
+                        # vertex u is off both graft paths when its preorder
+                        # interval [u, u + size) holds neither site
+                        if not (u <= v < u + subs[u].size
+                                or u <= w < u + subs[u].size):
+                            assert id(subs[u]) in shared, (host, v, w, u)
+
+
 def test_admissible_cuts_examples():
     assert admissible_cuts(E) == ()
     l3_cuts = admissible_cuts(L3)
