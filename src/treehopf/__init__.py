@@ -8,8 +8,8 @@ degree-truncated graded dual, and exhaustive low-degree verification of all
 the structural identities.
 """
 
-from .exactlin import (LinComb, Rational, Tensor, combine, extend_bilinear,
-                       extend_linear, map_left, map_right, rank,
+from .exactlin import (LinComb, Rational, Tensor, combine, exact,
+                       extend_bilinear, extend_linear, map_left, map_right, rank,
                        solve_membership, swap_legs, tensor, tensor_multiply)
 from .trees import (EMPTY_FOREST, LEAF, Cut, Forest, Tree, TreeParseError,
                     admissible_cuts, aut_order, b_minus, b_plus, canonicalize,
@@ -23,8 +23,9 @@ __all__ = [
     "Cut", "EMPTY_FOREST", "Forest", "LEAF", "LinComb", "Rational", "Tensor",
     "Tree", "TreeParseError", "admissible_cuts", "aut_order", "b_minus",
     "b_plus", "canonicalize", "combine", "count_trees_recurrence",
-    "enumerate_forests", "enumerate_trees", "extend_bilinear", "extend_linear",
-    "graft", "graft_many", "map_left", "map_right", "natural_growth_terms",
-    "parse_forest", "parse_tree", "preorder_subtrees", "rank", "single_cuts",
-    "solve_membership", "swap_legs", "tensor", "tensor_multiply",
+    "enumerate_forests", "enumerate_trees", "exact", "extend_bilinear",
+    "extend_linear", "graft", "graft_many", "map_left", "map_right",
+    "natural_growth_terms", "parse_forest", "parse_tree", "preorder_subtrees",
+    "rank", "single_cuts", "solve_membership", "swap_legs", "tensor",
+    "tensor_multiply",
 ]

@@ -244,6 +244,8 @@ def run(argv) -> CommandResult:
         return _HANDLERS[args.command](args)
     except (TreeParseError, ValueError, IndexError, OSError) as exc:
         return CommandResult("error", f"error: {exc}", 2)
+    except RecursionError:
+        return CommandResult("error", "error: input nested too deeply", 2)
 
 
 def main() -> None:

@@ -23,7 +23,6 @@ tree grown over it) is the Hochschild 1-cocycle partner of the coproduct.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from . import operators as ops
@@ -63,8 +62,7 @@ def multiply_tensors(x: LinComb, y: LinComb) -> LinComb:
 def tree_coproduct_by_cuts(t: Tree) -> LinComb:
     """All-cuts coproduct of a single tree; tensor legs are forests."""
     single = Forest((t,))
-    out = {Tensor(EMPTY_FOREST, single): Fraction(1),
-           Tensor(single, EMPTY_FOREST): Fraction(1)}
+    out = {Tensor(EMPTY_FOREST, single): 1, Tensor(single, EMPTY_FOREST): 1}
     for cut in admissible_cuts(t):
         add_to(out, Tensor(cut.branch, Forest((cut.trunk,))), 1)
     return LinComb(out)
@@ -76,7 +74,7 @@ def tree_coproduct_recursive(t: Tree) -> LinComb:
     acc = LinComb.term(Tensor(EMPTY_FOREST, EMPTY_FOREST))
     for child in t.children:
         acc = multiply_tensors(acc, tree_coproduct_recursive(child))
-    out = {Tensor(Forest((t,)), EMPTY_FOREST): Fraction(1)}
+    out = {Tensor(Forest((t,)), EMPTY_FOREST): 1}
     for key, coeff in acc.terms.items():
         add_to(out, Tensor(key.left, Forest((b_plus(key.right),))), coeff)
     return LinComb(out)
@@ -96,7 +94,7 @@ def coproduct(x: LinComb) -> LinComb:
     return extend_linear(forest_coproduct)(x)
 
 
-def counit(x: LinComb) -> Fraction:
+def counit(x: LinComb):
     """Coefficient of the empty forest."""
     return x.coeff(EMPTY_FOREST)
 

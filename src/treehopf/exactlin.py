@@ -1,6 +1,14 @@
 """Exact rational linear combinations over canonical basis keys.
 
-``LinComb`` is a sparse formal sum with ``fractions.Fraction`` coefficients.
+``LinComb`` is a sparse formal sum with exact rational coefficients.  Every
+stored coefficient goes through ``exact``: it is an ``int`` when integral
+and a ``fractions.Fraction`` (denominator above 1) otherwise, and a
+``float`` is rejected.  Products, coproducts, growth and antipodes have
+integer structure constants, so they stay on plain ``int`` arithmetic; a
+``Fraction`` appears only where a division happens: the eliminations here,
+which promote their rows to ``Fraction`` so that ``/`` stays exact, the
+cut-count oracle's symmetry rescaling, and rational inputs.
+
 Keys may be any hashable objects exposing an ``encoding`` string (trees,
 forests, tensor pairs); the encoding gives deterministic ordering for
 serialization and for the elimination routines.  Products, coproducts and
@@ -25,6 +33,22 @@ from fractions import Fraction
 Rational = Fraction
 
 
+def exact(c):
+    """Normalise a coefficient: an ``int`` when integral, else a ``Fraction``.
+
+    Raises ``TypeError`` for anything that is not an ``int`` or a
+    ``Fraction``, a ``float`` in particular.
+    """
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):  # bool and other int subclasses
+        return int(c)
+    raise TypeError(f"coefficient must be an int or a Fraction, "
+                    f"not {type(c).__name__}: {c!r}")
+
+
 def add_to(acc: dict, key, coeff) -> None:
     """Accumulate ``coeff`` at ``key``; zeros are pruned by LinComb later."""
     acc[key] = acc.get(key, 0) + coeff
@@ -41,7 +65,7 @@ class LinComb:
             items = terms.items() if isinstance(terms, dict) else terms
             for key, coeff in items:
                 current = data.get(key)
-                value = Fraction(coeff) if current is None else current + Fraction(coeff)
+                value = exact(coeff if current is None else current + coeff)
                 if value:
                     data[key] = value
                 elif key in data:
@@ -56,8 +80,8 @@ class LinComb:
     def term(cls, key, coeff=1) -> "LinComb":
         return cls({key: coeff})
 
-    def coeff(self, key) -> Fraction:
-        return self.terms.get(key, Fraction(0))
+    def coeff(self, key):
+        return self.terms.get(key, 0)
 
     def items(self):
         return self.terms.items()
@@ -65,9 +89,9 @@ class LinComb:
     def support(self):
         return self.terms.keys()
 
-    def mass(self) -> Fraction:
+    def mass(self):
         """Sum of all coefficients (total multiplicity)."""
-        return sum(self.terms.values(), Fraction(0))
+        return exact(sum(self.terms.values()))
 
     def map_keys(self, f) -> "LinComb":
         """Relabel basis keys; colliding images merge additively."""
@@ -95,7 +119,8 @@ class LinComb:
     def __mul__(self, scalar):
         if isinstance(scalar, LinComb):
             return NotImplemented
-        return LinComb({k: c * Fraction(scalar) for k, c in self.terms.items()})
+        s = exact(scalar)
+        return LinComb({k: c * s for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -114,7 +139,7 @@ class LinComb:
 def combine(a: LinComb, b: LinComb, scalar=1) -> LinComb:
     """a + scalar * b, zero terms pruned."""
     out = dict(a.terms)
-    s = Fraction(scalar)
+    s = exact(scalar)
     for key, coeff in b.terms.items():
         add_to(out, key, coeff * s)
     return LinComb(out)
@@ -219,19 +244,21 @@ def tensor_multiply(x: LinComb, y: LinComb, mult_left, mult_right) -> LinComb:
     return LinComb(out)
 
 
-def solve_membership(target: LinComb, generators) -> list[Fraction] | None:
+def solve_membership(target: LinComb, generators) -> list | None:
     """Exact coordinates of ``target`` in the span of ``generators``.
 
-    Gauss-Jordan elimination over the rationals.  Returns one coordinate
-    vector (free coordinates set to 0), or None when the system is
-    inconsistent; a successful result always reproduces the target exactly
-    on re-substitution.
+    Gauss-Jordan elimination over the rationals (the rows are promoted to
+    ``Fraction`` so that every division is exact).  Returns one coordinate
+    vector of normalised coefficients (free coordinates set to 0), or None
+    when the system is inconsistent; a successful result always reproduces
+    the target exactly on re-substitution.
     """
     generators = list(generators)
     keys = sorted({k for g in generators for k in g.terms} | set(target.terms),
                   key=lambda k: k.encoding)
     ncols = len(generators)
-    rows = [[g.coeff(k) for g in generators] + [target.coeff(k)] for k in keys]
+    rows = [[Fraction(g.coeff(k)) for g in generators] + [Fraction(target.coeff(k))]
+            for k in keys]
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
@@ -252,9 +279,9 @@ def solve_membership(target: LinComb, generators) -> list[Fraction] | None:
     for i in range(row, len(rows)):
         if rows[i][ncols]:
             return None
-    coords = [Fraction(0)] * ncols
+    coords = [0] * ncols
     for i, col in enumerate(pivots):
-        coords[col] = rows[i][ncols]
+        coords[col] = exact(rows[i][ncols])
     return coords
 
 
@@ -269,7 +296,7 @@ def rank(vectors) -> int:
     for v in vectors:
         row = [Fraction(0)] * len(keys)
         for k, c in v.terms.items():
-            row[index[k]] = c
+            row[index[k]] = Fraction(c)
         rows.append(row)
     rnk = 0
     for col in range(len(keys)):

@@ -20,9 +20,7 @@ check actually fails on perturbed operators.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exactlin import LinComb, Tensor, add_to
+from .exactlin import LinComb, Tensor, add_to, exact
 from .trees import LEAF, Tree, enumerate_trees
 from . import grossman_larson as gl
 from .grossman_larson import tree_degree
@@ -41,7 +39,7 @@ class DualFunctional:
     def __init__(self, coeffs=None, max_degree: int | None = None):
         clean = {}
         for t, c in (coeffs or {}).items():
-            value = Fraction(c)
+            value = exact(c)
             if value:
                 clean[t] = value
         top = max((tree_degree(t) for t in clean), default=0)
@@ -72,9 +70,9 @@ def counit_functional(max_degree: int = 0) -> DualFunctional:
     return dual_basis(LEAF, max_degree)
 
 
-def pair(f: DualFunctional, x: LinComb) -> Fraction:
+def pair(f: DualFunctional, x: LinComb):
     """Evaluate the functional on an element."""
-    total = Fraction(0)
+    total = 0
     for t, c in x.terms.items():
         total += f.coeffs.get(t, 0) * c
     return total
@@ -118,7 +116,7 @@ def dual_product(f: DualFunctional, g: DualFunctional,
     """
     coeffs = {}
     for t in trees_up_to_degree(degree_bound):
-        total = Fraction(0)
+        total = 0
         for key, c in gl.tree_coproduct(t).terms.items():
             total += c * f.coeffs.get(key.left, 0) * g.coeffs.get(key.right, 0)
         if total:
@@ -149,16 +147,18 @@ def hochschild_check(degree_bound: int, m_tree_func=None) -> dict:
         f = dual_basis(t)
         # (M* f) tabulated on every tree a product below can reach
         transpose = {a: pair(f, action(a)) for a in arguments}
-        cop = dual_coproduct(f, tree_degree(t))
+        # the dual coproduct indexed by its left leg
+        cop_by_left: dict = {}
+        for key, c in dual_coproduct(f, tree_degree(t)).terms.items():
+            cop_by_left.setdefault(key.left, []).append((key.right, c))
         for a, b in argument_pairs:
-            lhs = Fraction(0)
+            lhs = 0
             for term, c in gl.tree_product(a, b).terms.items():
-                lhs += c * transpose.get(term, Fraction(0))
-            rhs = transpose[a] if b == LEAF else Fraction(0)
+                lhs += c * transpose.get(term, 0)
+            rhs = transpose[a] if b == LEAF else 0
             mb = action(b)
-            for key, c in cop.terms.items():
-                if key.left == a:
-                    rhs += c * mb.coeff(key.right)
+            for right, c in cop_by_left.get(a, ()):
+                rhs += c * mb.coeff(right)
             checked += 1
             if lhs != rhs:
                 violations.append({

@@ -19,7 +19,6 @@ graded recursion through the reduced coproduct.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
@@ -90,7 +89,7 @@ def coproduct(x: LinComb) -> LinComb:
     return extend_linear(tree_coproduct)(x)
 
 
-def counit(x: LinComb) -> Fraction:
+def counit(x: LinComb):
     """Coefficient of the one-vertex tree."""
     return x.coeff(LEAF)
 

@@ -11,7 +11,6 @@ carries the law name, the offending basis inputs, and both sides.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from . import connes_kreimer as ck
@@ -222,7 +221,7 @@ def _suite_gl(D: int, rec: _Recorder) -> None:
         rec.check("gl.counit_right", [t.encoding], right, LinComb.term(t))
         rec.check("gl.cocommutativity", [t.encoding], swap_legs(dt), dt)
         rec.check("gl.coproduct_mass", [t.encoding],
-                  dt.mass(), Fraction(2 ** t.fertility))
+                  dt.mass(), 2 ** t.fertility)
         rec.check("gl.coproduct_grading", [t.encoding],
                   all(k.left.size + k.right.size == t.size + 1
                       for k in dt.terms), True)
@@ -241,7 +240,7 @@ def _suite_gl(D: int, rec: _Recorder) -> None:
                 for tb in by_size[sb]:
                     p = gl.tree_product(ta, tb)
                     rec.check("gl.product_mass", [ta.encoding, tb.encoding],
-                              p.mass(), Fraction(tb.size ** ta.fertility))
+                              p.mass(), tb.size ** ta.fertility)
                     rec.check("gl.product_grading", [ta.encoding, tb.encoding],
                               all(k.size == ta.size + tb.size - 1
                                   for k in p.terms), True)
@@ -359,7 +358,7 @@ def _suite_operators(D: int, rec: _Recorder) -> None:
 
     for b in basis:
         elem = LinComb.term(b)
-        eps = Fraction(1) if b == LEAF else Fraction(0)
+        eps = 1 if b == LEAF else 0
         rec.check("op.growth_is_left_chain_mult", [b.encoding],
                   gl.tree_product(ops.CHAIN2, b), ops.n_tree(b))
         db = gl.tree_coproduct(b)
@@ -409,7 +408,7 @@ def _suite_operators(D: int, rec: _Recorder) -> None:
     for m in range(D + 2):
         xm = ops.x_k(m)
         rec.check("op.xk_counit", [str(m)],
-                  gl.counit(xm), Fraction(1 if m == 0 else 0))
+                  gl.counit(xm), 1 if m == 0 else 0)
         rec.check("op.xk_degree", [str(m)],
                   all(t.size == m + 1 for t in xm.terms), True)
         binomial = LinComb.zero()
@@ -436,6 +435,8 @@ def _suite_dual(D: int, rec: _Recorder) -> None:
     rec.violations.extend(report["violations"])
 
     basis = gd.trees_up_to_degree(D)
+    pairs = [(a, b) for a in basis for b in basis
+             if gd.tree_degree(a) + gd.tree_degree(b) <= D]
     for t in basis:
         f = gd.dual_basis(t)
         transpose = gd.m_dual(f)
@@ -444,14 +445,11 @@ def _suite_dual(D: int, rec: _Recorder) -> None:
                       gd.pair(transpose, LinComb.term(x)),
                       gd.pair(f, ops.m_apply(LinComb.term(x))))
         cop = gd.dual_coproduct(f, gd.tree_degree(t))
-        for a in basis:
-            for b in basis:
-                if gd.tree_degree(a) + gd.tree_degree(b) > D:
-                    continue
-                rec.check("dual.product_pairing",
-                          [t.encoding, a.encoding, b.encoding],
-                          gl.tree_product(a, b).coeff(t),
-                          cop.coeff(Tensor(a, b)))
+        for a, b in pairs:
+            rec.check("dual.product_pairing",
+                      [t.encoding, a.encoding, b.encoding],
+                      gl.tree_product(a, b).coeff(t),
+                      cop.coeff(Tensor(a, b)))
 
     bound = min(D, 4)
     small = gd.trees_up_to_degree(bound)

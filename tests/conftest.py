@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,11 @@ KEY_ENCODERS = {
     "tensor-forest": encode_key,
     "z": encode_z_key,
 }
+
+
+def is_normalised(value) -> bool:
+    """An exact coefficient: a plain int, or a Fraction that is not integral."""
+    return type(value) is int or (type(value) is Fraction and value.denominator > 1)
 
 
 def roundtrip_ok(payload: str, family: str) -> bool:

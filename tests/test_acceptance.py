@@ -49,6 +49,14 @@ def test_verify_reports_pinned(reports):
         assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[name], name
 
 
+def test_dual_report_pinned_at_degree_six():
+    report = verify.run_suite("dual", 6)
+    assert report["checked"] == 44575
+    text = json.dumps(report, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "4c9b33e0ae60212bdf6a2ca9f7d0bfe0b9fa293c9af2c815bb442e00bc959f2b"
+
+
 def _laws(report, prefixes):
     hits = [v for v in report["violations"]
             if any(v["law"].startswith(p) for p in prefixes)]

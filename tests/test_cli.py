@@ -136,6 +136,18 @@ def test_bad_coefficient_exits_two_without_traceback(tmp_path, coeff):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["coprod", "grow"])
+def test_deep_nesting_exits_two_without_traceback(command):
+    deep = "[" * 3000 + "]" * 3000
+    proc = subprocess.run(
+        [sys.executable, "-m", "treehopf", command, "--algebra", "gl", deep],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: input nested too deeply\n"
+
+
 def test_usage_errors():
     assert run(["nonsense"]).exit_code == 2
     assert run(["prod", "--algebra", "xx", "[]", "[]"]).exit_code == 2

@@ -4,10 +4,18 @@ import math
 import random
 from fractions import Fraction
 
-from treehopf.exactlin import (LinComb, Tensor, combine, extend_bilinear,
+import pytest
+
+from conftest import is_normalised
+from treehopf import connes_kreimer as ck
+from treehopf import grossman_larson as gl
+from treehopf import operators as ops
+from treehopf import tree_lie
+from treehopf.exactlin import (LinComb, Tensor, combine, exact, extend_bilinear,
                                extend_linear, map_left, map_right, rank,
                                solve_membership, swap_legs, tensor)
-from treehopf.trees import LEAF, enumerate_trees, parse_tree
+from treehopf.serialize import lincomb_from_json
+from treehopf.trees import Forest, LEAF, enumerate_trees, parse_tree
 
 E = LEAF
 L2 = parse_tree("[[]]")
@@ -140,3 +148,84 @@ def test_rank():
     assert rank([LinComb({E: 1, L2: 1}), LinComb({E: 1, L2: -1}),
                  LinComb({L2: 1})]) == 2
     assert rank([LinComb.term(t) for t in enumerate_trees(5)]) == 9
+
+
+def assert_normalised(x: LinComb) -> None:
+    assert all(is_normalised(c) for c in x.terms.values()), x
+
+
+def test_exact_normalises_coefficients():
+    assert type(exact(3)) is int and exact(3) == 3
+    assert type(exact(Fraction(6, 3))) is int and exact(Fraction(6, 3)) == 2
+    assert exact(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(exact(True)) is int and exact(True) == 1
+    for value in (0.5, 2.0, "1/2", None):
+        with pytest.raises(TypeError):
+            exact(value)
+
+
+def test_integral_results_fall_back_to_int():
+    half = LinComb.term(E, Fraction(1, 2))
+    for x in (half + half, 2 * half, combine(half, half, 3),
+              LinComb([(E, Fraction(1, 3)), (E, Fraction(2, 3))])):
+        assert_normalised(x)
+        assert type(x.coeff(E)) is int
+    assert half.coeff(L2) == 0 and type(half.coeff(L2)) is int
+    assert type(half.mass()) is Fraction
+    assert type((half + half).mass()) is int
+
+
+def test_float_coefficients_rejected():
+    x = LinComb.term(E)
+    with pytest.raises(TypeError):
+        LinComb({E: 0.1})
+    with pytest.raises(TypeError):
+        LinComb.term(E, 1.0)
+    with pytest.raises(TypeError):
+        x * 0.5
+    with pytest.raises(TypeError):
+        0.5 * x
+    with pytest.raises(TypeError):
+        combine(x, x, 0.5)
+
+
+def test_structure_constants_stay_normalised():
+    trees = [t for n in range(1, 6) for t in enumerate_trees(n)]
+    for t in trees:
+        for x in (gl.tree_coproduct(t), gl.tree_antipode(t),
+                  ck.tree_coproduct_by_cuts(t), ck.tree_antipode(t),
+                  ck.forest_coproduct(Forest((t, t)))):
+            assert_normalised(x)
+        for u in trees:
+            assert_normalised(gl.tree_product(t, u))
+            assert_normalised(ck.product(ck.tree_monomial(t), ck.tree_monomial(u)))
+            if t.size + u.size <= 6:
+                assert_normalised(tree_lie.star_by_cut_counting(t, u))
+    for k in range(1, 7):
+        assert_normalised(ops.x_k(k))
+        assert_normalised(ck.delta(k))
+
+
+def test_parsed_coefficients_are_normalised():
+    x = lincomb_from_json('{"terms": [{"basis": "[]", "coeff": "1/2"}, '
+                          '{"basis": "[[]]", "coeff": "4/2"}]}', parse_tree)
+    assert_normalised(x)
+    assert x.terms == {E: Fraction(1, 2), L2: 2}
+    assert type(x.coeff(L2)) is int
+
+
+def test_solve_membership_divides_exactly():
+    coords = solve_membership(LinComb.term(L3), [2 * LinComb.term(L3)])
+    assert coords == [Fraction(1, 2)]
+    assert type(coords[0]) is Fraction
+    coords = solve_membership(LinComb.term(L3, 6), [2 * LinComb.term(L3)])
+    assert coords == [3] and type(coords[0]) is int
+
+
+def test_rank_elimination_divides_exactly():
+    # columns in the order the elimination visits them (sorted by encoding)
+    keys = sorted((E, L2, L3), key=lambda k: k.encoding)
+    rows = [(5, 8, 6), (4, 9, 3), (23, 42, 24)]  # row 3 = 3 * row 1 + 2 * row 2
+    vectors = [LinComb(zip(keys, row)) for row in rows]
+    assert rank(vectors) == 2
+    assert rank(vectors[:2]) == 2

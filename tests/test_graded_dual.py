@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import is_normalised
 from treehopf import graded_dual as gd
 from treehopf import grossman_larson as gl
 from treehopf import operators as ops
@@ -120,3 +121,18 @@ def test_hochschild_check_catches_mutations(replacement):
         image = ops.m_tree(target) + LinComb.term(E)
     report = gd.hochschild_check(4, _mutated((target, image)))
     assert len(report["violations"]) >= 1
+
+
+def test_dual_coefficients_are_normalised():
+    f = gd.DualFunctional({L3: Fraction(4, 2), CHERRY: Fraction(1, 2), L2: 3})
+    assert f.coeffs == {L3: 2, CHERRY: Fraction(1, 2), L2: 3}
+    assert all(is_normalised(c) for c in f.coeffs.values())
+    assert gd.pair(f, ops.x_k(2)) == Fraction(5, 2)
+    assert type(gd.pair(gd.dual_basis(L3), ops.x_k(2))) is int
+    half = gd.DualFunctional({E: Fraction(1, 2)}, 3)
+    for t1 in gd.trees_up_to_degree(2):
+        g = gd.dual_basis(t1, 3)
+        for h in (gd.dual_product(g, g, 3), gd.dual_product(half, g, 3),
+                  gd.m_dual(gd.dual_basis(t1, 3))):
+            assert all(is_normalised(c) for c in h.coeffs.values()), h
+    assert gd.dual_product(half, half, 3).coeffs == {E: Fraction(1, 4)}
