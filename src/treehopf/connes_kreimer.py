@@ -120,6 +120,7 @@ def antipode(x: LinComb) -> LinComb:
     return extend_linear(forest_antipode)(x)
 
 
+@lru_cache(maxsize=None)
 def forest_growth(f: Forest) -> LinComb:
     """Leaf growth on a basis forest, expanded by the Leibniz rule."""
     out: dict = {}

@@ -139,6 +139,8 @@ def hochschild_check(degree_bound: int, m_tree_func=None) -> dict:
         raise ValueError("degree_bound must be >= 1")
     action = m_tree_func or m_tree
     arguments = trees_up_to_degree(degree_bound - 1)
+    # the action depends on its argument alone: one evaluation per tree
+    images = {b: action(b) for b in arguments}
     argument_pairs = [(a, b) for a in arguments for b in arguments
                       if tree_degree(a) + tree_degree(b) <= degree_bound - 1]
     checked = 0
@@ -146,7 +148,7 @@ def hochschild_check(degree_bound: int, m_tree_func=None) -> dict:
     for t in trees_up_to_degree(degree_bound):
         f = dual_basis(t)
         # (M* f) tabulated on every tree a product below can reach
-        transpose = {a: pair(f, action(a)) for a in arguments}
+        transpose = {a: pair(f, images[a]) for a in arguments}
         # the dual coproduct indexed by its left leg
         cop_by_left: dict = {}
         for key, c in dual_coproduct(f, tree_degree(t)).terms.items():
@@ -156,7 +158,7 @@ def hochschild_check(degree_bound: int, m_tree_func=None) -> dict:
             for term, c in gl.tree_product(a, b).terms.items():
                 lhs += c * transpose.get(term, 0)
             rhs = transpose[a] if b == LEAF else 0
-            mb = action(b)
+            mb = images[b]
             for right, c in cop_by_left.get(a, ()):
                 rhs += c * mb.coeff(right)
             checked += 1

@@ -16,6 +16,9 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from functools import lru_cache
+from operator import attrgetter
+
+_by_encoding = attrgetter("encoding")
 
 
 class TreeParseError(ValueError):
@@ -32,7 +35,7 @@ class Tree:
     __slots__ = ("children", "encoding", "size", "_hash")
 
     def __init__(self, children=()):
-        kids = tuple(sorted(children, key=lambda c: c.encoding))
+        kids = tuple(sorted(children, key=_by_encoding))
         self.children = kids
         self.encoding = "[" + "".join(c.encoding for c in kids) + "]"
         self.size = 1 + sum(c.size for c in kids)
@@ -59,15 +62,37 @@ class Forest:
     __slots__ = ("items", "encoding", "weight", "_hash")
 
     def __init__(self, items=()):
-        trees = tuple(sorted(items, key=lambda t: t.encoding))
+        trees = tuple(sorted(items, key=_by_encoding))
         self.items = trees
         self.encoding = " ".join(t.encoding for t in trees) if trees else "1"
         self.weight = sum(t.size for t in trees)
         self._hash = hash(("Forest", self.encoding))
 
     def union(self, other: "Forest") -> "Forest":
-        """Multiset union; the monomial product of forests."""
-        return Forest(self.items + other.items)
+        """Multiset union; the monomial product of forests.
+
+        Both item tuples are already sorted, so an empty side returns the
+        other operand, two runs that do not interleave are concatenated,
+        and only interleaving runs are re-sorted.
+        """
+        left, right = self.items, other.items
+        if not right:
+            return self
+        if not left:
+            return other
+        if left[-1].encoding <= right[0].encoding:
+            items, encoding = left + right, self.encoding + " " + other.encoding
+        elif right[-1].encoding <= left[0].encoding:
+            items, encoding = right + left, other.encoding + " " + self.encoding
+        else:
+            items = tuple(sorted(left + right, key=_by_encoding))
+            encoding = " ".join(t.encoding for t in items)
+        forest = Forest.__new__(Forest)
+        forest.items = items
+        forest.encoding = encoding
+        forest.weight = self.weight + other.weight
+        forest._hash = hash(("Forest", encoding))
+        return forest
 
     def __eq__(self, other):
         return isinstance(other, Forest) and self.encoding == other.encoding
@@ -236,26 +261,36 @@ def _extract_cut(t: Tree, vertices: tuple[int, ...], subs: list[Tree]) -> Cut:
 def admissible_cuts(t: Tree) -> tuple[Cut, ...]:
     """Every admissible cut with at least one severed edge.
 
-    A candidate is a set of non-root preorder indices; it is admissible when
-    it is an antichain in the ancestor order (vertex v covers the preorder
-    interval [v, v + size_v), so w is a descendant of v iff v < w < v +
-    size_v).  Deterministic order: by cut order, then lexicographically by
-    index tuple.
+    A cut is a set of non-root preorder indices that is an antichain in the
+    ancestor order (vertex v covers the preorder interval [v, v + size_v),
+    so w is a descendant of v iff v < w < v + size_v).  Built recursively
+    over the root's children: each child, at preorder offset o, is either
+    severed whole (edge o), kept whole, or cut by one of its own admissible
+    cuts with every edge shifted by o.  Every combination but the all-keep
+    one is a cut of t, and each cut arises exactly once.  Deterministic
+    order: by cut order, then lexicographically by sorted index tuple.
     """
-    subs = preorder_subtrees(t)
-    n = t.size
-    cuts = []
-    for order in range(1, n):
-        for combo in itertools.combinations(range(1, n), order):
-            admissible = True
-            for i, v in enumerate(combo):
-                top = v + subs[v].size
-                if any(combo[j] < top for j in range(i + 1, len(combo))):
-                    admissible = False
-                    break
-            if admissible:
-                cuts.append(_extract_cut(t, combo, subs))
-    return tuple(cuts)
+    choices = []
+    offset = 1
+    for child in t.children:
+        # (edges, branch trees, trunk child or None) for this child
+        options = [((offset,), (child,), None), ((), (), child)]
+        for cut in admissible_cuts(child):
+            options.append((tuple(sorted(e + offset for e in cut.edges)),
+                            cut.branch.items, cut.trunk))
+        choices.append(options)
+        offset += child.size
+    combos = []
+    for picks in itertools.product(*choices):
+        edges = tuple(e for pick in picks for e in pick[0])
+        if edges:
+            combos.append((len(edges), edges, picks))
+    combos.sort()  # edge tuples are distinct, so picks are never compared
+    return tuple(
+        Cut(edges,
+            Forest(tree for pick in picks for tree in pick[1]),
+            Tree(pick[2] for pick in picks if pick[2] is not None))
+        for _, edges, picks in combos)
 
 
 @lru_cache(maxsize=None)
@@ -265,9 +300,17 @@ def single_cuts(t: Tree) -> tuple[Cut, ...]:
     return tuple(_extract_cut(t, (v,), subs) for v in range(1, t.size))
 
 
+@lru_cache(maxsize=None)
+def _growth_terms(t: Tree) -> tuple[Tree, ...]:
+    return tuple(graft(t, v, LEAF) for v in range(t.size))
+
+
 def natural_growth_terms(t: Tree) -> list[Tree]:
-    """One leaf graft per vertex; isomorphic results keep their multiplicity."""
-    return [graft(t, v, LEAF) for v in range(t.size)]
+    """One leaf graft per vertex; isomorphic results keep their multiplicity.
+
+    Cached per tree; every call returns a fresh list.
+    """
+    return list(_growth_terms(t))
 
 
 @lru_cache(maxsize=None)
@@ -278,7 +321,7 @@ def enumerate_trees(n: int) -> tuple[Tree, ...]:
     if n == 1:
         return (LEAF,)
     return tuple(sorted((b_plus(f) for f in enumerate_forests(n - 1)),
-                        key=lambda t: t.encoding))
+                        key=_by_encoding))
 
 
 @lru_cache(maxsize=None)
@@ -300,7 +343,7 @@ def enumerate_forests(weight: int) -> tuple[Forest, ...]:
                 extend(remaining - pool[i].size, i, acc + [pool[i]])
 
     extend(weight, 0, [])
-    return tuple(sorted(found, key=lambda f: f.encoding))
+    return tuple(sorted(found, key=_by_encoding))
 
 
 def count_trees_recurrence(n: int) -> int:

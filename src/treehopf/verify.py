@@ -437,13 +437,14 @@ def _suite_dual(D: int, rec: _Recorder) -> None:
     basis = gd.trees_up_to_degree(D)
     pairs = [(a, b) for a in basis for b in basis
              if gd.tree_degree(a) + gd.tree_degree(b) <= D]
+    # each basis element with its image under the chain multiplication
+    images = [(x, LinComb.term(x), ops.m_apply(LinComb.term(x))) for x in basis]
     for t in basis:
         f = gd.dual_basis(t)
         transpose = gd.m_dual(f)
-        for x in basis:
+        for x, term, image in images:
             rec.check("dual.transpose_coherence", [t.encoding, x.encoding],
-                      gd.pair(transpose, LinComb.term(x)),
-                      gd.pair(f, ops.m_apply(LinComb.term(x))))
+                      gd.pair(transpose, term), gd.pair(f, image))
         cop = gd.dual_coproduct(f, gd.tree_degree(t))
         for a, b in pairs:
             rec.check("dual.product_pairing",

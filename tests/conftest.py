@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 from treehopf.serialize import (encode_key, encode_z_key, lincomb_from_obj,
                                 lincomb_to_json, parse_forest_tensor,
                                 parse_tree_tensor, parse_z_key)
-from treehopf.trees import parse_forest, parse_tree
+from treehopf.trees import (Forest, Tree, admissible_cuts, parse_forest,
+                            parse_tree, preorder_subtrees)
 
 KEY_PARSERS = {
     "tree": parse_tree,
@@ -35,6 +37,44 @@ def roundtrip_ok(payload: str, family: str) -> bool:
     obj = json.loads(payload)
     parsed = lincomb_from_obj(obj, KEY_PARSERS[family])
     return lincomb_to_json(parsed, KEY_ENCODERS[family]) == payload
+
+
+def antichain_filter_cuts(t: Tree) -> tuple:
+    """Admissible cuts by filtering every vertex subset, as an oracle.
+
+    Tries each set of non-root preorder indices in order of size, then
+    lexicographically, keeps the antichains in the ancestor order, and
+    rebuilds branch and trunk by walking the tree.  Returns ``(sorted edges,
+    branch encoding, trunk encoding)`` per cut.
+    """
+    subs = preorder_subtrees(t)
+    n = t.size
+    out = []
+    for order in range(1, n):
+        for combo in itertools.combinations(range(1, n), order):
+            if any(w < v + subs[v].size
+                   for i, v in enumerate(combo) for w in combo[i + 1:]):
+                continue
+            severed = set(combo)
+
+            def rebuild(node, index):
+                child_index = index + 1
+                kids = []
+                for child in node.children:
+                    if child_index not in severed:
+                        kids.append(rebuild(child, child_index))
+                    child_index += child.size
+                return Tree(kids)
+
+            branch = Forest(subs[v] for v in combo)
+            out.append((combo, branch.encoding, rebuild(t, 0).encoding))
+    return tuple(out)
+
+
+def cut_signature(t: Tree) -> tuple:
+    """``admissible_cuts(t)`` in the oracle's shape, keeping its order."""
+    return tuple((tuple(sorted(c.edges)), c.branch.encoding, c.trunk.encoding)
+                 for c in admissible_cuts(t))
 
 
 @pytest.fixture(scope="session")

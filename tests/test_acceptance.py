@@ -57,6 +57,15 @@ def test_dual_report_pinned_at_degree_six():
         "4c9b33e0ae60212bdf6a2ca9f7d0bfe0b9fa293c9af2c815bb442e00bc959f2b"
 
 
+def test_hr_report_pinned_at_degree_six():
+    # digest taken before the recursive cut kernel replaced the subset filter
+    report = verify.run_suite("hr", 6)
+    assert report["checked"] == 3247
+    text = json.dumps(report, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "6c219d73b3b41bc102f0a5a4794a982221fe2db5d491be7f301e808ae35b1284"
+
+
 def _laws(report, prefixes):
     hits = [v for v in report["violations"]
             if any(v["law"].startswith(p) for p in prefixes)]

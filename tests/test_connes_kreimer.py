@@ -4,8 +4,8 @@ import pytest
 
 from treehopf import connes_kreimer as ck
 from treehopf.exactlin import LinComb, Tensor, combine, swap_legs, tensor
-from treehopf.trees import (EMPTY_FOREST, enumerate_forests, enumerate_trees,
-                            parse_forest, parse_tree)
+from treehopf.trees import (EMPTY_FOREST, LEAF, Forest, enumerate_forests,
+                            enumerate_trees, graft, parse_forest, parse_tree)
 
 E = parse_tree("[]")
 L2 = parse_tree("[[]]")
@@ -145,6 +145,20 @@ def test_forest_growth_continues_delta_chain():
     # delta is read off the grafting chain x_k; forest-side growth must agree
     for k in range(1, 8):
         assert ck.natural_growth(ck.delta(k)) == ck.delta(k + 1)
+
+
+def test_forest_growth_cached_matches_leibniz():
+    # an uncached Leibniz expansion: one leaf at every vertex of every factor
+    for w in range(6):
+        for f in enumerate_forests(w):
+            expected = LinComb.zero()
+            for i, t in enumerate(f.items):
+                rest = f.items[:i] + f.items[i + 1:]
+                for v in range(t.size):
+                    expected = expected + LinComb.term(
+                        Forest(rest + (graft(t, v, LEAF),)))
+            assert ck.forest_growth(f) == expected, f
+            assert ck.forest_growth(f) is ck.forest_growth(f)
 
 
 def test_delta_homogeneous():

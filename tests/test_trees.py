@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import antichain_filter_cuts, cut_signature
 from treehopf.trees import (EMPTY_FOREST, LEAF, Forest, Tree, TreeParseError,
                             admissible_cuts, aut_order, b_minus, b_plus,
                             canonicalize, count_trees_recurrence,
@@ -179,6 +180,35 @@ def test_cuts_conserve_vertices_and_are_antichains():
                     for w in cut.edges:
                         assert not (v < w < v + subs[v].size)
             assert len(single_cuts(t)) == t.size - 1
+
+
+def test_admissible_cuts_match_antichain_filter():
+    # the recursion must give the same cuts, in the same order, as the filter
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            assert cut_signature(t) == antichain_filter_cuts(t), t
+
+
+def test_natural_growth_terms_returns_fresh_list():
+    first = natural_growth_terms(CHERRY)
+    first.append(E)
+    first[0] = E
+    again = natural_growth_terms(CHERRY)
+    assert again is not first
+    assert len(again) == CHERRY.size
+    assert Counter(t.encoding for t in again) == {"[[][][]]": 1, "[[[]][]]": 2}
+
+
+def test_forest_union_matches_resort():
+    forests = [f for w in range(5) for f in enumerate_forests(w)]
+    for a in forests:
+        for b in forests:
+            merged = a.union(b)
+            resorted = Forest(a.items + b.items)
+            assert merged.encoding == resorted.encoding, (a, b)
+            assert merged.weight == resorted.weight
+            assert hash(merged) == hash(resorted)
+            assert merged.items == resorted.items
 
 
 def test_natural_growth_examples():
