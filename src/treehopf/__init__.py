@@ -8,8 +8,8 @@ degree-truncated graded dual, and exhaustive low-degree verification of all
 the structural identities.
 """
 
-from .exactlin import (LinComb, Rational, Tensor, combine, exact,
-                       extend_bilinear, extend_linear, map_left, map_right, rank,
+from .exactlin import (LinComb, Tensor, combine, exact, extend_bilinear,
+                       extend_linear, map_left, map_right, rank,
                        solve_membership, swap_legs, tensor, tensor_multiply)
 from .trees import (EMPTY_FOREST, LEAF, Cut, Forest, Tree, TreeParseError,
                     admissible_cuts, aut_order, b_minus, b_plus, canonicalize,
@@ -20,7 +20,7 @@ from .trees import (EMPTY_FOREST, LEAF, Cut, Forest, Tree, TreeParseError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cut", "EMPTY_FOREST", "Forest", "LEAF", "LinComb", "Rational", "Tensor",
+    "Cut", "EMPTY_FOREST", "Forest", "LEAF", "LinComb", "Tensor",
     "Tree", "TreeParseError", "admissible_cuts", "aut_order", "b_minus",
     "b_plus", "canonicalize", "combine", "count_trees_recurrence",
     "enumerate_forests", "enumerate_trees", "exact", "extend_bilinear",

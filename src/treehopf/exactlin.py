@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def exact(c):
     """Normalise a coefficient: an ``int`` when integral, else a ``Fraction``.

@@ -8,8 +8,8 @@ computation finite and exact: the dual coproduct of f tabulates f(a * b)
 over tree pairs within the bound, and the transpose of the chain
 right-multiplication operator drops degree by one.
 
-``hochschild_check`` verifies exhaustively that this transpose satisfies the
-cocycle identity
+``hochschild_cases`` lists, and ``hochschild_check`` checks, every case of
+the cocycle identity that this transpose satisfies
 
     (M* f)(a b) = (M* f)(a) eps(b) + sum_i f_i(a) (M* f'_i)(b)
 
@@ -124,16 +124,16 @@ def dual_product(f: DualFunctional, g: DualFunctional,
     return DualFunctional(coeffs, degree_bound)
 
 
-def hochschild_check(degree_bound: int, m_tree_func=None) -> dict:
-    """Exhaustive transpose-cocycle check up to the degree bound.
+def hochschild_cases(degree_bound: int, m_tree_func=None):
+    """Yield every case ``((t, a, b), lhs, rhs)`` of the transpose cocycle.
 
     For every coordinate functional t* with deg t <= degree_bound and every
-    tree pair (a, b) with deg a + deg b <= degree_bound - 1, compares
+    tree pair (a, b) with deg a + deg b <= degree_bound - 1, the sides are
 
-        (M* t*)(a b)  against  (M* t*)(a) eps(b) + sum_i f_i(a) (M* f'_i)(b).
+        (M* t*)(a b)  and  (M* t*)(a) eps(b) + sum_i f_i(a) (M* f'_i)(b).
 
-    Returns ``{"checked": n, "violations": [...]}``.  ``m_tree_func`` swaps
-    in an alternate basis action for the multiplication operator.
+    ``m_tree_func`` swaps in an alternate basis action for the
+    multiplication operator.
     """
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
@@ -143,8 +143,6 @@ def hochschild_check(degree_bound: int, m_tree_func=None) -> dict:
     images = {b: action(b) for b in arguments}
     argument_pairs = [(a, b) for a in arguments for b in arguments
                       if tree_degree(a) + tree_degree(b) <= degree_bound - 1]
-    checked = 0
-    violations = []
     for t in trees_up_to_degree(degree_bound):
         f = dual_basis(t)
         # (M* f) tabulated on every tree a product below can reach
@@ -161,12 +159,15 @@ def hochschild_check(degree_bound: int, m_tree_func=None) -> dict:
             mb = images[b]
             for right, c in cop_by_left.get(a, ()):
                 rhs += c * mb.coeff(right)
-            checked += 1
-            if lhs != rhs:
-                violations.append({
-                    "law": "dual.hochschild",
-                    "inputs": [t.encoding, a.encoding, b.encoding],
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                })
-    return {"checked": checked, "violations": violations}
+            yield (t, a, b), lhs, rhs
+
+
+def hochschild_check(degree_bound: int, m_tree_func=None) -> dict:
+    """Exhaustive transpose-cocycle check up to the degree bound.
+
+    Runs every case of ``hochschild_cases`` under the law name
+    ``dual.hochschild`` and returns ``{"checked": n, "violations": [...]}``.
+    """
+    from .verify import check  # verify imports this module
+    return check([("dual.hochschild",
+                   hochschild_cases(degree_bound, m_tree_func))])

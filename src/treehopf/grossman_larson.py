@@ -6,7 +6,7 @@ a and attaches them to vertices of b in all ``size(b) ** r`` ways; isomorphic
 results merge, so the total coefficient mass is exactly ``size(b) ** r``.
 Equal root subtrees of a are enumerated as multisets of vertices of b, each
 with its multinomial weight (the number of ordered assignments that give
-it), so the mass is still ``size(b) ** r``.
+it).
 ``tree_coproduct`` splits the root subtrees over the ``2 ** r`` ordered
 subset pairs (one binary choice per child slot, so repeated subtrees create
 multiplicities) and regrows a root on each side.

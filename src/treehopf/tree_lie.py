@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactlin import LinComb, extend_bilinear
-from .trees import Forest, Tree, aut_order, enumerate_trees, graft, single_cuts
+from .trees import Tree, aut_order, enumerate_trees, graft, single_cuts
 
 
 def star_trees(t1: Tree, t2: Tree) -> LinComb:
@@ -36,12 +36,11 @@ def star(a: LinComb, b: LinComb) -> LinComb:
 
 def single_cut_count(t1: Tree, t2: Tree, t: Tree) -> int:
     """Raw number of one-edge cuts of t with branch t1 and trunk t2."""
-    target = Forest((t1,))
     return sum(1 for cut in single_cuts(t)
-               if cut.branch == target and cut.trunk == t2)
+               if cut.branch.items == (t1,) and cut.trunk == t2)
 
 
-def star_by_cut_counting(t1: Tree, t2: Tree, max_size: int | None = None) -> LinComb:
+def star_by_cut_counting(t1: Tree, t2: Tree) -> LinComb:
     """Cut-count oracle for ``star_trees``.
 
     Enumerates every tree with ``size(t1) + size(t2)`` vertices, counts its
@@ -51,8 +50,6 @@ def star_by_cut_counting(t1: Tree, t2: Tree, max_size: int | None = None) -> Lin
     basis pair.
     """
     total = t1.size + t2.size
-    if max_size is not None and max_size < total:
-        raise ValueError("max_size is smaller than the combined tree size")
     scale = Fraction(aut_order(t1) * aut_order(t2))
     out: dict = {}
     for t in enumerate_trees(total):

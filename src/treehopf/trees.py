@@ -174,8 +174,8 @@ def parse_forest(text: str) -> Forest:
 def canonicalize(nested) -> Tree:
     """Build the canonical tree from nested child lists, in any child order.
 
-    Idempotent: feeding back ``[_as_nested(c) for c in t.children]`` returns
-    an equal tree.
+    Idempotent: feeding back the nested child lists of a tree (a leaf is
+    ``[]``) returns an equal tree.
     """
     return Tree(canonicalize(child) for child in nested)
 
@@ -241,22 +241,6 @@ def preorder_subtrees(t: Tree) -> list[Tree]:
     return out
 
 
-def _extract_cut(t: Tree, vertices: tuple[int, ...], subs: list[Tree]) -> Cut:
-    branch = Forest(subs[v] for v in vertices)
-    severed = set(vertices)
-
-    def rebuild(node: Tree, index: int) -> Tree:
-        child_index = index + 1
-        kids = []
-        for child in node.children:
-            if child_index not in severed:
-                kids.append(rebuild(child, child_index))
-            child_index += child.size
-        return Tree(kids)
-
-    return Cut(vertices, branch, rebuild(t, 0))
-
-
 @lru_cache(maxsize=None)
 def admissible_cuts(t: Tree) -> tuple[Cut, ...]:
     """Every admissible cut with at least one severed edge.
@@ -293,11 +277,12 @@ def admissible_cuts(t: Tree) -> tuple[Cut, ...]:
         for _, edges, picks in combos)
 
 
-@lru_cache(maxsize=None)
 def single_cuts(t: Tree) -> tuple[Cut, ...]:
-    """The one-edge cuts, one per non-root vertex."""
-    subs = preorder_subtrees(t)
-    return tuple(_extract_cut(t, (v,), subs) for v in range(1, t.size))
+    """The one-edge cuts, one per non-root vertex, by vertex index.
+
+    ``admissible_cuts`` lists them first, since it sorts by cut order.
+    """
+    return admissible_cuts(t)[:t.size - 1]
 
 
 @lru_cache(maxsize=None)

@@ -50,13 +50,6 @@ def test_oracle_equals_graft_form():
                         tree_lie.star_trees(ta, tb)
 
 
-def test_oracle_max_size_precondition():
-    with pytest.raises(ValueError):
-        tree_lie.star_by_cut_counting(L2, L2, max_size=3)
-    assert tree_lie.star_by_cut_counting(L2, L2, max_size=6) == \
-        tree_lie.star_by_cut_counting(L2, L2)
-
-
 def test_raw_cut_count_differs_by_symmetry():
     # severable-edge counts versus attachment-site counts
     assert tree_lie.single_cut_count(E, L2, CHERRY) == 2

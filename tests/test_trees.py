@@ -179,7 +179,9 @@ def test_cuts_conserve_vertices_and_are_antichains():
                 for v in cut.edges:
                     for w in cut.edges:
                         assert not (v < w < v + subs[v].size)
-            assert len(single_cuts(t)) == t.size - 1
+            # one cut per non-root vertex, by index, severing that subtree
+            assert [(sorted(c.edges), c.branch.items) for c in single_cuts(t)] == \
+                [([v], (subs[v],)) for v in range(1, t.size)]
 
 
 def test_admissible_cuts_match_antichain_filter():
