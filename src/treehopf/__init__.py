@@ -8,6 +8,8 @@ degree-truncated graded dual, and exhaustive low-degree verification of all
 the structural identities.
 """
 
+import sys
+
 from .exactlin import (LinComb, Tensor, combine, exact, extend_bilinear,
                        extend_linear, map_left, map_right, rank,
                        solve_membership, swap_legs, tensor, tensor_multiply)
@@ -22,10 +24,30 @@ __version__ = "0.1.0"
 __all__ = [
     "Cut", "EMPTY_FOREST", "Forest", "LEAF", "LinComb", "Tensor",
     "Tree", "TreeParseError", "admissible_cuts", "aut_order", "b_minus",
-    "b_plus", "canonicalize", "combine", "count_trees_recurrence",
-    "enumerate_forests", "enumerate_trees", "exact", "extend_bilinear",
-    "extend_linear", "graft", "graft_many", "map_left", "map_right",
-    "natural_growth_terms", "parse_forest", "parse_tree", "preorder_subtrees",
-    "rank", "single_cuts", "solve_membership", "swap_legs", "tensor",
-    "tensor_multiply",
+    "b_plus", "canonicalize", "clear_caches", "combine",
+    "count_trees_recurrence", "enumerate_forests", "enumerate_trees", "exact",
+    "extend_bilinear", "extend_linear", "graft", "graft_many", "map_left",
+    "map_right", "natural_growth_terms", "parse_forest", "parse_tree",
+    "preorder_subtrees", "rank", "single_cuts", "solve_membership",
+    "swap_legs", "tensor", "tensor_multiply",
 ]
+
+
+def clear_caches() -> None:
+    """Empty every memo in the package: each ``lru_cache`` and ``x_k``'s chain.
+
+    Cached values were computed by the kernels as they were when first
+    asked for.  After a kernel is replaced and put back (a mutation check,
+    a test), the callers' caches would keep values built by the
+    replacement for the rest of the process; this drops them all.  Only
+    modules already imported can hold cached values, so none is imported.
+    """
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith(__name__ + "."):
+            continue
+        for value in list(vars(module).values()):
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    operators = sys.modules.get(__name__ + ".operators")
+    if operators is not None:
+        operators._xk_cache.clear()

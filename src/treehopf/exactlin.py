@@ -58,10 +58,16 @@ class LinComb:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
+        if isinstance(terms, dict):
+            # dict keys are unique, so nothing merges: one pass that keeps
+            # an int as it is and drops zeros only after ``exact`` (0.0 raises)
+            self.terms = {key: value for key, coeff in terms.items()
+                          if (value := coeff if type(coeff) is int
+                              else exact(coeff))}
+            return
         data: dict = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, coeff in items:
+            for key, coeff in terms:
                 current = data.get(key)
                 value = exact(coeff if current is None else current + coeff)
                 if value:

@@ -4,9 +4,12 @@ Linear basis: all rooted trees, with the one-vertex tree as the unit.  For
 trees a and b, ``tree_product(a, b)`` detaches the root subtrees s_1..s_r of
 a and attaches them to vertices of b in all ``size(b) ** r`` ways; isomorphic
 results merge, so the total coefficient mass is exactly ``size(b) ** r``.
-Equal root subtrees of a are enumerated as multisets of vertices of b, each
-with its multinomial weight (the number of ordered assignments that give
-it).
+The assignments are not listed one by one: ``graft_forest`` recurses over
+the host, splitting the scions between the first child subtree of b and the
+rest of b (equal scions split as counts, weighted by binomials), and its
+memo shares each subtree's grafted results across every split that reaches
+it.  The tests check it against the product by multisets of host vertices,
+one ``graft_many`` per choice.
 ``tree_coproduct`` splits the root subtrees over the ``2 ** r`` ordered
 subset pairs (one binary choice per child slot, so repeated subtrees create
 multiplicities) and regrows a root on each side.
@@ -20,11 +23,11 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, prod
 
 from .exactlin import (LinComb, Tensor, add_to, extend_bilinear, extend_linear,
                        rank, tensor)
-from .trees import LEAF, Tree, enumerate_trees, graft_many
+from .trees import LEAF, Tree, enumerate_trees
 
 UNIT = LinComb.term(LEAF)
 
@@ -33,17 +36,47 @@ def tree_degree(t: Tree) -> int:
     return t.size - 1
 
 
-def _multisets(n: int, m: int):
-    """Multisets of m vertices out of ``range(n)``, with multinomial weights.
+@lru_cache(maxsize=None)
+def graft_forest(scions: tuple, host: Tree) -> dict:
+    """Every way to attach each scion to some vertex of the host.
 
-    The weight m! / prod(mult!) counts the ordered m-tuples that list the
-    multiset.
+    ``scions`` is a tuple of trees in canonical (encoding) order.  Returns
+    ``{tree: count}``, where count is how many of the ``host.size **
+    len(scions)`` assignments of scions to host vertices give the tree.
+
+    For ``host = B+(c1, ..., cm)`` the scions split into those that land in
+    c1 and those that land in the rest of the host, ``B+(c2, ..., cm)``,
+    root included.  Equal scions are interchangeable, so a run of n equal
+    scions splits as k + (n - k) in C(n, k) ways.  Both parts recurse, and
+    each pair of results joins by hanging the grown c1 back under the grown
+    rest.  Unrolled, this deals the scions over c1, ..., cm and the root
+    with weight prod C(n, k) per run; the memo shares each child's results
+    across every deal that reaches it, and isomorphic partial results merge
+    before the next child joins.  The returned dict is cached and must not
+    be mutated.
     """
-    for sites in itertools.combinations_with_replacement(range(n), m):
-        weight = factorial(m)
-        for _, same in itertools.groupby(sites):
-            weight //= factorial(len(list(same)))
-        yield sites, weight
+    if not scions:
+        return {host: 1}
+    if host.size == 1:
+        return {Tree(scions): 1}
+    first, rest = host.children[0], Tree(host.children[1:])
+    runs = [(scion, len(list(group)))
+            for scion, group in itertools.groupby(scions)]
+    out: dict = {}
+    for taken in itertools.product(*(range(n + 1) for _, n in runs)):
+        weight = prod(comb(n, k) for (_, n), k in zip(runs, taken))
+        kept = [n - k for (_, n), k in zip(runs, taken)]
+        down = graft_forest(_repeat(runs, taken), first)
+        up = graft_forest(_repeat(runs, kept), rest)
+        for grown, c in down.items():
+            for base, d in up.items():
+                add_to(out, Tree(base.children + (grown,)), weight * c * d)
+    return out
+
+
+def _repeat(runs, counts) -> tuple:
+    """``counts[i]`` copies of the i-th run's scion, in canonical order."""
+    return tuple(scion for (scion, _), k in zip(runs, counts) for _ in range(k))
 
 
 @lru_cache(maxsize=None)
@@ -51,19 +84,9 @@ def tree_product(t1: Tree, t2: Tree) -> LinComb:
     """Grafting product of basis trees.
 
     Sums over every assignment of the root subtrees of t1 to vertices of
-    t2; attachments are simultaneous, so vertex indices always refer to the
-    original t2.  Equal root subtrees are interchangeable, so each run of
-    equal scions picks a multiset of vertices, weighted by the number of
-    assignments that give it.
+    t2, through the recursion of ``graft_forest``.
     """
-    runs = [[([(v, scion) for v in sites], weight)
-             for sites, weight in _multisets(t2.size, len(list(group)))]
-            for scion, group in itertools.groupby(t1.children)]
-    out: dict = {}
-    for choice in itertools.product(*runs):
-        placements = [p for sites, _ in choice for p in sites]
-        add_to(out, graft_many(t2, placements), prod(w for _, w in choice))
-    return LinComb(out)
+    return LinComb(graft_forest(t1.children, t2))
 
 
 def product(a: LinComb, b: LinComb) -> LinComb:

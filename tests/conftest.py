@@ -1,14 +1,17 @@
 import itertools
 import json
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
+from treehopf.exactlin import LinComb, add_to
 from treehopf.serialize import (encode_key, encode_z_key, lincomb_from_obj,
                                 lincomb_to_json, parse_forest_tensor,
                                 parse_tree_tensor, parse_z_key)
-from treehopf.trees import (Forest, Tree, admissible_cuts, parse_forest,
-                            parse_tree, preorder_subtrees)
+from treehopf.trees import (Forest, Tree, admissible_cuts, enumerate_trees,
+                            graft_many, parse_forest, parse_tree,
+                            preorder_subtrees)
 
 KEY_PARSERS = {
     "tree": parse_tree,
@@ -75,6 +78,43 @@ def cut_signature(t: Tree) -> tuple:
     """``admissible_cuts(t)`` in the oracle's shape, keeping its order."""
     return tuple((tuple(sorted(c.edges)), c.branch.encoding, c.trunk.encoding)
                  for c in admissible_cuts(t))
+
+
+def _multisets(n: int, m: int):
+    """Multisets of m vertices out of ``range(n)``, with multinomial weights.
+
+    The weight m! / prod(mult!) counts the ordered m-tuples that list the
+    multiset.
+    """
+    for sites in itertools.combinations_with_replacement(range(n), m):
+        weight = factorial(m)
+        for _, same in itertools.groupby(sites):
+            weight //= factorial(len(list(same)))
+        yield sites, weight
+
+
+def multiset_site_product(t1: Tree, t2: Tree) -> LinComb:
+    """The grafting product by multisets of host vertices, as an oracle.
+
+    Each run of equal root subtrees of t1 picks a multiset of vertices of
+    t2, weighted by the number of ordered assignments that list it, and
+    every choice is grafted by one ``graft_many`` call on the original t2.
+    """
+    runs = [[([(v, scion) for v in sites], weight)
+             for sites, weight in _multisets(t2.size, len(list(group)))]
+            for scion, group in itertools.groupby(t1.children)]
+    out: dict = {}
+    for choice in itertools.product(*runs):
+        placements = [p for sites, _ in choice for p in sites]
+        add_to(out, graft_many(t2, placements), prod(w for _, w in choice))
+    return LinComb(out)
+
+
+def product_pairs(max_size: int) -> list:
+    """Every pair of trees (a, b) whose product has at most max_size vertices."""
+    return [(a, b) for na in range(1, max_size + 1)
+            for nb in range(1, max_size + 2 - na)
+            for a in enumerate_trees(na) for b in enumerate_trees(nb)]
 
 
 @pytest.fixture(scope="session")

@@ -66,6 +66,25 @@ def test_hr_report_pinned_at_degree_six():
         "6c219d73b3b41bc102f0a5a4794a982221fe2db5d491be7f301e808ae35b1284"
 
 
+def test_operators_report_pinned_at_degree_six():
+    # digest taken before the recursive grafting kernel replaced the
+    # multiset-of-sites product
+    report = verify.run_suite("operators", 6)
+    assert report["checked"] == 1013
+    text = json.dumps(report, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "06d1a14fcb7ab05f84f529144d69ede368f955060846d16fdb186da25942021b"
+
+
+def test_gl_report_pinned_at_degree_six():
+    # digest taken before the recursive grafting kernel, as above
+    report = verify.run_suite("gl", 6)
+    assert report["checked"] == 4721
+    text = json.dumps(report, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "e8fdb2e2a2a0f1b0fbfa4d6c9fdb0f706520d34cc80f6c4a0e160e54bcaecd60"
+
+
 def _laws(report, prefixes):
     hits = [v for v in report["violations"]
             if any(v["law"].startswith(p) for p in prefixes)]

@@ -1,9 +1,11 @@
-"""Property tests for the cut kernel on random trees beyond the exhaustive bounds."""
+"""Property tests for the cut and grafting kernels on random trees beyond the
+exhaustive bounds."""
 
 import pytest
 
-from conftest import antichain_filter_cuts, cut_signature
+from conftest import antichain_filter_cuts, cut_signature, multiset_site_product
 from treehopf import connes_kreimer as ck
+from treehopf import grossman_larson as gl
 from treehopf.trees import canonicalize
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -35,3 +37,20 @@ def test_recursive_cuts_match_antichain_filter(t):
 @hypothesis.given(random_trees())
 def test_cut_coproduct_matches_recursive_form(t):
     assert ck.tree_coproduct_by_cuts(t) == ck.tree_coproduct_recursive(t)
+
+
+@st.composite
+def random_pairs(draw, min_size=8, max_size=12):
+    """Two random trees whose grafting product has min_size..max_size vertices."""
+    total = draw(st.integers(min_size, max_size))
+    left = draw(st.integers(2, total - 1))
+    right = total + 1 - left
+    return draw(random_trees(left, left)), draw(random_trees(right, right))
+
+
+@hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+@hypothesis.given(random_pairs())
+def test_recursive_product_matches_multiset_oracle(pair):
+    a, b = pair
+    assert 8 <= a.size + b.size - 1 <= 12
+    assert gl.tree_product(a, b) == multiset_site_product(a, b)

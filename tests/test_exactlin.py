@@ -189,6 +189,21 @@ def test_float_coefficients_rejected():
         combine(x, x, 0.5)
 
 
+def test_dict_input_matches_pair_input():
+    terms = {E: Fraction(4, 2), L2: 0, L3: Fraction(0), CHERRY: True}
+    x = LinComb(terms)
+    assert x.terms == {E: 2, CHERRY: 1} == LinComb(terms.items()).terms
+    assert_normalised(x)
+    rng = random.Random(3)
+    for _ in range(50):
+        terms = {k: Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                 for k in rng.sample(KEYS, rng.randint(0, len(KEYS)))}
+        assert LinComb(terms).terms == LinComb(list(terms.items())).terms
+    for bad in (0.0, 1.5):
+        with pytest.raises(TypeError):
+            LinComb({E: 1, L2: bad})
+
+
 def test_structure_constants_stay_normalised():
     trees = [t for n in range(1, 6) for t in enumerate_trees(n)]
     for t in trees:

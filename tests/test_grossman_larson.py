@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import multiset_site_product, product_pairs
 from treehopf import grossman_larson as gl
 from treehopf.exactlin import LinComb, Tensor, combine, swap_legs, tensor
 from treehopf.trees import LEAF, enumerate_trees, graft_many, parse_tree
@@ -64,6 +65,15 @@ def test_product_matches_tuple_enumeration():
                 grown = graft_many(b, zip(sites, a.children))
                 out[grown] = out.get(grown, 0) + 1
             assert gl.tree_product(a, b) == LinComb(out), (a, b)
+
+
+def test_product_matches_multiset_oracle():
+    # the product by multisets of host vertices, on every pair whose
+    # product has at most 9 vertices
+    pairs = product_pairs(9)
+    assert len(pairs) == 2025
+    for a, b in pairs:
+        assert gl.tree_product(a, b) == multiset_site_product(a, b), (a, b)
 
 
 def test_product_not_commutative():

@@ -1,14 +1,15 @@
 """Growth and chain-multiplication operators on the grafting algebra."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
 from treehopf import grossman_larson as gl
 from treehopf import operators as ops
 from treehopf.exactlin import LinComb, map_left, map_right, rank, tensor
-from treehopf.trees import LEAF, enumerate_trees, parse_tree
+from treehopf.trees import (LEAF, aut_order, enumerate_trees, parse_tree,
+                            preorder_subtrees)
 
 E = LEAF
 L2 = parse_tree("[[]]")
@@ -35,6 +36,22 @@ def test_xk_values():
                           + elem(parse_tree("[[][][]]")))
     with pytest.raises(ValueError):
         ops.x_k(-1)
+
+
+def tree_factorial(t) -> int:
+    """Product of the subtree sizes over all vertices."""
+    return prod(s.size for s in preorder_subtrees(t))
+
+
+def test_xk_closed_form():
+    # coeff_t(x_k) = (k+1)! / (t! aut(t)), the Connes-Moscovici coefficient:
+    # an oracle that takes no growth step and no product
+    for k in range(8):
+        xk = ops.x_k(k)
+        assert set(xk.support()) == set(enumerate_trees(k + 1))
+        for t in enumerate_trees(k + 1):
+            assert xk.coeff(t) == \
+                Fraction(factorial(k + 1), tree_factorial(t) * aut_order(t)), t
 
 
 def test_xk_homogeneous():

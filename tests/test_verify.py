@@ -2,15 +2,15 @@
 
 import hashlib
 import json
-import sys
 
 import pytest
 
+from treehopf import clear_caches
 from treehopf import connes_kreimer as ck
 from treehopf import graded_dual as gd
 from treehopf import grossman_larson as gl
 from treehopf import operators as ops
-from treehopf import tree_lie, verify
+from treehopf import tree_lie, trees, verify
 from treehopf.exactlin import LinComb
 from treehopf.trees import LEAF, parse_forest
 
@@ -33,21 +33,16 @@ def test_law_counts_pinned():
         "a2190f56d69c3527ac345c062e0fd506e1deb4d62f58e9a536117399641041fd"
 
 
-def _clear_caches():
-    for name, module in list(sys.modules.items()):
-        if name.startswith("treehopf") and module is not None:
-            for value in vars(module).values():
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
-    ops._xk_cache.clear()
-
-
 @pytest.fixture
 def fresh_caches():
     """A broken kernel leaves wrong values in the caches of its callers."""
-    _clear_caches()
+    clear_caches()
     yield
-    _clear_caches()
+    clear_caches()
+
+
+def _drop_first(x: LinComb) -> LinComb:
+    return LinComb(list(x.terms.items())[1:])
 
 
 def _extra_term(x: LinComb) -> LinComb:
@@ -65,8 +60,12 @@ BREAKS = [
      "trees.growth_count"),
     ("hr", ck, "forest_antipode", lambda k: lambda f: -k(f),
      "hr.antipode_left"),
-    ("gl", gl, "tree_product",
-     lambda k: lambda a, b: LinComb(list(k(a, b).terms.items())[1:]),
+    ("gl", gl, "tree_product", lambda k: lambda a, b: _drop_first(k(a, b)),
+     "gl.product_mass"),
+    # reached only through the module global, by tree_product and by the
+    # recursion itself
+    ("gl", gl, "graft_forest",
+     lambda k: lambda scions, host: dict(list(k(scions, host).items())[1:]),
      "gl.product_mass"),
     ("lie", tree_lie, "star_trees", lambda k: lambda a, b: _extra_term(k(a, b)),
      "lie.star_oracle"),
@@ -89,6 +88,32 @@ def test_broken_kernel_fires_its_law(suite, module, kernel, breaker, law,
         assert v["inputs"] and all(parse_forest(s).encoding == s
                                    for s in v["inputs"]), v
         assert isinstance(v["lhs"], str) and isinstance(v["rhs"], str)
+
+
+def test_clear_caches_drops_values_built_by_a_replaced_kernel(monkeypatch,
+                                                             fresh_caches):
+    original = gl.tree_product
+    monkeypatch.setattr(gl, "tree_product",
+                        lambda a, b: _drop_first(original(a, b)))
+    assert verify.run_suite("gl", 3)["violations"]
+    monkeypatch.setattr(gl, "tree_product", original)
+    # the antipode cache still holds values built with the broken product
+    assert verify.run_suite("gl", 3)["violations"]
+    clear_caches()
+    assert verify.run_suite("gl", 3)["violations"] == []
+
+
+def test_clear_caches_empties_every_memo():
+    for suite in ("hr", "gl", "operators"):
+        verify.run_suite(suite, 3)
+    memos = [gl.graft_forest, gl.tree_product, gl.tree_coproduct,
+             gl.tree_antipode, ck.tree_coproduct_by_cuts, ck.tree_antipode,
+             trees.admissible_cuts, trees.enumerate_trees]
+    assert all(memo.cache_info().currsize for memo in memos)
+    assert ops._xk_cache
+    clear_caches()
+    assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
+    assert ops._xk_cache == []
 
 
 def test_hochschild_check_reports_through_the_runner():
