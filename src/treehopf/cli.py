@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import connes_kreimer as ck
 from . import grossman_larson as gl
@@ -28,11 +27,15 @@ from .trees import (TreeParseError, count_trees_recurrence, enumerate_trees,
                     parse_forest, parse_tree)
 
 
-@dataclass
 class CommandResult:
-    status: str          # "ok" or "error"
-    payload: str
-    exit_code: int       # 0 ok, 1 verification failure, 2 usage error
+    """What one CLI call produced; a plain class keeps ``dataclasses`` unloaded."""
+
+    __slots__ = ("status", "payload", "exit_code")
+
+    def __init__(self, status: str, payload: str, exit_code: int):
+        self.status = status        # "ok" or "error"
+        self.payload = payload
+        self.exit_code = exit_code  # 0 ok, 1 verification failure, 2 usage error
 
 
 class _UsageError(Exception):

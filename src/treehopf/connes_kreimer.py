@@ -29,7 +29,7 @@ from . import operators as ops
 from .exactlin import (LinComb, Tensor, add_to, extend_linear, solve_membership,
                        tensor)
 from .trees import (EMPTY_FOREST, Forest, Tree, admissible_cuts, b_plus,
-                    natural_growth_terms)
+                    leaf_growth)
 
 UNIT = LinComb.term(EMPTY_FOREST)
 
@@ -126,8 +126,8 @@ def forest_growth(f: Forest) -> LinComb:
     out: dict = {}
     for i, t in enumerate(f.items):
         rest = f.items[:i] + f.items[i + 1:]
-        for grown in natural_growth_terms(t):
-            add_to(out, Forest(rest + (grown,)), 1)
+        for grown, k in leaf_growth(t).items():
+            add_to(out, Forest(rest + (grown,)), k)
     return LinComb(out)
 
 

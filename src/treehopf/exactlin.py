@@ -178,24 +178,37 @@ def extend_bilinear(f):
 
 
 class Tensor:
-    """Ordered pair of basis keys; the basis of a two-fold tensor space."""
+    """Ordered pair of basis keys; the basis of a two-fold tensor space.
 
-    __slots__ = ("left", "right", "encoding", "_hash")
+    Interned like trees and forests: one object per ``(left, right)`` pair,
+    so ``==`` and ``hash`` are the default identity ones.
+    """
+
+    __slots__ = ("left", "right", "encoding")
+
+    def __new__(cls, left, right):
+        key = (left, right)
+        pair = _tensors.get(key)
+        if pair is None:
+            pair = object.__new__(cls)
+            pair.left = left
+            pair.right = right
+            pair.encoding = f"{left.encoding} | {right.encoding}"
+            _tensors[key] = pair
+        return pair
 
     def __init__(self, left, right):
-        self.left = left
-        self.right = right
-        self.encoding = f"{left.encoding} | {right.encoding}"
-        self._hash = hash(("Tensor", self.encoding))
+        """Nothing to do: ``__new__`` returns a finished, shared pair."""
 
-    def __eq__(self, other):
-        return isinstance(other, Tensor) and self.encoding == other.encoding
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return Tensor, (self.left, self.right)
 
     def __repr__(self):
         return f"Tensor({self.left!r}, {self.right!r})"
+
+
+# (left, right) -> its one Tensor; never cleared, like the tree tables
+_tensors: dict[tuple, Tensor] = {}
 
 
 def tensor(a: LinComb, b: LinComb) -> LinComb:

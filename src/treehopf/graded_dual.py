@@ -155,7 +155,7 @@ def hochschild_cases(degree_bound: int, m_tree_func=None):
             lhs = 0
             for term, c in gl.tree_product(a, b).terms.items():
                 lhs += c * transpose.get(term, 0)
-            rhs = transpose[a] if b == LEAF else 0
+            rhs = transpose[a] if b is LEAF else 0
             mb = images[b]
             for right, c in cop_by_left.get(a, ()):
                 rhs += c * mb.coeff(right)

@@ -120,10 +120,10 @@ def counit(x: LinComb):
 @lru_cache(maxsize=None)
 def tree_antipode(t: Tree) -> LinComb:
     """Connected graded recursion through the reduced coproduct."""
-    if t == LEAF:
+    if t is LEAF:
         return UNIT
     reduced = LinComb((key, c) for key, c in tree_coproduct(t).terms.items()
-                      if key.left != LEAF and key.right != LEAF)
+                      if key.left is not LEAF and key.right is not LEAF)
     step = extend_linear(
         lambda key: product(tree_antipode(key.left), LinComb.term(key.right)))
     return LinComb.term(t, -1) - step(reduced)

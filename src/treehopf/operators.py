@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exactlin import LinComb, extend_linear
-from .trees import LEAF, Tree, natural_growth_terms
+from .trees import LEAF, Tree, leaf_growth
 from . import grossman_larson as gl
 
 CHAIN2 = Tree((LEAF,))
@@ -27,7 +27,7 @@ CHAIN2 = Tree((LEAF,))
 
 @lru_cache(maxsize=None)
 def n_tree(t: Tree) -> LinComb:
-    return LinComb((grown, 1) for grown in natural_growth_terms(t))
+    return LinComb(leaf_growth(t))
 
 
 def n_apply(x: LinComb) -> LinComb:
@@ -50,7 +50,7 @@ def x_k(k: int) -> LinComb:
 
 
 def m_tree(t: Tree) -> LinComb:
-    if t == LEAF:
+    if t is LEAF:
         return LinComb.zero()
     return gl.tree_product(t, CHAIN2)
 

@@ -6,6 +6,12 @@ are equal.  The encoding grammar is ``Tree := "[" Tree* "]"`` with no
 whitespace inside a tree; a forest renders as its tree tokens joined by
 single spaces, and the empty forest renders as ``"1"``.
 
+Trees and forests are hash-consed: the constructor returns the one object
+already built for that canonical shape, so two trees are isomorphic exactly
+when they are the same object, and ``==`` and ``hash`` are plain identity.
+Objects made by bypassing the constructor (such as ``object.__new__(Tree)``)
+are not supported.
+
 Vertices are addressed by preorder index on the canonical form: the root is
 0 and children are visited in canonical order.  All values are immutable
 after construction and every operation is pure.
@@ -30,43 +36,57 @@ class TreeParseError(ValueError):
 
 
 class Tree:
-    """Immutable rooted tree in canonical form."""
+    """Immutable rooted tree in canonical form, one object per shape.
 
-    __slots__ = ("children", "encoding", "size", "_hash")
+    Construction returns the interned tree for the sorted child tuple, so
+    ``==`` and ``hash`` are the default identity ones.
+    """
+
+    __slots__ = ("children", "encoding", "size")
+
+    def __new__(cls, children=()):
+        kids = tuple(sorted(children, key=_by_encoding))
+        tree = _trees.get(kids)
+        if tree is None:
+            tree = object.__new__(cls)
+            tree.children = kids
+            tree.encoding = "[" + "".join(c.encoding for c in kids) + "]"
+            tree.size = 1 + sum(c.size for c in kids)
+            _trees[kids] = tree
+        return tree
 
     def __init__(self, children=()):
-        kids = tuple(sorted(children, key=_by_encoding))
-        self.children = kids
-        self.encoding = "[" + "".join(c.encoding for c in kids) + "]"
-        self.size = 1 + sum(c.size for c in kids)
-        self._hash = hash(self.encoding)
+        """Nothing to do: ``__new__`` returns a finished, shared tree."""
+
+    def __reduce__(self):
+        # copy and pickle go back through the constructor, never around it
+        return Tree, (self.children,)
 
     @property
     def fertility(self) -> int:
         """Number of children of the root."""
         return len(self.children)
 
-    def __eq__(self, other):
-        return isinstance(other, Tree) and self.encoding == other.encoding
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"Tree({self.encoding!r})"
 
 
 class Forest:
-    """Immutable multiset of trees, kept as a canonically sorted tuple."""
+    """Immutable multiset of trees, kept as a canonically sorted tuple.
 
-    __slots__ = ("items", "encoding", "weight", "_hash")
+    Interned like ``Tree``: one object per sorted item tuple.
+    """
+
+    __slots__ = ("items", "encoding", "weight")
+
+    def __new__(cls, items=()):
+        return _forest(tuple(sorted(items, key=_by_encoding)))
 
     def __init__(self, items=()):
-        trees = tuple(sorted(items, key=_by_encoding))
-        self.items = trees
-        self.encoding = " ".join(t.encoding for t in trees) if trees else "1"
-        self.weight = sum(t.size for t in trees)
-        self._hash = hash(("Forest", self.encoding))
+        """Nothing to do: ``__new__`` returns a finished, shared forest."""
+
+    def __reduce__(self):
+        return Forest, (self.items,)
 
     def union(self, other: "Forest") -> "Forest":
         """Multiset union; the monomial product of forests.
@@ -81,27 +101,31 @@ class Forest:
         if not left:
             return other
         if left[-1].encoding <= right[0].encoding:
-            items, encoding = left + right, self.encoding + " " + other.encoding
-        elif right[-1].encoding <= left[0].encoding:
-            items, encoding = right + left, other.encoding + " " + self.encoding
-        else:
-            items = tuple(sorted(left + right, key=_by_encoding))
-            encoding = " ".join(t.encoding for t in items)
-        forest = Forest.__new__(Forest)
-        forest.items = items
-        forest.encoding = encoding
-        forest.weight = self.weight + other.weight
-        forest._hash = hash(("Forest", encoding))
-        return forest
-
-    def __eq__(self, other):
-        return isinstance(other, Forest) and self.encoding == other.encoding
-
-    def __hash__(self):
-        return self._hash
+            return _forest(left + right)
+        if right[-1].encoding <= left[0].encoding:
+            return _forest(right + left)
+        return _forest(tuple(sorted(left + right, key=_by_encoding)))
 
     def __repr__(self):
         return f"Forest({self.encoding!r})"
+
+
+# The intern tables: canonical child or item tuple -> its one object.  They
+# are never cleared, so a shape keeps its object for the whole process.
+_trees: dict[tuple, Tree] = {}
+_forests: dict[tuple, Forest] = {}
+
+
+def _forest(items: tuple) -> Forest:
+    """The interned forest of an already sorted item tuple."""
+    forest = _forests.get(items)
+    if forest is None:
+        forest = object.__new__(Forest)
+        forest.items = items
+        forest.encoding = " ".join(t.encoding for t in items) if items else "1"
+        forest.weight = sum(t.size for t in items)
+        _forests[items] = forest
+    return forest
 
 
 LEAF = Tree()
@@ -286,16 +310,34 @@ def single_cuts(t: Tree) -> tuple[Cut, ...]:
 
 
 @lru_cache(maxsize=None)
-def _growth_terms(t: Tree) -> tuple[Tree, ...]:
-    return tuple(graft(t, v, LEAF) for v in range(t.size))
+def leaf_growth(t: Tree) -> dict:
+    """Every way to attach one new leaf to a vertex of t, as ``{tree: count}``.
+
+    The leaf goes on the root, giving B+(children + leaf), or into one child
+    subtree.  A run of m equal children c contributes, for each tree g with
+    count k in the growth of c, the tree with one copy of c replaced by g,
+    with count m * k.  The counts sum to ``t.size``.  The returned dict is
+    cached and must not be mutated.
+    """
+    kids = t.children
+    out = {Tree(kids + (LEAF,)): 1}
+    start = 0
+    for child, group in itertools.groupby(kids):
+        m = len(list(group))
+        others = kids[:start] + kids[start + 1:]
+        for grown, k in leaf_growth(child).items():
+            tree = Tree(others + (grown,))
+            out[tree] = out.get(tree, 0) + m * k
+        start += m
+    return out
 
 
 def natural_growth_terms(t: Tree) -> list[Tree]:
     """One leaf graft per vertex; isomorphic results keep their multiplicity.
 
-    Cached per tree; every call returns a fresh list.
+    Built from the cached ``leaf_growth``; every call returns a fresh list.
     """
-    return list(_growth_terms(t))
+    return [grown for grown, k in leaf_growth(t).items() for _ in range(k)]
 
 
 @lru_cache(maxsize=None)
@@ -324,8 +366,10 @@ def enumerate_forests(weight: int) -> tuple[Forest, ...]:
             found.append(Forest(acc))
             return
         for i in range(start, len(pool)):
-            if pool[i].size <= remaining:
-                extend(remaining - pool[i].size, i, acc + [pool[i]])
+            tree = pool[i]
+            if tree.size > remaining:
+                break  # the pool is sorted by size
+            extend(remaining - tree.size, i, acc + [tree])
 
     extend(weight, 0, [])
     return tuple(sorted(found, key=_by_encoding))
@@ -360,7 +404,7 @@ def aut_order(t: Tree) -> int:
     previous = None
     for child in t.children:
         result *= aut_order(child)
-        run = run + 1 if child.encoding == previous else 1
-        previous = child.encoding
+        run = run + 1 if child is previous else 1
+        previous = child
         result *= run
     return result

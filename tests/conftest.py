@@ -9,9 +9,9 @@ from treehopf.exactlin import LinComb, add_to
 from treehopf.serialize import (encode_key, encode_z_key, lincomb_from_obj,
                                 lincomb_to_json, parse_forest_tensor,
                                 parse_tree_tensor, parse_z_key)
-from treehopf.trees import (Forest, Tree, admissible_cuts, enumerate_trees,
-                            graft_many, parse_forest, parse_tree,
-                            preorder_subtrees)
+from treehopf.trees import (LEAF, Forest, Tree, admissible_cuts,
+                            enumerate_trees, graft, graft_many, parse_forest,
+                            parse_tree, preorder_subtrees)
 
 KEY_PARSERS = {
     "tree": parse_tree,
@@ -78,6 +78,17 @@ def cut_signature(t: Tree) -> tuple:
     """``admissible_cuts(t)`` in the oracle's shape, keeping its order."""
     return tuple((tuple(sorted(c.edges)), c.branch.encoding, c.trunk.encoding)
                  for c in admissible_cuts(t))
+
+
+def graft_per_vertex_growth(t: Tree) -> dict:
+    """Leaf growth by one ``graft`` of a leaf per vertex, as an oracle.
+
+    Returns ``{tree: count}`` like ``trees.leaf_growth``.
+    """
+    out: dict = {}
+    for v in range(t.size):
+        add_to(out, graft(t, v, LEAF), 1)
+    return out
 
 
 def _multisets(n: int, m: int):

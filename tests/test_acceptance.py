@@ -85,6 +85,24 @@ def test_gl_report_pinned_at_degree_six():
         "e8fdb2e2a2a0f1b0fbfa4d6c9fdb0f706520d34cc80f6c4a0e160e54bcaecd60"
 
 
+def test_trees_report_pinned_at_degree_six():
+    # digest taken before trees, forests and tensors were interned
+    report = verify.run_suite("trees", 6)
+    assert report["checked"] == 3967
+    text = json.dumps(report, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "da327d7578b47ef1d2148ae9c25085236a863756a951864fb08ba012aece0f08"
+
+
+def test_lie_report_pinned_at_degree_six():
+    # digest taken before trees, forests and tensors were interned
+    report = verify.run_suite("lie", 6)
+    assert report["checked"] == 681
+    text = json.dumps(report, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "8ddfdb49a6675226f9dced114324efef9beee7bfe8732a4b9f1153661a0eb603"
+
+
 def _laws(report, prefixes):
     hits = [v for v in report["violations"]
             if any(v["law"].startswith(p) for p in prefixes)]

@@ -184,6 +184,15 @@ def test_corpus_deterministic_and_roundtrips(cli_corpus):
             assert roundtrip_ok(a.payload, family), argv
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    probe = ("import sys, treehopf.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_cross_process_determinism():
     argv = [sys.executable, "-m", "treehopf", "enum", "--size", "4"]
     first = subprocess.run(argv, capture_output=True, text=True)

@@ -1,12 +1,12 @@
 """Property tests for the cut and grafting kernels on random trees beyond the
-exhaustive bounds."""
+exhaustive bounds, and for the interned canonical form."""
 
 import pytest
 
 from conftest import antichain_filter_cuts, cut_signature, multiset_site_product
 from treehopf import connes_kreimer as ck
 from treehopf import grossman_larson as gl
-from treehopf.trees import canonicalize
+from treehopf.trees import canonicalize, enumerate_trees
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -54,3 +54,18 @@ def test_recursive_product_matches_multiset_oracle(pair):
     a, b = pair
     assert 8 <= a.size + b.size - 1 <= 12
     assert gl.tree_product(a, b) == multiset_site_product(a, b)
+
+
+def shuffled(t, rng):
+    """Nested child lists of t, with the children of every vertex shuffled."""
+    kids = [shuffled(c, rng) for c in t.children]
+    rng.shuffle(kids)
+    return kids
+
+
+@hypothesis.settings(derandomize=True, max_examples=80, deadline=None)
+@hypothesis.given(st.integers(1, 10).flatmap(
+                      lambda n: st.sampled_from(enumerate_trees(n))),
+                  st.randoms(use_true_random=False))
+def test_canonicalize_of_a_shuffle_is_the_tree_itself(t, rng):
+    assert canonicalize(shuffled(t, rng)) is t

@@ -4,13 +4,14 @@ from collections import Counter
 
 import pytest
 
-from conftest import antichain_filter_cuts, cut_signature
+from conftest import antichain_filter_cuts, cut_signature, graft_per_vertex_growth
 from treehopf.trees import (EMPTY_FOREST, LEAF, Forest, Tree, TreeParseError,
                             admissible_cuts, aut_order, b_minus, b_plus,
                             canonicalize, count_trees_recurrence,
                             enumerate_forests, enumerate_trees, graft,
-                            graft_many, natural_growth_terms, parse_forest,
-                            parse_tree, preorder_subtrees, single_cuts)
+                            graft_many, leaf_growth, natural_growth_terms,
+                            parse_forest, parse_tree, preorder_subtrees,
+                            single_cuts)
 
 E = parse_tree("[]")
 L2 = parse_tree("[[]]")
@@ -209,7 +210,7 @@ def test_forest_union_matches_resort():
             resorted = Forest(a.items + b.items)
             assert merged.encoding == resorted.encoding, (a, b)
             assert merged.weight == resorted.weight
-            assert hash(merged) == hash(resorted)
+            assert merged is resorted
             assert merged.items == resorted.items
 
 
@@ -219,6 +220,14 @@ def test_natural_growth_examples():
         "[[][]]": 1, "[[[]]]": 1}
     assert Counter(t.encoding for t in natural_growth_terms(CHERRY)) == {
         "[[][][]]": 1, "[[[]][]]": 2}
+
+
+def test_leaf_growth_matches_graft_per_vertex():
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            oracle = graft_per_vertex_growth(t)
+            assert leaf_growth(t) == oracle, t
+            assert Counter(natural_growth_terms(t)) == oracle, t
 
 
 def test_growth_count_equals_size():

@@ -108,7 +108,7 @@ def test_clear_caches_empties_every_memo():
         verify.run_suite(suite, 3)
     memos = [gl.graft_forest, gl.tree_product, gl.tree_coproduct,
              gl.tree_antipode, ck.tree_coproduct_by_cuts, ck.tree_antipode,
-             trees.admissible_cuts, trees.enumerate_trees]
+             trees.admissible_cuts, trees.enumerate_trees, trees.leaf_growth]
     assert all(memo.cache_info().currsize for memo in memos)
     assert ops._xk_cache
     clear_caches()
