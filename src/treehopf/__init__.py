@@ -34,7 +34,7 @@ __all__ = [
 
 
 def clear_caches() -> None:
-    """Empty every memo in the package: each ``lru_cache`` and ``x_k``'s chain.
+    """Empty every memo in the package, each of which is an ``lru_cache``.
 
     Cached values were computed by the kernels as they were when first
     asked for.  After a kernel is replaced and put back (a mutation check,
@@ -48,6 +48,3 @@ def clear_caches() -> None:
         for value in list(vars(module).values()):
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    operators = sys.modules.get(__name__ + ".operators")
-    if operators is not None:
-        operators._xk_cache.clear()

@@ -30,10 +30,9 @@ from .trees import (TreeParseError, count_trees_recurrence, enumerate_trees,
 class CommandResult:
     """What one CLI call produced; a plain class keeps ``dataclasses`` unloaded."""
 
-    __slots__ = ("status", "payload", "exit_code")
+    __slots__ = ("payload", "exit_code")
 
-    def __init__(self, status: str, payload: str, exit_code: int):
-        self.status = status        # "ok" or "error"
+    def __init__(self, payload: str, exit_code: int):
         self.payload = payload
         self.exit_code = exit_code  # 0 ok, 1 verification failure, 2 usage error
 
@@ -61,8 +60,8 @@ def _load_element(arg: str, family: str) -> LinComb:
 
 def _emit(x: LinComb, fmt: str, encode=encode_key) -> CommandResult:
     if fmt == "text":
-        return CommandResult("ok", lincomb_to_text(x, encode), 0)
-    return CommandResult("ok", lincomb_to_json(x, encode), 0)
+        return CommandResult(lincomb_to_text(x, encode), 0)
+    return CommandResult(lincomb_to_json(x, encode), 0)
 
 
 def _build_parser() -> _Parser:
@@ -75,11 +74,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
 
-    for name in ("prod",):
-        p = sub.add_parser(name, help="product of two elements")
-        p.add_argument("--algebra", choices=("gl", "hr"), required=True)
-        p.add_argument("a")
-        p.add_argument("b")
+    p = sub.add_parser("prod", help="product of two elements")
+    p.add_argument("--algebra", choices=("gl", "hr"), required=True)
+    p.add_argument("a")
+    p.add_argument("b")
 
     for name, help_text in (("coprod", "coproduct of an element"),
                             ("antipode", "antipode of an element"),
@@ -125,12 +123,12 @@ def _report_text(report: dict) -> str:
 
 def _cmd_enum(args) -> CommandResult:
     if args.count_only:
-        return CommandResult("ok", str(count_trees_recurrence(args.size)), 0)
+        return CommandResult(str(count_trees_recurrence(args.size)), 0)
     trees = enumerate_trees(args.size)
     encodings = [t.encoding for t in trees]
     if args.format == "text":
-        return CommandResult("ok", "\n".join(encodings), 0)
-    return CommandResult("ok", json.dumps(encodings), 0)
+        return CommandResult("\n".join(encodings), 0)
+    return CommandResult(json.dumps(encodings), 0)
 
 
 def _cmd_prod(args) -> CommandResult:
@@ -155,7 +153,7 @@ def _cmd_antipode(args) -> CommandResult:
 def _cmd_counit(args) -> CommandResult:
     x = _load_element(args.x, args.algebra)
     value = gl.counit(x) if args.algebra == "gl" else ck.counit(x)
-    return CommandResult("ok", str(value), 0)
+    return CommandResult(str(value), 0)
 
 
 def _cmd_grow(args) -> CommandResult:
@@ -209,9 +207,7 @@ def _cmd_verify(args) -> CommandResult:
         payload = json.dumps(report, sort_keys=True)
     else:
         payload = _report_text(report)
-    if report["violations"]:
-        return CommandResult("error", payload, 1)
-    return CommandResult("ok", payload, 0)
+    return CommandResult(payload, 1 if report["violations"] else 0)
 
 
 _HANDLERS = {
@@ -239,16 +235,16 @@ def run(argv) -> CommandResult:
     try:
         args = parser.parse_args(list(argv))
     except _UsageError as exc:
-        return CommandResult("error", str(exc), 2)
+        return CommandResult(str(exc), 2)
     except SystemExit as exc:  # argparse --help path
         code = exc.code if isinstance(exc.code, int) else 0
-        return CommandResult("ok" if code == 0 else "error", "", code)
+        return CommandResult("", code)
     try:
         return _HANDLERS[args.command](args)
     except (TreeParseError, ValueError, IndexError, OSError) as exc:
-        return CommandResult("error", f"error: {exc}", 2)
+        return CommandResult(f"error: {exc}", 2)
     except RecursionError:
-        return CommandResult("error", "error: input nested too deeply", 2)
+        return CommandResult("error: input nested too deeply", 2)
 
 
 def main() -> None:

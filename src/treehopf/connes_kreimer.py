@@ -126,7 +126,7 @@ def forest_growth(f: Forest) -> LinComb:
     out: dict = {}
     for i, t in enumerate(f.items):
         rest = f.items[:i] + f.items[i + 1:]
-        for grown, k in leaf_growth(t).items():
+        for grown, k in leaf_growth(t).terms.items():
             add_to(out, Forest(rest + (grown,)), k)
     return LinComb(out)
 
@@ -136,7 +136,6 @@ def natural_growth(x: LinComb) -> LinComb:
     return extend_linear(forest_growth)(x)
 
 
-@lru_cache(maxsize=None)
 def delta(k: int) -> LinComb:
     """The k-th growth iterate of the one-vertex tree (k >= 1).
 

@@ -37,12 +37,13 @@ def tree_degree(t: Tree) -> int:
 
 
 @lru_cache(maxsize=None)
-def graft_forest(scions: tuple, host: Tree) -> dict:
+def graft_forest(scions: tuple, host: Tree) -> LinComb:
     """Every way to attach each scion to some vertex of the host.
 
     ``scions`` is a tuple of trees in canonical (encoding) order.  Returns
-    ``{tree: count}``, where count is how many of the ``host.size **
-    len(scions)`` assignments of scions to host vertices give the tree.
+    the combination of grown trees, where the coefficient of a tree is how
+    many of the ``host.size ** len(scions)`` assignments of scions to host
+    vertices give it.
 
     For ``host = B+(c1, ..., cm)`` the scions split into those that land in
     c1 and those that land in the rest of the host, ``B+(c2, ..., cm)``,
@@ -52,13 +53,13 @@ def graft_forest(scions: tuple, host: Tree) -> dict:
     rest.  Unrolled, this deals the scions over c1, ..., cm and the root
     with weight prod C(n, k) per run; the memo shares each child's results
     across every deal that reaches it, and isomorphic partial results merge
-    before the next child joins.  The returned dict is cached and must not
-    be mutated.
+    before the next child joins.  This memo is the only cache of the
+    product; the returned combination is shared and must not be mutated.
     """
     if not scions:
-        return {host: 1}
+        return LinComb.term(host)
     if host.size == 1:
-        return {Tree(scions): 1}
+        return LinComb.term(Tree(scions))
     first, rest = host.children[0], Tree(host.children[1:])
     runs = [(scion, len(list(group)))
             for scion, group in itertools.groupby(scions)]
@@ -68,10 +69,10 @@ def graft_forest(scions: tuple, host: Tree) -> dict:
         kept = [n - k for (_, n), k in zip(runs, taken)]
         down = graft_forest(_repeat(runs, taken), first)
         up = graft_forest(_repeat(runs, kept), rest)
-        for grown, c in down.items():
-            for base, d in up.items():
+        for grown, c in down.terms.items():
+            for base, d in up.terms.items():
                 add_to(out, Tree(base.children + (grown,)), weight * c * d)
-    return out
+    return LinComb(out)
 
 
 def _repeat(runs, counts) -> tuple:
@@ -79,14 +80,13 @@ def _repeat(runs, counts) -> tuple:
     return tuple(scion for (scion, _), k in zip(runs, counts) for _ in range(k))
 
 
-@lru_cache(maxsize=None)
 def tree_product(t1: Tree, t2: Tree) -> LinComb:
     """Grafting product of basis trees.
 
     Sums over every assignment of the root subtrees of t1 to vertices of
-    t2, through the recursion of ``graft_forest``.
+    t2: the memoized ``graft_forest`` value itself, not a copy.
     """
-    return LinComb(graft_forest(t1.children, t2))
+    return graft_forest(t1.children, t2)
 
 
 def product(a: LinComb, b: LinComb) -> LinComb:

@@ -5,8 +5,8 @@ trees it coincides with left multiplication by the two-vertex chain, which
 makes it a coderivation.  Its iterates on the unit give the sequence
 ``x_k(k)``, a divided-power-free polynomial chain: products add indices and
 the coproduct of ``x_k(m)`` is binomial.  The basis map ``n_tree`` is
-cached, like ``gl.tree_product``; the cached combinations are never
-mutated.
+``trees.leaf_growth`` itself, so its memo is the only cache of growth; the
+shared combinations are never mutated.
 
 ``m_apply`` multiplies every non-unit basis tree by the two-vertex chain on
 the right and kills the unit; it is a derivation into the bimodule whose
@@ -25,9 +25,8 @@ from . import grossman_larson as gl
 CHAIN2 = Tree((LEAF,))
 
 
-@lru_cache(maxsize=None)
 def n_tree(t: Tree) -> LinComb:
-    return LinComb(leaf_growth(t))
+    return leaf_growth(t)
 
 
 def n_apply(x: LinComb) -> LinComb:
@@ -35,18 +34,12 @@ def n_apply(x: LinComb) -> LinComb:
     return extend_linear(n_tree)(x)
 
 
-_xk_cache: list[LinComb] = []
-
-
+@lru_cache(maxsize=None)
 def x_k(k: int) -> LinComb:
     """k-fold leaf growth of the unit; homogeneous of degree k."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if not _xk_cache:
-        _xk_cache.append(LinComb.term(LEAF))
-    while len(_xk_cache) <= k:
-        _xk_cache.append(n_apply(_xk_cache[-1]))
-    return _xk_cache[k]
+    return LinComb.term(LEAF) if k == 0 else n_apply(x_k(k - 1))
 
 
 def m_tree(t: Tree) -> LinComb:

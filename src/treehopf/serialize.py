@@ -5,7 +5,7 @@ with terms sorted by basis encoding.  Integer coefficients omit the
 denominator, and ``"3"`` is accepted on input as shorthand for ``"3/1"``.
 On input a coefficient must be a JSON string matching ``-?[0-9]+(/[0-9]+)?``
 with a nonzero denominator; JSON numbers, booleans and anything else are
-rejected with ``ValueError``.
+rejected with ``ValueError``, as is a basis that is not a JSON string.
 Tensor keys render as ``"<left> | <right>"``; the Lie-side basis renders with
 a ``"Z:"`` prefix on the tree encoding.
 """
@@ -70,6 +70,8 @@ def lincomb_from_obj(obj, parse_key) -> LinComb:
     for entry in obj["terms"]:
         if not isinstance(entry, dict) or "basis" not in entry or "coeff" not in entry:
             raise ValueError(f"malformed term entry: {entry!r}")
+        if not isinstance(entry["basis"], str):
+            raise ValueError(f"basis must be a string encoding: {entry!r}")
         coeff = entry["coeff"]
         if not isinstance(coeff, str) or not _COEFF.fullmatch(coeff):
             raise ValueError("coefficient must be a string 'p' or 'p/q' with "

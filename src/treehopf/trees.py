@@ -24,6 +24,8 @@ from bisect import bisect_left
 from functools import lru_cache
 from operator import attrgetter
 
+from .exactlin import LinComb
+
 _by_encoding = attrgetter("encoding")
 
 
@@ -310,14 +312,15 @@ def single_cuts(t: Tree) -> tuple[Cut, ...]:
 
 
 @lru_cache(maxsize=None)
-def leaf_growth(t: Tree) -> dict:
-    """Every way to attach one new leaf to a vertex of t, as ``{tree: count}``.
+def leaf_growth(t: Tree) -> LinComb:
+    """Every way to attach one new leaf to a vertex of t, counted per tree.
 
     The leaf goes on the root, giving B+(children + leaf), or into one child
     subtree.  A run of m equal children c contributes, for each tree g with
     count k in the growth of c, the tree with one copy of c replaced by g,
-    with count m * k.  The counts sum to ``t.size``.  The returned dict is
-    cached and must not be mutated.
+    with count m * k.  The counts sum to ``t.size``.  This memo is the only
+    cache of leaf growth; the returned combination is shared and must not be
+    mutated.
     """
     kids = t.children
     out = {Tree(kids + (LEAF,)): 1}
@@ -325,11 +328,11 @@ def leaf_growth(t: Tree) -> dict:
     for child, group in itertools.groupby(kids):
         m = len(list(group))
         others = kids[:start] + kids[start + 1:]
-        for grown, k in leaf_growth(child).items():
+        for grown, k in leaf_growth(child).terms.items():
             tree = Tree(others + (grown,))
             out[tree] = out.get(tree, 0) + m * k
         start += m
-    return out
+    return LinComb(out)
 
 
 def natural_growth_terms(t: Tree) -> list[Tree]:
@@ -337,7 +340,7 @@ def natural_growth_terms(t: Tree) -> list[Tree]:
 
     Built from the cached ``leaf_growth``; every call returns a fresh list.
     """
-    return [grown for grown, k in leaf_growth(t).items() for _ in range(k)]
+    return [grown for grown, k in leaf_growth(t).terms.items() for _ in range(k)]
 
 
 @lru_cache(maxsize=None)

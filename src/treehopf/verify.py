@@ -24,6 +24,7 @@ or a generator row, to its suite's list; then re-pin the per-law counts in
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import comb
 
 from . import connes_kreimer as ck
@@ -34,10 +35,10 @@ from . import tree_lie
 from .exactlin import (LinComb, Tensor, add_to, extend_linear, map_left, map_right,
                        rank, swap_legs, tensor, tensor_multiply)
 from .serialize import lincomb_to_text
-from .trees import (EMPTY_FOREST, LEAF, Forest, Tree, admissible_cuts, b_minus, b_plus,
-                    canonicalize, count_trees_recurrence, enumerate_forests,
-                    enumerate_trees, natural_growth_terms, parse_tree,
-                    preorder_subtrees)
+from .trees import (EMPTY_FOREST, LEAF, Forest, Tree, admissible_cuts, aut_order,
+                    b_minus, b_plus, canonicalize, count_trees_recurrence,
+                    enumerate_forests, enumerate_trees, natural_growth_terms,
+                    parse_tree, preorder_subtrees)
 
 CHERRY = Tree((LEAF, LEAF))
 
@@ -407,10 +408,16 @@ def _dual_laws(D: int) -> list:
                 yield (t, x), gd.pair(transpose, term), gd.pair(f, image)
 
     def product_pairing():
+        # coeff_t(a b) = s(a) s(b) / s(t) * [B-(a) (x) b] cut-coproduct(t),
+        # with s the automorphism order: grafting against cutting
+        legs = [(a, b, Tensor(b_minus(a), Forest((b,))), aut_order(a) * aut_order(b))
+                for a, b in pairs]
         for t in basis:
-            cop = gd.dual_coproduct(gd.dual_basis(t), gd.tree_degree(t))
-            for a, b in pairs:
-                yield (t, a, b), gl.tree_product(a, b).coeff(t), cop.coeff(Tensor(a, b))
+            cuts, sigma = ck.tree_coproduct_by_cuts(t), aut_order(t)
+            for a, b, key, weight in legs:
+                c = cuts.coeff(key)
+                yield ((t, a, b), gl.tree_product(a, b).coeff(t),
+                       Fraction(c * weight, sigma) if c else 0)
 
     def perturbed_m(t):
         return LinComb.term(ops.CHAIN2) if t == LEAF else ops.m_tree(t)

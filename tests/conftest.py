@@ -83,7 +83,7 @@ def cut_signature(t: Tree) -> tuple:
 def graft_per_vertex_growth(t: Tree) -> dict:
     """Leaf growth by one ``graft`` of a leaf per vertex, as an oracle.
 
-    Returns ``{tree: count}`` like ``trees.leaf_growth``.
+    Returns ``{tree: count}``, the terms of ``trees.leaf_growth(t)``.
     """
     out: dict = {}
     for v in range(t.size):

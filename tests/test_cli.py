@@ -121,19 +121,37 @@ def test_file_inputs(tmp_path):
     assert missing.exit_code == 2
 
 
-@pytest.mark.parametrize("coeff", ['"1/0"', "1.5", "true"])
-def test_bad_coefficient_exits_two_without_traceback(tmp_path, coeff):
+def _grow_from_file(tmp_path, term: str):
+    """Run ``grow --algebra gl @file`` in a fresh process on one JSON term."""
     path = tmp_path / "element.json"
-    path.write_text('{"terms": [{"basis": "[[]]", "coeff": %s}]}' % coeff,
-                    encoding="utf-8")
+    path.write_text('{"terms": [%s]}' % term, encoding="utf-8")
     proc = subprocess.run(
         [sys.executable, "-m", "treehopf", "grow", "--algebra", "gl", f"@{path}"],
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: coefficient")
     assert proc.stderr.count("\n") == 1
+    return proc.stderr
+
+
+@pytest.mark.parametrize("coeff", ['"1/0"', "1.5", "true"])
+def test_bad_coefficient_exits_two_without_traceback(tmp_path, coeff):
+    stderr = _grow_from_file(tmp_path, '{"basis": "[[]]", "coeff": %s}' % coeff)
+    assert stderr.startswith("error: coefficient")
+
+
+@pytest.mark.parametrize("basis", ["5", "null"])
+def test_non_string_basis_exits_two_without_traceback(tmp_path, basis):
+    stderr = _grow_from_file(tmp_path, '{"basis": %s, "coeff": "1"}' % basis)
+    assert stderr.startswith("error: basis")
+
+
+def test_xk_past_the_recursion_limit_exits_two():
+    # x_k recurses on k, so a huge k is refused before any growth is done
+    result = run(["xk", "3000"])
+    assert result.exit_code == 2
+    assert result.payload == "error: input nested too deeply"
 
 
 @pytest.mark.parametrize("command", ["coprod", "grow"])

@@ -41,6 +41,9 @@ def test_malformed_objects_rejected():
         lincomb_from_obj({"nope": []}, parse_tree)
     with pytest.raises(ValueError):
         lincomb_from_obj({"terms": [{"basis": "[]"}]}, parse_tree)
+    for basis in (5, None, ["[]"]):
+        with pytest.raises(ValueError, match="basis must be a string"):
+            lincomb_from_obj({"terms": [{"basis": basis, "coeff": "1"}]}, parse_tree)
 
 
 @pytest.mark.parametrize("coeff", ["1/0", "-2/00", 1.5, 3, True, None,

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -65,7 +66,7 @@ BREAKS = [
     # reached only through the module global, by tree_product and by the
     # recursion itself
     ("gl", gl, "graft_forest",
-     lambda k: lambda scions, host: dict(list(k(scions, host).items())[1:]),
+     lambda k: lambda scions, host: _drop_first(k(scions, host)),
      "gl.product_mass"),
     ("lie", tree_lie, "star_trees", lambda k: lambda a, b: _extra_term(k(a, b)),
      "lie.star_oracle"),
@@ -73,11 +74,22 @@ BREAKS = [
      "op.growth_is_left_chain_mult"),
     ("dual", gd, "m_dual", lambda k: lambda f: _bump_leaf(k(f)),
      "dual.transpose_coherence"),
+    # the cut coproduct, not the product, gives the other side
+    ("dual", gl, "tree_product", lambda k: lambda a, b: _drop_first(k(a, b)),
+     "dual.product_pairing"),
 ]
 
 
+def _break_ids(rows) -> list:
+    """Each row's kernel name, with the suite added when a kernel repeats."""
+    ids = []
+    for suite, _, kernel, _, _ in rows:
+        ids.append(f"{kernel}-{suite}" if kernel in ids else kernel)
+    return ids
+
+
 @pytest.mark.parametrize("suite, module, kernel, breaker, law", BREAKS,
-                         ids=[b[2] for b in BREAKS])
+                         ids=_break_ids(BREAKS))
 def test_broken_kernel_fires_its_law(suite, module, kernel, breaker, law,
                                      monkeypatch, fresh_caches):
     monkeypatch.setattr(module, kernel, breaker(getattr(module, kernel)))
@@ -103,17 +115,36 @@ def test_clear_caches_drops_values_built_by_a_replaced_kernel(monkeypatch,
     assert verify.run_suite("gl", 3)["violations"] == []
 
 
+def _package_memos() -> dict:
+    """Every ``cache_info``-bearing attribute of the loaded treehopf modules,
+    by the qualified name of its definition."""
+    return {f"{value.__module__}.{value.__qualname__}": value
+            for name, module in list(sys.modules.items())
+            if module is not None and name.startswith("treehopf.")
+            for value in vars(module).values() if hasattr(value, "cache_info")}
+
+
 def test_clear_caches_empties_every_memo():
-    for suite in ("hr", "gl", "operators"):
-        verify.run_suite(suite, 3)
-    memos = [gl.graft_forest, gl.tree_product, gl.tree_coproduct,
-             gl.tree_antipode, ck.tree_coproduct_by_cuts, ck.tree_antipode,
-             trees.admissible_cuts, trees.enumerate_trees, trees.leaf_growth]
-    assert all(memo.cache_info().currsize for memo in memos)
-    assert ops._xk_cache
+    verify.run_suite("all", 3)
+    memos = _package_memos()
+    assert {"treehopf.grossman_larson.graft_forest", "treehopf.trees.leaf_growth",
+            "treehopf.operators.x_k"} <= set(memos)
+    assert [name for name, memo in memos.items()
+            if not memo.cache_info().currsize] == []
+    assert not hasattr(ops, "_xk_cache")
     clear_caches()
-    assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
-    assert ops._xk_cache == []
+    assert [name for name, memo in memos.items()
+            if memo.cache_info().currsize] == []
+
+
+def test_each_value_has_one_memo():
+    # the basis maps over a kernel's memo return its value, not a copy
+    for kernel in (gl.tree_product, ops.n_tree, ck.delta):
+        assert not hasattr(kernel, "cache_info"), kernel
+    for a in trees.enumerate_trees(4):
+        for b in trees.enumerate_trees(3):
+            assert gl.tree_product(a, b) is gl.graft_forest(a.children, b)
+        assert ops.n_tree(a) is trees.leaf_growth(a)
 
 
 def test_hochschild_check_reports_through_the_runner():
