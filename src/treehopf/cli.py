@@ -7,6 +7,15 @@ when a verification suite reports violations, 2 for usage or input errors.
 Element arguments are literal encodings (a tree for the grafting algebra and
 the Lie commands, a forest for the forest algebra, with ``1`` as its unit)
 or ``@path`` pointing to a JSON file in the serialization schema.
+
+Every compute command is one row of ``_COMMANDS``; ``_build_parser`` adds
+its subparser and ``_compute`` runs it.  A row's kernels map an input family
+(``"gl"``, ``"hr"``, ``"lie"``) to the kernel's ``(module, attribute)``,
+looked up at call time so that a kernel rebound at run time (a test's stub,
+a tracer's wrapper) is the one called.  Two families add ``--algebra``, and
+the family ``int`` makes the positionals integers.  To add a command, add
+``"name": (help, "a b", {"gl": (module, "kernel")}, encode_key)`` to the
+table, with ``encode_z_key`` for Lie-side output or ``None`` for a scalar.
 """
 
 from __future__ import annotations
@@ -58,10 +67,36 @@ def _load_element(arg: str, family: str) -> LinComb:
     return LinComb.term(_LITERAL_PARSERS[family](arg))
 
 
-def _emit(x: LinComb, fmt: str, encode=encode_key) -> CommandResult:
-    if fmt == "text":
-        return CommandResult(lincomb_to_text(x, encode), 0)
-    return CommandResult(lincomb_to_json(x, encode), 0)
+def _both(attr: str) -> dict:
+    """The ``--algebra`` pair: the grafting and the forest algebra's kernel."""
+    return {"gl": (gl, attr), "hr": (ck, attr)}
+
+
+# name: (help, positionals, kernels, key encoder or None for a scalar); the
+# subparsers are listed in this order, between ``enum`` and ``verify``.
+_COMMANDS = {
+    "prod": ("product of two elements", "a b", _both("product"), encode_key),
+    "coprod": ("coproduct of an element", "x", _both("coproduct"), encode_key),
+    "antipode": ("antipode of an element", "x", _both("antipode"), encode_key),
+    "counit": ("counit of an element", "x", _both("counit"), None),
+    "grow": ("leaf-growth operator", "x",
+             {"gl": (ops, "n_apply"), "hr": (ck, "natural_growth")}, encode_key),
+    "xk": ("iterated growth of the grafting unit", "k",
+           {int: (ops, "x_k")}, encode_key),
+    "delta": ("iterated growth of the one-vertex tree", "k",
+              {int: (ck, "delta")}, encode_key),
+    "mop": ("chain right-multiplication operator", "x", {"gl": (ops, "m_apply")},
+            encode_key),
+    "lop": ("root-attachment operator", "x", {"hr": (ck, "add_root")}, encode_key),
+    "bracket": ("Lie bracket of two basis elements", "a b",
+                {"lie": (tree_lie, "bracket")}, encode_z_key),
+    "star": ("Lie star of two basis elements", "a b", {"lie": (tree_lie, "star")},
+             encode_z_key),
+    "phi": ("root deletion (primitive trees to Lie side)", "t",
+            {"gl": (tree_lie, "phi")}, encode_z_key),
+    "psi": ("root attachment (Lie side to primitive trees)", "t",
+            {"lie": (tree_lie, "psi")}, encode_key),
+}
 
 
 def _build_parser() -> _Parser:
@@ -74,36 +109,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
 
-    p = sub.add_parser("prod", help="product of two elements")
-    p.add_argument("--algebra", choices=("gl", "hr"), required=True)
-    p.add_argument("a")
-    p.add_argument("b")
-
-    for name, help_text in (("coprod", "coproduct of an element"),
-                            ("antipode", "antipode of an element"),
-                            ("counit", "counit of an element"),
-                            ("grow", "leaf-growth operator")):
+    for name, (help_text, params, kernels, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--algebra", choices=("gl", "hr"), required=True)
-        p.add_argument("x")
-
-    p = sub.add_parser("xk", help="iterated growth of the grafting unit")
-    p.add_argument("k", type=int)
-    p = sub.add_parser("delta", help="iterated growth of the one-vertex tree")
-    p.add_argument("k", type=int)
-    p = sub.add_parser("mop", help="chain right-multiplication operator")
-    p.add_argument("x")
-    p = sub.add_parser("lop", help="root-attachment operator")
-    p.add_argument("x")
-
-    for name in ("bracket", "star"):
-        p = sub.add_parser(name, help=f"Lie {name} of two basis elements")
-        p.add_argument("a")
-        p.add_argument("b")
-    p = sub.add_parser("phi", help="root deletion (primitive trees to Lie side)")
-    p.add_argument("t")
-    p = sub.add_parser("psi", help="root attachment (Lie side to primitive trees)")
-    p.add_argument("t")
+        if len(kernels) > 1:
+            p.add_argument("--algebra", choices=tuple(kernels), required=True)
+        for param in params.split():
+            p.add_argument(param, type=int if int in kernels else None)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=verify.SUITES + ("all",), default="all")
@@ -131,75 +142,6 @@ def _cmd_enum(args) -> CommandResult:
     return CommandResult(json.dumps(encodings), 0)
 
 
-def _cmd_prod(args) -> CommandResult:
-    a = _load_element(args.a, args.algebra)
-    b = _load_element(args.b, args.algebra)
-    result = gl.product(a, b) if args.algebra == "gl" else ck.product(a, b)
-    return _emit(result, args.format)
-
-
-def _cmd_coprod(args) -> CommandResult:
-    x = _load_element(args.x, args.algebra)
-    result = gl.coproduct(x) if args.algebra == "gl" else ck.coproduct(x)
-    return _emit(result, args.format)
-
-
-def _cmd_antipode(args) -> CommandResult:
-    x = _load_element(args.x, args.algebra)
-    result = gl.antipode(x) if args.algebra == "gl" else ck.antipode(x)
-    return _emit(result, args.format)
-
-
-def _cmd_counit(args) -> CommandResult:
-    x = _load_element(args.x, args.algebra)
-    value = gl.counit(x) if args.algebra == "gl" else ck.counit(x)
-    return CommandResult(str(value), 0)
-
-
-def _cmd_grow(args) -> CommandResult:
-    x = _load_element(args.x, args.algebra)
-    result = ops.n_apply(x) if args.algebra == "gl" else ck.natural_growth(x)
-    return _emit(result, args.format)
-
-
-def _cmd_xk(args) -> CommandResult:
-    return _emit(ops.x_k(args.k), args.format)
-
-
-def _cmd_delta(args) -> CommandResult:
-    return _emit(ck.delta(args.k), args.format)
-
-
-def _cmd_mop(args) -> CommandResult:
-    return _emit(ops.m_apply(_load_element(args.x, "gl")), args.format)
-
-
-def _cmd_lop(args) -> CommandResult:
-    return _emit(ck.add_root(_load_element(args.x, "hr")), args.format)
-
-
-def _cmd_bracket(args) -> CommandResult:
-    a = _load_element(args.a, "lie")
-    b = _load_element(args.b, "lie")
-    return _emit(tree_lie.bracket(a, b), args.format, encode_z_key)
-
-
-def _cmd_star(args) -> CommandResult:
-    a = _load_element(args.a, "lie")
-    b = _load_element(args.b, "lie")
-    return _emit(tree_lie.star(a, b), args.format, encode_z_key)
-
-
-def _cmd_phi(args) -> CommandResult:
-    x = _load_element(args.t, "gl")
-    return _emit(tree_lie.phi(x), args.format, encode_z_key)
-
-
-def _cmd_psi(args) -> CommandResult:
-    x = _load_element(args.t, "lie")
-    return _emit(tree_lie.psi(x), args.format)
-
-
 def _cmd_verify(args) -> CommandResult:
     report = verify.run_suite(args.suite, args.max_degree)
     fmt = args.report or args.format
@@ -210,23 +152,22 @@ def _cmd_verify(args) -> CommandResult:
     return CommandResult(payload, 1 if report["violations"] else 0)
 
 
-_HANDLERS = {
-    "enum": _cmd_enum,
-    "prod": _cmd_prod,
-    "coprod": _cmd_coprod,
-    "antipode": _cmd_antipode,
-    "counit": _cmd_counit,
-    "grow": _cmd_grow,
-    "xk": _cmd_xk,
-    "delta": _cmd_delta,
-    "mop": _cmd_mop,
-    "lop": _cmd_lop,
-    "bracket": _cmd_bracket,
-    "star": _cmd_star,
-    "phi": _cmd_phi,
-    "psi": _cmd_psi,
-    "verify": _cmd_verify,
-}
+def _compute(args) -> CommandResult:
+    """Load the row's inputs, call its kernel and render the result."""
+    _, params, kernels, encode = _COMMANDS[args.command]
+    family = getattr(args, "algebra", next(iter(kernels)))
+    module, attr = kernels[family]
+    inputs = [getattr(args, param) for param in params.split()]
+    if family is not int:
+        inputs = [_load_element(arg, family) for arg in inputs]
+    result = getattr(module, attr)(*inputs)
+    if encode is None:
+        return CommandResult(str(result), 0)
+    render = lincomb_to_text if args.format == "text" else lincomb_to_json
+    return CommandResult(render(result, encode), 0)
+
+
+_HANDLERS = {"enum": _cmd_enum, "verify": _cmd_verify}
 
 
 def run(argv) -> CommandResult:
@@ -240,7 +181,7 @@ def run(argv) -> CommandResult:
         code = exc.code if isinstance(exc.code, int) else 0
         return CommandResult("", code)
     try:
-        return _HANDLERS[args.command](args)
+        return _HANDLERS.get(args.command, _compute)(args)
     except (TreeParseError, ValueError, IndexError, OSError) as exc:
         return CommandResult(f"error: {exc}", 2)
     except RecursionError:

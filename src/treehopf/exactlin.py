@@ -302,6 +302,7 @@ def solve_membership(target: LinComb, generators) -> list | None:
     return coords
 
 
+# Not solve_membership's Gauss-Jordan: sharing it took gl -D7 from 0.59 to 1.23 s.
 def rank(vectors) -> int:
     """Rank of a family of combinations, by exact forward elimination."""
     vectors = list(vectors)

@@ -1,7 +1,11 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,17 @@ KEY_ENCODERS = {
     "tensor-forest": encode_key,
     "z": encode_z_key,
 }
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh process that imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env)
 
 
 def is_normalised(value) -> bool:

@@ -1,14 +1,17 @@
 """CLI surface: subcommands, formats, exit codes, determinism, round-trips."""
 
+import argparse
+import hashlib
 import json
-import subprocess
-import sys
 
 import pytest
 
-from conftest import roundtrip_ok
-from treehopf.cli import run
-from treehopf.trees import enumerate_trees
+from conftest import roundtrip_ok, run_python
+from treehopf import connes_kreimer as ck
+from treehopf import tree_lie
+from treehopf.cli import _build_parser, run
+from treehopf.exactlin import LinComb
+from treehopf.trees import enumerate_forests, enumerate_trees, parse_forest, parse_tree
 
 
 def ok(argv):
@@ -125,9 +128,7 @@ def _grow_from_file(tmp_path, term: str):
     """Run ``grow --algebra gl @file`` in a fresh process on one JSON term."""
     path = tmp_path / "element.json"
     path.write_text('{"terms": [%s]}' % term, encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "treehopf", "grow", "--algebra", "gl", f"@{path}"],
-        capture_output=True, text=True)
+    proc = run_python("-m", "treehopf", "grow", "--algebra", "gl", f"@{path}")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -157,9 +158,7 @@ def test_xk_past_the_recursion_limit_exits_two():
 @pytest.mark.parametrize("command", ["coprod", "grow"])
 def test_deep_nesting_exits_two_without_traceback(command):
     deep = "[" * 3000 + "]" * 3000
-    proc = subprocess.run(
-        [sys.executable, "-m", "treehopf", command, "--algebra", "gl", deep],
-        capture_output=True, text=True)
+    proc = run_python("-m", "treehopf", command, "--algebra", "gl", deep)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -205,16 +204,15 @@ def test_corpus_deterministic_and_roundtrips(cli_corpus):
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     probe = ("import sys, treehopf.cli; "
              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", probe],
-                          capture_output=True, text=True)
+    proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
 
 def test_cross_process_determinism():
-    argv = [sys.executable, "-m", "treehopf", "enum", "--size", "4"]
-    first = subprocess.run(argv, capture_output=True, text=True)
-    second = subprocess.run(argv, capture_output=True, text=True)
+    argv = ["-m", "treehopf", "enum", "--size", "4"]
+    first = run_python(*argv)
+    second = run_python(*argv)
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.strip() == run(["enum", "--size", "4"]).payload
@@ -229,3 +227,112 @@ def test_verify_exit_one_on_violation(monkeypatch):
     result = run(["verify", "--suite", "trees", "--max-degree", "2"])
     assert result.exit_code == 1
     assert "fake" in result.payload
+
+
+def _write(tmp_path, name: str, text: str) -> str:
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return f"@{path}"
+
+
+def _pinned_corpus(tmp_path) -> list:
+    """Every compute command in json and text on literal and ``@file`` inputs,
+    then bad inputs (bad files, a missing file, bad literals, deep nesting)."""
+    terms = {
+        "gl": [{"basis": "[[[]]]", "coeff": "1"}, {"basis": "[[][]]", "coeff": "-2/3"}],
+        "hr": [{"basis": "[] [[]]", "coeff": "3"}, {"basis": "1", "coeff": "1/2"}],
+        "lie": [{"basis": "Z:[]", "coeff": "2"}, {"basis": "Z:[[]]", "coeff": "-1"}],
+    }
+    trees = [t.encoding for n in range(1, 4) for t in enumerate_trees(n)]
+    forests = ["1"] + [f.encoding for w in (1, 2) for f in enumerate_forests(w)]
+    literals = {"gl": trees, "hr": forests, "lie": trees}
+    elements = {family: literals[family] + [
+        _write(tmp_path, f"{family}.json", json.dumps({"terms": terms[family]}))]
+        for family in terms}
+    calls = []
+    for algebra in ("gl", "hr"):
+        xs = elements[algebra]
+        calls += [[name, "--algebra", algebra, x]
+                  for name in ("coprod", "antipode", "counit", "grow") for x in xs]
+        calls += [["prod", "--algebra", algebra, a, b] for a in xs for b in xs]
+    calls += [[name, k] for name in ("xk", "delta") for k in ("0", "1", "2", "3")]
+    calls += [[name, x] for name in ("mop", "phi") for x in elements["gl"]]
+    calls += [["lop", x] for x in elements["hr"]]
+    calls += [["psi", x] for x in elements["lie"]]
+    calls += [[name, a, b] for name in ("bracket", "star")
+              for a in elements["lie"] for b in elements["lie"]]
+    corpus = [fmt + argv for fmt in ([], ["--format", "text"]) for argv in calls]
+    bad_files = ['{"terms": [{"basis": "[[]]", "coeff": "1/0"}]}',
+                 '{"terms": [{"basis": "[[]]", "coeff": 1.5}]}',
+                 '{"terms": [{"basis": 5, "coeff": "1"}]}',
+                 '{"terms": [{"basis": "[[", "coeff": "1"}]}',
+                 '{"terms": [}']
+    bad = [_write(tmp_path, f"bad{i}.json", text) for i, text in enumerate(bad_files)]
+    bad += [f"@{tmp_path / 'missing.json'}", "[[", "[] x", "Z:[]",
+            "[" * 3000 + "]" * 3000]
+    for x in bad:
+        corpus += [["grow", "--algebra", "gl", x], ["coprod", "--algebra", "hr", x],
+                   ["bracket", x, "[]"], ["psi", x]]
+    return corpus
+
+
+PINNED_CLI_DIGEST = "bc6bb2d2003664cae691d95c76f108260addabf9a339c16845d7b114e79eb30d"
+
+
+def test_cli_outputs_pinned(tmp_path):
+    """sha256 of (argv, exit code, payload) over the pinned corpus, temporary
+    paths masked; the digest was taken before the commands became a table."""
+    digest = hashlib.sha256()
+    for argv in _pinned_corpus(tmp_path):
+        result = run(argv)
+        line = json.dumps([argv, result.exit_code, result.payload])
+        digest.update(line.replace(str(tmp_path), "<tmp>").encode() + b"\n")
+    assert digest.hexdigest() == PINNED_CLI_DIGEST
+
+
+EXPECTED_PARSER_SHAPE = [
+    ("enum", "enumerate trees of a given size", [], None),
+    ("prod", "product of two elements", [("a", None), ("b", None)], ("gl", "hr")),
+    ("coprod", "coproduct of an element", [("x", None)], ("gl", "hr")),
+    ("antipode", "antipode of an element", [("x", None)], ("gl", "hr")),
+    ("counit", "counit of an element", [("x", None)], ("gl", "hr")),
+    ("grow", "leaf-growth operator", [("x", None)], ("gl", "hr")),
+    ("xk", "iterated growth of the grafting unit", [("k", int)], None),
+    ("delta", "iterated growth of the one-vertex tree", [("k", int)], None),
+    ("mop", "chain right-multiplication operator", [("x", None)], None),
+    ("lop", "root-attachment operator", [("x", None)], None),
+    ("bracket", "Lie bracket of two basis elements", [("a", None), ("b", None)], None),
+    ("star", "Lie star of two basis elements", [("a", None), ("b", None)], None),
+    ("phi", "root deletion (primitive trees to Lie side)", [("t", None)], None),
+    ("psi", "root attachment (Lie side to primitive trees)", [("t", None)], None),
+    ("verify", "run a verification suite", [], None),
+]
+
+
+def test_parser_shape_pinned():
+    """Command order, help strings, positionals and ``--algebra`` choices,
+    read from the parser rather than from its version-dependent ``--help``."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    shape = []
+    for name, parser in sub.choices.items():
+        positionals = [(a.dest, a.type) for a in parser._actions
+                       if not a.option_strings]
+        algebra = [tuple(a.choices) for a in parser._actions
+                   if "--algebra" in a.option_strings]
+        shape.append((name, helps[name], positionals, algebra[0] if algebra else None))
+    assert shape == EXPECTED_PARSER_SHAPE
+
+
+def test_cli_calls_kernels_through_module_attributes(monkeypatch):
+    """A kernel rebound at run time is the one called: perfbench's tracer
+    counts CLI calls by rebinding module attributes the same way."""
+    monkeypatch.setattr(tree_lie, "star",
+                        lambda a, b: LinComb.term(parse_tree("[[[[]]]]")))
+    monkeypatch.setattr(ck, "natural_growth",
+                        lambda x: LinComb.term(parse_forest("[] [[]]")))
+    assert ok(["star", "[]", "[]"]) == \
+        '{"terms": [{"basis": "Z:[[[[]]]]", "coeff": "1"}]}'
+    assert ok(["grow", "--algebra", "hr", "[]"]) == \
+        '{"terms": [{"basis": "[[]] []", "coeff": "1"}]}'
