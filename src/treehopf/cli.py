@@ -6,7 +6,8 @@ when a verification suite reports violations, 2 for usage or input errors.
 
 Element arguments are literal encodings (a tree for the grafting algebra and
 the Lie commands, a forest for the forest algebra, with ``1`` as its unit)
-or ``@path`` pointing to a JSON file in the serialization schema.
+or ``@path`` pointing to a JSON file in the serialization schema.  A
+Lie-side literal may carry the ``Z:`` prefix that Lie-side output prints.
 
 Every compute command is one row of ``_COMMANDS``; ``_build_parser`` adds
 its subparser and ``_compute`` runs it.  A row's kernels map an input family
@@ -55,7 +56,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}error: {message}")
 
 
-_LITERAL_PARSERS = {"hr": parse_forest, "gl": parse_tree, "lie": parse_tree}
+def _parse_lie_literal(text: str):
+    """A Lie-side tree literal, with or without its printed ``Z:`` prefix."""
+    return parse_tree(text.removeprefix("Z:"))
+
+
+_LITERAL_PARSERS = {"hr": parse_forest, "gl": parse_tree, "lie": _parse_lie_literal}
 _FILE_KEY_PARSERS = {"hr": parse_forest, "gl": parse_tree, "lie": parse_z_key}
 
 

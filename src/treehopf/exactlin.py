@@ -5,14 +5,14 @@ stored coefficient goes through ``exact``: it is an ``int`` when integral
 and a ``fractions.Fraction`` (denominator above 1) otherwise, and a
 ``float`` is rejected.  Products, coproducts, growth and antipodes have
 integer structure constants, so they stay on plain ``int`` arithmetic; a
-``Fraction`` appears only where a division happens: the eliminations here,
-which promote their rows to ``Fraction`` so that ``/`` stays exact, the
-cut-count oracle's symmetry rescaling, and rational inputs.
+``Fraction`` appears only where a division happens: the one exact division
+per coordinate that ends ``solve_membership``, the cut-count oracle's
+symmetry rescaling, and rational inputs.
 
 Keys may be any hashable objects exposing an ``encoding`` string (trees,
 forests, tensor pairs); the encoding gives deterministic ordering for
-serialization and for the elimination routines.  Products, coproducts and
-brackets are defined on basis keys elsewhere and lifted here.
+serialization.  Products, coproducts and brackets are defined on basis keys
+elsewhere and lifted here.
 
 The rule for lifting: a basis map that returns a ``LinComb`` is made linear
 only through ``extend_linear`` / ``extend_bilinear``, called at use time so
@@ -22,13 +22,16 @@ single key per input (a forest union, or a ``Tensor`` of two legs as in
 a direct loop: wrapping every key in a one-term ``LinComb`` only to unpack
 it again costs time on the hottest paths.
 
-``solve_membership`` and ``rank`` run dense Gaussian elimination over the
-rationals, keeping every check bit-exact.
+``solve_membership`` and ``rank`` share one sparse elimination,
+``_echelon``: each row is a ``{column: int}`` dict with its denominators
+cleared, reduced by integer cross-multiples and divided by its gcd, so
+every check stays bit-exact without dense or ``Fraction`` rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def exact(c):
@@ -261,73 +264,69 @@ def tensor_multiply(x: LinComb, y: LinComb, mult_left, mult_right) -> LinComb:
     return LinComb(out)
 
 
+def _integral(coeffs: dict) -> dict:
+    """The coefficients times the lcm of their denominators, as ints."""
+    scale = lcm(*(c.denominator for c in coeffs.values()))
+    return {col: c.numerator * (scale // c.denominator) for col, c in coeffs.items()}
+
+
+def _echelon(rows) -> dict:
+    """Fraction-free row echelon form of sparse rows ``{column: nonzero int}``.
+
+    Each row is inserted in turn: divided by the gcd of its entries, then,
+    while a kept pivot row holds its lowest column, cross-multiplied with
+    that row so the column cancels, and divided again (integer-preserving
+    elimination after Bareiss, Math. Comp. 22, 1968).  A row left nonzero
+    becomes the pivot row of its lowest column; a row reduced to zero is
+    dropped.  Returns ``{pivot column: row}``.
+    """
+    pivots: dict = {}
+    for row in rows:
+        while row:
+            g = gcd(*row.values())
+            row = {k: c // g for k, c in row.items()}
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            g = gcd(pivot[col], row[col])
+            a, b = pivot[col] // g, row[col] // g
+            row = {k: c for k in row.keys() | pivot.keys()
+                   if (c := a * row.get(k, 0) - b * pivot.get(k, 0))}
+    return pivots
+
+
 def solve_membership(target: LinComb, generators) -> list | None:
     """Exact coordinates of ``target`` in the span of ``generators``.
 
-    Gauss-Jordan elimination over the rationals (the rows are promoted to
-    ``Fraction`` so that every division is exact).  Returns one coordinate
-    vector of normalised coefficients (free coordinates set to 0), or None
-    when the system is inconsistent; a successful result always reproduces
-    the target exactly on re-substitution.
+    One row per basis key, one column per generator in order and the target
+    last, so the pivots are the first independent generators.  Returns one
+    coordinate vector of normalised coefficients (free coordinates set to
+    0), or None when the target column holds a pivot, i.e. the system is
+    inconsistent; a successful result always reproduces the target exactly
+    on re-substitution.
     """
     generators = list(generators)
-    keys = sorted({k for g in generators for k in g.terms} | set(target.terms),
-                  key=lambda k: k.encoding)
-    ncols = len(generators)
-    rows = [[Fraction(g.coeff(k)) for g in generators] + [Fraction(target.coeff(k))]
-            for k in keys]
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(row, len(rows)) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[row], rows[pivot_row] = rows[pivot_row], rows[row]
-        pivot = rows[row][col]
-        rows[row] = [v / pivot for v in rows[row]]
-        for i in range(len(rows)):
-            if i != row and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(rows):
-            break
-    for i in range(row, len(rows)):
-        if rows[i][ncols]:
-            return None
-    coords = [0] * ncols
-    for i, col in enumerate(pivots):
-        coords[col] = exact(rows[i][ncols])
+    n = len(generators)
+    rows: dict = {}
+    for col, vector in enumerate(generators + [target]):
+        for key, c in vector.terms.items():
+            rows.setdefault(key, {})[col] = c
+    pivots = _echelon(_integral(row) for row in rows.values())
+    if n in pivots:
+        return None
+    coords = [0] * n
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        rest = row.get(n, 0) - sum(c * coords[k] for k, c in row.items() if col < k < n)
+        coords[col] = exact(Fraction(rest) / row[col])
     return coords
 
 
-# Not solve_membership's Gauss-Jordan: sharing it took gl -D7 from 0.59 to 1.23 s.
 def rank(vectors) -> int:
-    """Rank of a family of combinations, by exact forward elimination."""
-    vectors = list(vectors)
-    keys = sorted({k for v in vectors for k in v.terms}, key=lambda k: k.encoding)
-    if not keys:
-        return 0
-    index = {k: i for i, k in enumerate(keys)}
-    rows = []
-    for v in vectors:
-        row = [Fraction(0)] * len(keys)
-        for k, c in v.terms.items():
-            row[index[k]] = Fraction(c)
-        rows.append(row)
-    rnk = 0
-    for col in range(len(keys)):
-        pivot_row = next((i for i in range(rnk, len(rows)) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[rnk], rows[pivot_row] = rows[pivot_row], rows[rnk]
-        pivot = rows[rnk][col]
-        for i in range(rnk + 1, len(rows)):
-            if rows[i][col]:
-                factor = rows[i][col] / pivot
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rnk])]
-        rnk += 1
-        if rnk == len(rows):
-            break
-    return rnk
+    """Rank of a family of combinations, by exact sparse elimination."""
+    columns: dict = {}
+    return len(_echelon({columns.setdefault(key, len(columns)): c
+                         for key, c in _integral(v.terms).items()}
+                        for v in vectors))

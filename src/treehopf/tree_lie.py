@@ -1,16 +1,20 @@
 """Lie algebra structure on the span of rooted trees via single grafting.
 
 ``star_trees(a, b)`` grafts the whole of a onto each vertex of b, one term
-per vertex, so the coefficient mass equals ``size(b)``.  The bracket is the
-commutator of that operation (which itself is not associative).
+per vertex, so the coefficient mass equals ``size(b)``.  That is the
+grafting product's kernel with a single scion, ``graft_forest((a,), b)``:
+pre-Lie grafting is the degree-one part of the Grossman-Larson product.
+The bracket is the commutator of that operation (which itself is not
+associative).
 
-The independent oracle recovers the same coefficients from one-edge cuts of
-every candidate result tree.  A raw count of severable edges is not the
-number of attachment sites: the two differ by symmetry (double counting
-isomorphisms of the cut pair gives ``sites * |Aut(result)| = edges *
-|Aut(branch)| * |Aut(trunk)|``), so the oracle rescales each raw edge count
-accordingly.  The raw count is exposed as ``single_cut_count`` so the
-rescaling identity itself can be tested.
+The independent oracle, which shares no code with the grafting kernel,
+recovers the same coefficients from one-edge cuts of every candidate result
+tree.  A raw count of severable edges is not the number of attachment
+sites: the two differ by symmetry (double counting isomorphisms of the cut
+pair gives ``sites * |Aut(result)| = edges * |Aut(branch)| *
+|Aut(trunk)|``), so the oracle rescales each raw edge count accordingly.
+The raw count is exposed as ``single_cut_count`` so the rescaling identity
+itself can be tested.
 
 Root deletion maps the single-child-root trees of the grafting algebra onto
 this Lie algebra; root attachment is its inverse.
@@ -21,12 +25,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactlin import LinComb, extend_bilinear
-from .trees import Tree, aut_order, enumerate_trees, graft, single_cuts
+from .grossman_larson import graft_forest
+from .trees import Tree, aut_order, enumerate_trees, single_cuts
 
 
 def star_trees(t1: Tree, t2: Tree) -> LinComb:
-    """Graft t1 onto each vertex of t2; one term per vertex of t2."""
-    return LinComb((graft(t2, v, t1), 1) for v in range(t2.size))
+    """Graft t1 onto each vertex of t2; one term per vertex of t2.
+
+    The result is ``graft_forest``'s shared memo entry: do not mutate it.
+    """
+    return graft_forest((t1,), t2)
 
 
 def star(a: LinComb, b: LinComb) -> LinComb:

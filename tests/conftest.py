@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from treehopf.exactlin import LinComb, add_to
+from treehopf.exactlin import LinComb, add_to, exact
 from treehopf.serialize import (encode_key, encode_z_key, lincomb_from_obj,
                                 lincomb_to_json, parse_forest_tensor,
                                 parse_tree_tensor, parse_z_key)
@@ -134,6 +134,78 @@ def multiset_site_product(t1: Tree, t2: Tree) -> LinComb:
         placements = [p for sites, _ in choice for p in sites]
         add_to(out, graft_many(t2, placements), prod(w for _, w in choice))
     return LinComb(out)
+
+
+def dense_solve_membership(target: LinComb, generators) -> list | None:
+    """Dense Gauss-Jordan membership solve over ``Fraction`` rows, as an oracle.
+
+    The elimination ``exactlin.solve_membership`` ran before the sparse
+    fraction-free reducer replaced it; it must give the same coordinates,
+    ``int``/``Fraction`` types included.
+    """
+    generators = list(generators)
+    keys = sorted({k for g in generators for k in g.terms} | set(target.terms),
+                  key=lambda k: k.encoding)
+    ncols = len(generators)
+    rows = [[Fraction(g.coeff(k)) for g in generators] + [Fraction(target.coeff(k))]
+            for k in keys]
+    pivots: list[int] = []
+    row = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(row, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[row], rows[pivot_row] = rows[pivot_row], rows[row]
+        pivot = rows[row][col]
+        rows[row] = [v / pivot for v in rows[row]]
+        for i in range(len(rows)):
+            if i != row and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(rows):
+            break
+    for i in range(row, len(rows)):
+        if rows[i][ncols]:
+            return None
+    coords = [0] * ncols
+    for i, col in enumerate(pivots):
+        coords[col] = exact(rows[i][ncols])
+    return coords
+
+
+def dense_rank(vectors) -> int:
+    """Rank by dense forward elimination over ``Fraction`` rows, as an oracle.
+
+    The elimination ``exactlin.rank`` ran before the sparse reducer.
+    """
+    vectors = list(vectors)
+    keys = sorted({k for v in vectors for k in v.terms}, key=lambda k: k.encoding)
+    if not keys:
+        return 0
+    index = {k: i for i, k in enumerate(keys)}
+    rows = []
+    for v in vectors:
+        row = [Fraction(0)] * len(keys)
+        for k, c in v.terms.items():
+            row[index[k]] = Fraction(c)
+        rows.append(row)
+    rnk = 0
+    for col in range(len(keys)):
+        pivot_row = next((i for i in range(rnk, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[rnk], rows[pivot_row] = rows[pivot_row], rows[rnk]
+        pivot = rows[rnk][col]
+        for i in range(rnk + 1, len(rows)):
+            if rows[i][col]:
+                factor = rows[i][col] / pivot
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rnk])]
+        rnk += 1
+        if rnk == len(rows):
+            break
+    return rnk
 
 
 def product_pairs(max_size: int) -> list:

@@ -103,6 +103,15 @@ def test_lie_report_pinned_at_degree_six():
         "8ddfdb49a6675226f9dced114324efef9beee7bfe8732a4b9f1153661a0eb603"
 
 
+def test_lie_report_pinned_at_degree_seven():
+    # digest taken before the Lie star became the single-scion grafting kernel
+    report = verify.run_suite("lie", 7)
+    assert report["checked"] == 1704
+    text = json.dumps(report, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "c092e6ee7611d11a7efcfedc228ae9fc8cfec56755fe5168e50ca6aee647105d"
+
+
 def _laws(report, prefixes):
     hits = [v for v in report["violations"]
             if any(v["law"].startswith(p) for p in prefixes)]

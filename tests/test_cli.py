@@ -108,6 +108,21 @@ def test_lie_commands():
         {"basis": "[[[][]]]", "coeff": "1"}]}
 
 
+def test_lie_literals_accept_printed_prefix():
+    """A Lie-side key as the CLI prints it is a valid literal argument."""
+    for argv in (["bracket", "[]", "[[]]"], ["star", "[[]]", "[]"], ["psi", "[[][]]"]):
+        plain = ok(argv)
+        for i in range(1, len(argv)):
+            assert ok(argv[:i] + ["Z:" + argv[i]] + argv[i + 1:]) == plain
+    printed = json.loads(ok(["phi", "[[[]]]"]))["terms"][0]["basis"]
+    assert printed == "Z:[[]]"
+    assert ok(["psi", printed]) == ok(["psi", "[[]]"])
+    # the prefix stays Lie-side only, and is stripped once
+    for argv in (["phi", "Z:[[]]"], ["psi", "Z:Z:[]"], ["bracket", "Z:", "[]"]):
+        result = run(argv)
+        assert result.exit_code == 2 and result.payload.startswith("error: "), argv
+
+
 def test_text_format():
     assert ok(["--format", "text", "delta", "3"]) == "[[[]]] + [[][]]"
     assert ok(["--format", "text", "prod", "--algebra", "gl", "[[]]", "[[]]"]) == \
@@ -276,12 +291,14 @@ def _pinned_corpus(tmp_path) -> list:
     return corpus
 
 
-PINNED_CLI_DIGEST = "bc6bb2d2003664cae691d95c76f108260addabf9a339c16845d7b114e79eb30d"
+PINNED_CLI_DIGEST = "5b86362c68e535914c282ba409f68e0088463ad4288b6378b648e14e7612aee4"
 
 
 def test_cli_outputs_pinned(tmp_path):
     """sha256 of (argv, exit code, payload) over the pinned corpus, temporary
-    paths masked; the digest was taken before the commands became a table."""
+    paths masked.  The digest was taken before the commands became a table,
+    and re-pinned when Lie-side literals began to accept ``Z:``: only the
+    ``bracket``/``psi`` lines on the literal ``Z:[]`` changed (exit 2 to 0)."""
     digest = hashlib.sha256()
     for argv in _pinned_corpus(tmp_path):
         result = run(argv)

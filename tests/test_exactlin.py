@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import is_normalised
+from conftest import dense_rank, dense_solve_membership, is_normalised
 from treehopf import connes_kreimer as ck
 from treehopf import grossman_larson as gl
 from treehopf import operators as ops
@@ -244,3 +244,84 @@ def test_rank_elimination_divides_exactly():
     vectors = [LinComb(zip(keys, row)) for row in rows]
     assert rank(vectors) == 2
     assert rank(vectors[:2]) == 2
+
+
+ORACLE_KEYS = [t for n in range(1, 6) for t in enumerate_trees(n)]
+
+
+def random_coeff(rng):
+    if rng.random() < 0.5:
+        return rng.randint(-4, 4)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+
+
+def random_vector(rng, keys):
+    return LinComb((k, random_coeff(rng))
+                   for k in rng.sample(keys, rng.randint(0, len(keys))))
+
+
+def random_system(rng):
+    """Generators over a few keys, with dependent, duplicate and zero ones
+    inserted, and three targets: zero, inside the span, likely outside it.
+    Returns the generators, the targets and the kinds inserted."""
+    keys = rng.sample(ORACLE_KEYS, rng.randint(1, 7))
+    gens = [random_vector(rng, keys) for _ in range(rng.randint(0, 5))]
+    kinds = set()
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(("combination", "duplicate", "zero")) if gens else "zero"
+        kinds.add(kind)
+        if kind == "zero":
+            extra = LinComb.zero()
+        elif kind == "duplicate":
+            extra = rng.choice(gens) * rng.choice((1, -2, Fraction(1, 3)))
+        else:
+            extra = LinComb.zero()
+            for g in gens:
+                extra = combine(extra, g, random_coeff(rng))
+        gens.insert(rng.randint(0, len(gens)), extra)
+    inside = LinComb.zero()
+    for g in gens:
+        inside = combine(inside, g, random_coeff(rng))
+    outside = random_vector(rng, keys + rng.sample(ORACLE_KEYS, 1))
+    return gens, (LinComb.zero(), inside, outside), kinds
+
+
+def same_coords(got, expected) -> bool:
+    """Equal coordinates with equal ``int``/``Fraction`` types, or both None."""
+    if got is None or expected is None:
+        return got is expected
+    return got == expected and [type(c) for c in got] == [type(c) for c in expected]
+
+
+def test_elimination_matches_dense_oracle_on_seeded_systems():
+    rng = random.Random(20240611)
+    seen = dict.fromkeys(("combination", "duplicate", "zero", "rank-deficient",
+                          "inconsistent", "fraction coordinate"), 0)
+    for _ in range(400):
+        gens, targets, kinds = random_system(rng)
+        assert rank(gens) == dense_rank(gens), gens
+        seen["rank-deficient"] += rank(gens) < len(gens)
+        for kind in kinds:
+            seen[kind] += 1
+        for target in targets:
+            coords = solve_membership(target, gens)
+            assert same_coords(coords, dense_solve_membership(target, gens)), \
+                (target, gens)
+            seen["inconsistent"] += coords is None
+            seen["fraction coordinate"] += any(type(c) is Fraction
+                                               for c in coords or ())
+    assert all(seen.values()), seen
+
+
+def test_delta_and_primitive_solves_match_dense_oracle(monkeypatch):
+    fast = [ck.delta_coproduct_membership(k) for k in range(1, 7)]
+    fast += [ck.delta_membership(ck.delta(k), k) for k in range(1, 7)]
+    fast_dims = [gl.primitive_space_dimension(n) for n in range(1, 7)]
+    monkeypatch.setattr(ck, "solve_membership", dense_solve_membership)
+    monkeypatch.setattr(gl, "rank", dense_rank)
+    slow = [ck.delta_coproduct_membership(k) for k in range(1, 7)]
+    slow += [ck.delta_membership(ck.delta(k), k) for k in range(1, 7)]
+    assert [gl.primitive_space_dimension(n) for n in range(1, 7)] == fast_dims
+    for got, expected in zip(fast, slow):
+        assert got is not None and list(got) == list(expected)
+        assert same_coords(list(got.values()), list(expected.values()))

@@ -5,7 +5,7 @@ import pytest
 from treehopf import grossman_larson as gl
 from treehopf import tree_lie
 from treehopf.exactlin import LinComb
-from treehopf.trees import (LEAF, aut_order, enumerate_trees, parse_tree)
+from treehopf.trees import LEAF, aut_order, enumerate_trees, graft, parse_tree
 
 E = LEAF
 L2 = parse_tree("[[]]")
@@ -33,6 +33,17 @@ def test_star_mass_equals_host_size():
             for ta in enumerate_trees(na):
                 for tb in enumerate_trees(nb):
                     assert tree_lie.star_trees(ta, tb).mass() == tb.size
+
+
+def test_star_equals_one_graft_per_vertex():
+    """The single-scion grafting kernel against one ``trees.graft`` per host
+    vertex, the form the star had before it."""
+    for na in range(1, 6):
+        for nb in range(1, 8 - na):
+            for ta in enumerate_trees(na):
+                for tb in enumerate_trees(nb):
+                    assert tree_lie.star_trees(ta, tb) == \
+                        LinComb((graft(tb, v, ta), 1) for v in range(tb.size))
 
 
 def test_oracle_examples():
