@@ -61,23 +61,16 @@ class LinComb:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        if isinstance(terms, dict):
-            # dict keys are unique, so nothing merges: one pass that keeps
-            # an int as it is and drops zeros only after ``exact`` (0.0 raises)
-            self.terms = {key: value for key, coeff in terms.items()
-                          if (value := coeff if type(coeff) is int
-                              else exact(coeff))}
-            return
-        data: dict = {}
-        if terms:
-            for key, coeff in terms:
-                current = data.get(key)
-                value = exact(coeff if current is None else current + coeff)
-                if value:
-                    data[key] = value
-                elif key in data:
-                    del data[key]
-        self.terms = data
+        if not isinstance(terms, dict):
+            data: dict = {}
+            for key, coeff in terms or ():
+                add_to(data, key, coeff)
+            terms = data
+        # one pass that keeps an int as it is and drops zeros only after
+        # ``exact``, so a float raises even where it sums to 0.0
+        self.terms = {key: value for key, coeff in terms.items()
+                      if (value := coeff if type(coeff) is int
+                          else exact(coeff))}
 
     @classmethod
     def zero(cls) -> "LinComb":
@@ -107,18 +100,12 @@ class LinComb:
     def __add__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            add_to(out, key, coeff)
-        return LinComb(out)
+        return combine(self, other)
 
     def __sub__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            add_to(out, key, -coeff)
-        return LinComb(out)
+        return combine(self, other, -1)
 
     def __neg__(self):
         return LinComb({k: -c for k, c in self.terms.items()})

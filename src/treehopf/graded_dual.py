@@ -20,7 +20,7 @@ check actually fails on perturbed operators.
 
 from __future__ import annotations
 
-from .exactlin import LinComb, Tensor, add_to, exact
+from .exactlin import LinComb, Tensor, add_to
 from .trees import LEAF, Tree, enumerate_trees
 from . import grossman_larson as gl
 from .grossman_larson import tree_degree
@@ -37,11 +37,7 @@ class DualFunctional:
     __slots__ = ("coeffs", "max_degree")
 
     def __init__(self, coeffs=None, max_degree: int | None = None):
-        clean = {}
-        for t, c in (coeffs or {}).items():
-            value = exact(c)
-            if value:
-                clean[t] = value
+        clean = LinComb(dict(coeffs or {})).terms
         top = max((tree_degree(t) for t in clean), default=0)
         if max_degree is None:
             max_degree = top

@@ -7,14 +7,12 @@ pre-Lie grafting is the degree-one part of the Grossman-Larson product.
 The bracket is the commutator of that operation (which itself is not
 associative).
 
-The independent oracle, which shares no code with the grafting kernel,
-recovers the same coefficients from one-edge cuts of every candidate result
-tree.  A raw count of severable edges is not the number of attachment
-sites: the two differ by symmetry (double counting isomorphisms of the cut
-pair gives ``sites * |Aut(result)| = edges * |Aut(branch)| *
-|Aut(trunk)|``), so the oracle rescales each raw edge count accordingly.
-The raw count is exposed as ``single_cut_count`` so the rescaling identity
-itself can be tested.
+The independent oracle shares no code with the grafting kernel, since cuts
+are not grafts: the raw count of one-edge cuts of t with branch t1 and
+trunk t2 is the coefficient of t1 (x) t2 in Delta_CK(t).  That counts
+severable edges, not attachment sites; double counting isomorphisms of the
+cut pair gives ``sites * |Aut(t)| = edges * |Aut(t1)| * |Aut(t2)|``, so the
+oracle rescales each raw count accordingly.
 
 Root deletion maps the single-child-root trees of the grafting algebra onto
 this Lie algebra; root attachment is its inverse.
@@ -24,9 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactlin import LinComb, extend_bilinear
+from . import connes_kreimer as ck
+from .exactlin import LinComb, Tensor, extend_bilinear
 from .grossman_larson import graft_forest
-from .trees import Tree, aut_order, enumerate_trees, single_cuts
+from .trees import Forest, Tree, aut_order, enumerate_trees
 
 
 def star_trees(t1: Tree, t2: Tree) -> LinComb:
@@ -42,26 +41,18 @@ def star(a: LinComb, b: LinComb) -> LinComb:
     return extend_bilinear(star_trees)(a, b)
 
 
-def single_cut_count(t1: Tree, t2: Tree, t: Tree) -> int:
-    """Raw number of one-edge cuts of t with branch t1 and trunk t2."""
-    return sum(1 for cut in single_cuts(t)
-               if cut.branch.items == (t1,) and cut.trunk == t2)
-
-
 def star_by_cut_counting(t1: Tree, t2: Tree) -> LinComb:
-    """Cut-count oracle for ``star_trees``.
+    """Cut-count oracle for ``star_trees``; must equal it on every basis pair.
 
-    Enumerates every tree with ``size(t1) + size(t2)`` vertices, counts its
-    one-edge cuts with branch t1 and trunk t2, and rescales by
-    ``|Aut(t1)| * |Aut(t2)| / |Aut(candidate)|`` to convert severable-edge
-    counts into attachment-site counts.  Must equal ``star_trees`` on every
-    basis pair.
+    Each tree t with ``size(t1) + size(t2)`` vertices gets its raw count from
+    the cut coproduct, rescaled by ``|Aut(t1)| * |Aut(t2)| / |Aut(t)|``.
     """
-    total = t1.size + t2.size
+    key = Tensor(Forest((t1,)), Forest((t2,)))
     scale = Fraction(aut_order(t1) * aut_order(t2))
     out: dict = {}
-    for t in enumerate_trees(total):
-        raw = single_cut_count(t1, t2, t)
+    for t in enumerate_trees(t1.size + t2.size):
+        # looked up at call time, so a replaced kernel is the one read
+        raw = ck.tree_coproduct_by_cuts(t).coeff(key)
         if raw:
             out[t] = scale * raw / aut_order(t)
     return LinComb(out)

@@ -5,8 +5,11 @@ lines; every comparison is exact rational arithmetic, so there are no
 numeric tolerances anywhere.
 """
 
+import ast
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,3 +222,22 @@ def test_criterion_9_cli_contract(cli_corpus):
     assert report["violations"] == [] and report["suite"] == "all"
     print("ACCEPTANCE 9 (50-invocation corpus deterministic with exact "
           "round-trips; verify --suite all --max-degree 5 exits 0): PASS")
+
+
+def test_runtime_imports_are_stdlib_only():
+    sources = sorted((Path(__file__).parents[1] / "src" / "treehopf").glob("*.py"))
+    assert sources
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+    print("ACCEPTANCE (every absolute import in src/treehopf is in the "
+          "standard library): PASS")

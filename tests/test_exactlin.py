@@ -202,6 +202,14 @@ def test_dict_input_matches_pair_input():
     for bad in (0.0, 1.5):
         with pytest.raises(TypeError):
             LinComb({E: 1, L2: bad})
+        with pytest.raises(TypeError):
+            LinComb([(E, 1), (L2, bad)])
+    # floats that cancel or sum to an integral value still raise
+    for pairs in ([(E, 0.5), (E, -0.5)], [(E, 1), (E, 0.0)], [(E, 0.5), (E, 0.5)]):
+        with pytest.raises(TypeError):
+            LinComb(pairs)
+        with pytest.raises(TypeError):
+            LinComb(dict(pairs))
 
 
 def test_structure_constants_stay_normalised():

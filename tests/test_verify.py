@@ -70,6 +70,9 @@ BREAKS = [
      "gl.product_mass"),
     ("lie", tree_lie, "star_trees", lambda k: lambda a, b: _extra_term(k(a, b)),
      "lie.star_oracle"),
+    # the oracle reads its cut counts from the cut coproduct
+    ("lie", ck, "tree_coproduct_by_cuts", lambda k: lambda t: 2 * k(t),
+     "lie.star_oracle"),
     ("operators", ops, "n_tree", lambda k: lambda t: _extra_term(k(t)),
      "op.growth_is_left_chain_mult"),
     ("dual", gd, "m_dual", lambda k: lambda f: _bump_leaf(k(f)),
