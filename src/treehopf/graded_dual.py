@@ -8,17 +8,30 @@ computation finite and exact: the dual coproduct of f tabulates f(a * b)
 over tree pairs within the bound, and the transpose of the chain
 right-multiplication operator drops degree by one.
 
+Every dual-side map reads a support index, built once from the kernel it
+transposes, instead of evaluating that kernel against each coordinate:
+``product_index`` inverts the grafting product over the pairs within a bound
+(t -> the pairs whose product contains t), ``m_dual`` reads the ``m_tree``
+images transposed once per bound, and ``dual_product`` reads the
+``tree_coproduct`` terms inverted once per bound, keyed by their two legs.
+``support_index`` is the one inversion behind all three.
+
 ``hochschild_cases`` lists, and ``hochschild_check`` checks, every case of
 the cocycle identity that this transpose satisfies
 
     (M* f)(a b) = (M* f)(a) eps(b) + sum_i f_i(a) (M* f'_i)(b)
 
-where ``sum_i f_i (x) f'_i`` is the dual coproduct of f.  An alternate basis
-action can be injected in place of the chain multiplication to confirm the
-check actually fails on perturbed operators.
+where ``sum_i f_i (x) f'_i`` is the dual coproduct of f.  Almost every case
+compares 0 with 0, so only the cases inside the supports are computed; the
+rest are yielded in bulk as an ``int`` n, meaning n cases whose sides are
+both the zero coefficient (``cases_on_support``).  An alternate basis action
+can be injected in place of the chain multiplication to confirm the check
+actually fails on perturbed operators.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .exactlin import LinComb, Tensor, add_to
 from .trees import LEAF, Tree, enumerate_trees
@@ -74,6 +87,32 @@ def pair(f: DualFunctional, x: LinComb):
     return total
 
 
+def support_index(images) -> dict:
+    """Invert ``(x, combination)`` pairs to ``{term: [(x, coeff), ...]}``.
+
+    Each term's list keeps the order of the pairs, so reading one term's
+    list visits its preimages in the order the pairs were given.
+    """
+    index: dict = {}
+    for x, image in images:
+        for term, c in image.terms.items():
+            index.setdefault(term, []).append((x, c))
+    return index
+
+
+def product_index(degree_bound: int) -> dict:
+    """``{t: [((a, b), c), ...]}``: c is the coefficient of t in ``a * b``.
+
+    One pass over ``gl.tree_product`` on every tree pair with degrees
+    summing within the bound, ordered by the two degrees, then by the
+    encodings; it indexes the dual coproduct of every coordinate at once.
+    """
+    pairs = ((a, b) for da in range(degree_bound + 1)
+             for db in range(degree_bound - da + 1)
+             for a in enumerate_trees(da + 1) for b in enumerate_trees(db + 1))
+    return support_index(((a, b), gl.tree_product(a, b)) for a, b in pairs)
+
+
 def dual_coproduct(f: DualFunctional, degree_bound: int) -> LinComb:
     """Tabulate f(a * b) over tree pairs with degrees summing within the bound.
 
@@ -81,26 +120,38 @@ def dual_coproduct(f: DualFunctional, degree_bound: int) -> LinComb:
     satisfies ``f(x y) = sum_i f_i(x) f'_i(y)`` for elements supported
     within the bound.
     """
+    index = product_index(degree_bound)
     out: dict = {}
-    for da in range(degree_bound + 1):
-        for db in range(degree_bound - da + 1):
-            for a in enumerate_trees(da + 1):
-                for b in enumerate_trees(db + 1):
-                    value = pair(f, gl.tree_product(a, b))
-                    if value:
-                        add_to(out, Tensor(a, b), value)
+    for t, ft in f.coeffs.items():
+        for (a, b), c in index.get(t, ()):
+            add_to(out, Tensor(a, b), ft * c)
     return LinComb(out)
+
+
+@lru_cache(maxsize=None)
+def _m_tree_index(bound: int) -> dict:
+    """``m_tree`` of every tree within the bound, transposed: t -> [(a, c)]."""
+    return support_index((a, m_tree(a)) for a in trees_up_to_degree(bound))
 
 
 def m_dual(f: DualFunctional) -> DualFunctional:
     """Transpose of the chain right-multiplication; degree drops by one."""
     bound = max(f.max_degree - 1, 0)
-    coeffs = {}
-    for a in trees_up_to_degree(bound):
-        value = pair(f, m_tree(a))
-        if value:
-            coeffs[a] = value
+    index = _m_tree_index(bound)
+    coeffs: dict = {}
+    for t, ft in f.coeffs.items():
+        for a, c in index.get(t, ()):
+            add_to(coeffs, a, ft * c)
     return DualFunctional(coeffs, bound)
+
+
+@lru_cache(maxsize=None)
+def _coproduct_index(bound: int) -> dict:
+    """``tree_coproduct`` of every tree within the bound, inverted:
+    (left, right) -> [(t, c)].  Keyed by the pair of legs, not by a
+    ``Tensor``, so a lookup that misses never interns a new tensor."""
+    index = support_index((t, gl.tree_coproduct(t)) for t in trees_up_to_degree(bound))
+    return {(key.left, key.right): entries for key, entries in index.items()}
 
 
 def dual_product(f: DualFunctional, g: DualFunctional,
@@ -108,16 +159,33 @@ def dual_product(f: DualFunctional, g: DualFunctional,
     """Convolution product, tabulated on trees within the bound.
 
     ``(f g)(t) = sum over coproduct(t) of f(left) g(right)``; commutative
-    because the coproduct is cocommutative.
+    because the coproduct is cocommutative.  Reads the inverted coproduct,
+    so the cost is one lookup per pair of coordinates of f and g.
     """
-    coeffs = {}
-    for t in trees_up_to_degree(degree_bound):
-        total = 0
-        for key, c in gl.tree_coproduct(t).terms.items():
-            total += c * f.coeffs.get(key.left, 0) * g.coeffs.get(key.right, 0)
-        if total:
-            coeffs[t] = total
+    index = _coproduct_index(degree_bound)
+    coeffs: dict = {}
+    for left, fl in f.coeffs.items():
+        for right, gr in g.coeffs.items():
+            for t, c in index.get((left, right), ()):
+                add_to(coeffs, t, c * fl * gr)
     return DualFunctional(coeffs, degree_bound)
+
+
+def cases_on_support(total: int, hits, case):
+    """Yield ``case(i)`` for each index in ``hits``, in increasing order.
+
+    Between them, and after the last, yields the ``int`` count of the
+    indices below ``total`` that were skipped: cases whose sides are both
+    the zero coefficient, which ``verify.check`` counts without a look.
+    """
+    done = 0
+    for i in sorted(hits):
+        if i > done:
+            yield i - done
+        yield case(i)
+        done = i + 1
+    if total > done:
+        yield total - done
 
 
 def hochschild_cases(degree_bound: int, m_tree_func=None):
@@ -128,8 +196,12 @@ def hochschild_cases(degree_bound: int, m_tree_func=None):
 
         (M* t*)(a b)  and  (M* t*)(a) eps(b) + sum_i f_i(a) (M* f'_i)(b).
 
-    ``m_tree_func`` swaps in an alternate basis action for the
-    multiplication operator.
+    A case is computed only when one side can be non-zero on the supports
+    of the kernels under test: some term of ``a b`` has t in its image,
+    b is the unit and t is in the image of a, or the dual coproduct of t*
+    has a term ``a (x) r`` with r in the image of b.  Every other case is
+    counted in an ``int`` (see ``cases_on_support``).  ``m_tree_func``
+    swaps in an alternate basis action for the multiplication operator.
     """
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
@@ -139,23 +211,38 @@ def hochschild_cases(degree_bound: int, m_tree_func=None):
     images = {b: action(b) for b in arguments}
     argument_pairs = [(a, b) for a in arguments for b in arguments
                       if tree_degree(a) + tree_degree(b) <= degree_bound - 1]
+    position = {p: i for i, p in enumerate(argument_pairs)}
+    # the action's images transposed, s -> [(a, coeff of s in M(a))]
+    transposed = support_index(images.items())
+    products = product_index(degree_bound)
     for t in trees_up_to_degree(degree_bound):
-        f = dual_basis(t)
-        # (M* f) tabulated on every tree a product below can reach
-        transpose = {a: pair(f, images[a]) for a in arguments}
-        # the dual coproduct indexed by its left leg
+        # (M* t*) on every tree a product below can reach
+        transpose = dict(transposed.get(t, ()))
+        # the dual coproduct of t*, within deg t, indexed by its left leg
         cop_by_left: dict = {}
-        for key, c in dual_coproduct(f, tree_degree(t)).terms.items():
-            cop_by_left.setdefault(key.left, []).append((key.right, c))
-        for a, b in argument_pairs:
+        for (a, right), c in products.get(t, ()):
+            if a.size + right.size <= t.size + 1:
+                cop_by_left.setdefault(a, []).append((right, c))
+        hits = {position[(a, LEAF)] for a in transpose}
+        for s in transpose:
+            hits.update(position[p] for p, _ in products.get(s, ()) if p in position)
+        for a, rights in cop_by_left.items():
+            for right, _ in rights:
+                hits.update(position[(a, b)] for b, _ in transposed.get(right, ())
+                            if (a, b) in position)
+
+        def case(i):
+            a, b = argument_pairs[i]
             lhs = 0
             for term, c in gl.tree_product(a, b).terms.items():
                 lhs += c * transpose.get(term, 0)
-            rhs = transpose[a] if b is LEAF else 0
+            rhs = transpose.get(a, 0) if b is LEAF else 0
             mb = images[b]
             for right, c in cop_by_left.get(a, ()):
                 rhs += c * mb.coeff(right)
-            yield (t, a, b), lhs, rhs
+            return (t, a, b), lhs, rhs
+
+        yield from cases_on_support(len(argument_pairs), hits, case)
 
 
 def hochschild_check(degree_bound: int, m_tree_func=None) -> dict:

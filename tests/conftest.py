@@ -9,13 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from treehopf.exactlin import LinComb, add_to, exact
+from treehopf import connes_kreimer as ck
+from treehopf import graded_dual as gd
+from treehopf import grossman_larson as gl
+from treehopf import operators as ops
+from treehopf.exactlin import LinComb, Tensor, add_to, exact
 from treehopf.serialize import (encode_key, encode_z_key, lincomb_from_obj,
                                 lincomb_to_json, parse_forest_tensor,
                                 parse_tree_tensor, parse_z_key)
-from treehopf.trees import (LEAF, Forest, Tree, admissible_cuts,
-                            enumerate_trees, graft, graft_many, parse_forest,
-                            parse_tree, preorder_subtrees)
+from treehopf.trees import (LEAF, Forest, Tree, admissible_cuts, aut_order,
+                            b_minus, enumerate_trees, graft, graft_many,
+                            parse_forest, parse_tree, preorder_subtrees)
 
 KEY_PARSERS = {
     "tree": parse_tree,
@@ -213,6 +217,104 @@ def product_pairs(max_size: int) -> list:
     return [(a, b) for na in range(1, max_size + 1)
             for nb in range(1, max_size + 2 - na)
             for a in enumerate_trees(na) for b in enumerate_trees(nb)]
+
+
+def count_cases(cases) -> int:
+    """The number of cases in a row's ``cases``; an ``int`` item counts as
+    that many cases, as ``verify.check`` counts it."""
+    return sum(case if type(case) is int else 1 for case in cases)
+
+
+def nonzero_cases(cases) -> list:
+    """The ``(args, lhs, rhs)`` cases of a row with a side other than 0."""
+    return [case for case in cases
+            if type(case) is not int and (case[1] != 0 or case[2] != 0)]
+
+
+# The dense dual-side maps and rows, as they ran before the sparse supports:
+# every coordinate is evaluated against every kernel image.
+
+def dense_dual_coproduct(f, degree_bound: int) -> LinComb:
+    """f(a * b) by one ``pair`` per tree pair within the bound, as an oracle."""
+    out: dict = {}
+    for da in range(degree_bound + 1):
+        for db in range(degree_bound - da + 1):
+            for a in enumerate_trees(da + 1):
+                for b in enumerate_trees(db + 1):
+                    value = gd.pair(f, gl.tree_product(a, b))
+                    if value:
+                        add_to(out, Tensor(a, b), value)
+    return LinComb(out)
+
+
+def dense_m_dual(f):
+    """The transpose of the chain multiplication by one ``pair`` per tree."""
+    bound = max(f.max_degree - 1, 0)
+    coeffs = {}
+    for a in gd.trees_up_to_degree(bound):
+        value = gd.pair(f, ops.m_tree(a))
+        if value:
+            coeffs[a] = value
+    return gd.DualFunctional(coeffs, bound)
+
+
+def dense_dual_product(f, g, degree_bound: int):
+    """The convolution product over every tree's coproduct, as an oracle."""
+    coeffs = {}
+    for t in gd.trees_up_to_degree(degree_bound):
+        total = 0
+        for key, c in gl.tree_coproduct(t).terms.items():
+            total += c * f.coeffs.get(key.left, 0) * g.coeffs.get(key.right, 0)
+        if total:
+            coeffs[t] = total
+    return gd.DualFunctional(coeffs, degree_bound)
+
+
+def dense_hochschild_cases(degree_bound: int, m_tree_func=None):
+    """Every case of the transpose cocycle, each computed, as an oracle."""
+    action = m_tree_func or ops.m_tree
+    arguments = gd.trees_up_to_degree(degree_bound - 1)
+    images = {b: action(b) for b in arguments}
+    argument_pairs = [(a, b) for a in arguments for b in arguments
+                      if a.size + b.size <= degree_bound + 1]
+    for t in gd.trees_up_to_degree(degree_bound):
+        f = gd.dual_basis(t)
+        transpose = {a: gd.pair(f, images[a]) for a in arguments}
+        cop_by_left: dict = {}
+        for key, c in dense_dual_coproduct(f, t.size - 1).terms.items():
+            cop_by_left.setdefault(key.left, []).append((key.right, c))
+        for a, b in argument_pairs:
+            lhs = 0
+            for term, c in gl.tree_product(a, b).terms.items():
+                lhs += c * transpose.get(term, 0)
+            rhs = transpose[a] if b is LEAF else 0
+            for right, c in cop_by_left.get(a, ()):
+                rhs += c * images[b].coeff(right)
+            yield (t, a, b), lhs, rhs
+
+
+def dense_transpose_coherence(D: int):
+    """``dual.transpose_coherence`` with every (t, x) case computed."""
+    basis = gd.trees_up_to_degree(D)
+    images = [(x, LinComb.term(x), ops.m_apply(LinComb.term(x))) for x in basis]
+    for t in basis:
+        f = gd.dual_basis(t)
+        transpose = dense_m_dual(f)
+        for x, term, image in images:
+            yield (t, x), gd.pair(transpose, term), gd.pair(f, image)
+
+
+def dense_product_pairing(D: int):
+    """``dual.product_pairing`` with every (t, a, b) case computed."""
+    basis = gd.trees_up_to_degree(D)
+    legs = [(a, b, Tensor(b_minus(a), Forest((b,))), aut_order(a) * aut_order(b))
+            for a in basis for b in basis if a.size + b.size <= D + 2]
+    for t in basis:
+        cuts, sigma = ck.tree_coproduct_by_cuts(t), aut_order(t)
+        for a, b, key, weight in legs:
+            c = cuts.coeff(key)
+            yield ((t, a, b), gl.tree_product(a, b).coeff(t),
+                   Fraction(c * weight, sigma) if c else 0)
 
 
 @pytest.fixture(scope="session")

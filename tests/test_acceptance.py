@@ -60,6 +60,15 @@ def test_dual_report_pinned_at_degree_six():
         "4c9b33e0ae60212bdf6a2ca9f7d0bfe0b9fa293c9af2c815bb442e00bc959f2b"
 
 
+def test_dual_report_pinned_at_degree_seven():
+    # digest taken before the dual rows skipped the cases off the supports
+    report = verify.run_suite("dual", 7)
+    assert report["checked"] == 260690
+    text = json.dumps(report, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "a47331acf591ef883b250dfc598179d517ae03fdfcdc3a7fcb91da3f3f31db1e"
+
+
 def test_hr_report_pinned_at_degree_six():
     # digest taken before the recursive cut kernel replaced the subset filter
     report = verify.run_suite("hr", 6)

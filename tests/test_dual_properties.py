@@ -1,0 +1,47 @@
+"""Property tests for the sparse dual-side maps on random rational
+functionals, against the dense oracles in ``conftest``."""
+
+import pytest
+
+from conftest import dense_dual_coproduct, dense_dual_product, dense_m_dual
+from treehopf import graded_dual as gd
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+TREES = gd.trees_up_to_degree(4)
+
+
+@st.composite
+def functionals(draw):
+    """A rational combination of coordinates t*, deg t <= 4, some zero."""
+    coeffs = draw(st.dictionaries(
+        st.sampled_from(TREES),
+        st.fractions(min_value=-4, max_value=4, max_denominator=5),
+        max_size=6))
+    top = max((gd.tree_degree(t) for t in coeffs), default=0)
+    return gd.DualFunctional(coeffs, draw(st.integers(top, 4)))
+
+
+@hypothesis.settings(derandomize=True, max_examples=120, deadline=None)
+@hypothesis.given(functionals(), functionals(), st.integers(0, 5))
+def test_dual_product_matches_dense_and_commutes(f, g, bound):
+    product = gd.dual_product(f, g, bound)
+    assert product == dense_dual_product(f, g, bound)
+    assert product == gd.dual_product(g, f, bound)
+    assert all(type(c) is int or c.denominator > 1 for c in product.coeffs.values())
+
+
+@hypothesis.settings(derandomize=True, max_examples=120, deadline=None)
+@hypothesis.given(functionals())
+def test_m_dual_matches_dense(f):
+    transpose = gd.m_dual(f)
+    assert transpose == dense_m_dual(f)
+    assert transpose.max_degree == max(f.max_degree - 1, 0)
+
+
+@hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+@hypothesis.given(functionals(), st.integers(0, 4))
+def test_dual_coproduct_matches_dense(f, bound):
+    assert gd.dual_coproduct(f, bound) == dense_dual_coproduct(f, bound)
+

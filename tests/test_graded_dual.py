@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import is_normalised
+from conftest import (count_cases, dense_dual_coproduct, dense_dual_product,
+                      dense_hochschild_cases, dense_m_dual, dense_product_pairing,
+                      dense_transpose_coherence, is_normalised, nonzero_cases)
 from treehopf import graded_dual as gd
 from treehopf import grossman_larson as gl
 from treehopf import operators as ops
+from treehopf import verify
 from treehopf.exactlin import LinComb, Tensor
 from treehopf.trees import LEAF, parse_tree
 
@@ -114,13 +117,21 @@ def _mutated(replacement):
     (E, LinComb.term(parse_tree("[[]]"))),          # unit no longer killed
     (L2, LinComb.zero()),                           # image erased
     (CHERRY, None),                                 # image shifted by the unit
+    (L3, LinComb.term(CHERRY, 2)),                  # off grade: degree kept
 ])
 def test_hochschild_check_catches_mutations(replacement):
     target, image = replacement
     if image is None:
         image = ops.m_tree(target) + LinComb.term(E)
-    report = gd.hochschild_check(4, _mutated((target, image)))
+    action = _mutated((target, image))
+    report = gd.hochschild_check(4, action)
     assert len(report["violations"]) >= 1
+    # the cases skipped on the mutated supports are those the dense loop
+    # finds 0 on both sides
+    sparse = list(gd.hochschild_cases(4, action))
+    dense = list(dense_hochschild_cases(4, action))
+    assert nonzero_cases(sparse) == nonzero_cases(dense)
+    assert count_cases(sparse) == len(dense) == report["checked"]
 
 
 def test_dual_coefficients_are_normalised():
@@ -136,3 +147,34 @@ def test_dual_coefficients_are_normalised():
                   gd.m_dual(gd.dual_basis(t1, 3))):
             assert all(is_normalised(c) for c in h.coeffs.values()), h
     assert gd.dual_product(half, half, 3).coeffs == {E: Fraction(1, 4)}
+
+
+@pytest.mark.parametrize("D", range(1, 7))
+def test_sparse_dual_rows_match_dense_oracles(D):
+    rows = dict(verify._LAWS["dual"](D))
+    for law, dense in (("dual.hochschild", dense_hochschild_cases(D)),
+                       ("dual.transpose_coherence", dense_transpose_coherence(D)),
+                       ("dual.product_pairing", dense_product_pairing(D))):
+        sparse, dense = list(rows[law]), list(dense)
+        assert nonzero_cases(sparse) == nonzero_cases(dense), law
+        assert count_cases(sparse) == len(dense), law
+        computed = sum(type(case) is not int for case in sparse)
+        if D >= 4:
+            # the cases off the supports are counted, not computed
+            assert 4 * computed < len(dense), (law, computed, len(dense))
+
+
+def test_sparse_maps_match_dense_on_coordinates():
+    trees = gd.trees_up_to_degree(4)
+    for t in trees:
+        for top in range(gd.tree_degree(t), 5):
+            f = gd.dual_basis(t, top)
+            transpose, dense = gd.m_dual(f), dense_m_dual(f)
+            assert transpose == dense and transpose.max_degree == dense.max_degree
+            assert gd.dual_coproduct(f, top) == dense_dual_coproduct(f, top)
+    for t1 in trees:
+        for t2 in trees:
+            f1, f2 = gd.dual_basis(t1), gd.dual_basis(t2)
+            for bound in range(5):
+                assert gd.dual_product(f1, f2, bound) == \
+                    dense_dual_product(f1, f2, bound), (t1, t2, bound)
