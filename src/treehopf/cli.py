@@ -2,7 +2,9 @@
 
 Compute in either Hopf algebra, apply the operators, run verification
 suites, and emit deterministic JSON or text.  Exit codes: 0 on success, 1
-when a verification suite reports violations, 2 for usage or input errors.
+when a verification suite reports violations, 2 for usage or input errors
+and for any unexpected error, which prints one ``error:`` line and never a
+traceback.
 
 Element arguments are literal encodings (a tree for the grafting algebra and
 the Lie commands, a forest for the forest algebra, with ``1`` as its unit)
@@ -11,12 +13,20 @@ Lie-side literal may carry the ``Z:`` prefix that Lie-side output prints.
 
 Every compute command is one row of ``_COMMANDS``; ``_build_parser`` adds
 its subparser and ``_compute`` runs it.  A row's kernels map an input family
-(``"gl"``, ``"hr"``, ``"lie"``) to the kernel's ``(module, attribute)``,
-looked up at call time so that a kernel rebound at run time (a test's stub,
-a tracer's wrapper) is the one called.  Two families add ``--algebra``, and
-the family ``int`` makes the positionals integers.  To add a command, add
-``"name": (help, "a b", {"gl": (module, "kernel")}, encode_key)`` to the
-table, with ``encode_z_key`` for Lie-side output or ``None`` for a scalar.
+(``"gl"``, ``"hr"``, ``"lie"``) to the kernel's ``(module name, attribute)``
+in this package.  The module is imported on first use and the attribute
+looked up at call time, so that a kernel rebound at run time (a test's
+stub, a tracer's wrapper) is the one called.  Two families add
+``--algebra``, and the family ``int`` makes the positionals integers.  To
+add a command, add ``"name": (help, "a b", {"gl": ("module", "kernel")},
+"encode_key")`` to the table, naming the ``serialize`` key encoder
+(``"encode_z_key"`` for Lie-side output) or ``None`` for a scalar.
+
+Each call imports only the modules its command runs: ``serialize`` when an
+``@file`` is read or a combination rendered, and ``verify`` (which loads
+every module) only for ``verify``.  A one-shot call that is not cached as
+bytecode compiles every module it imports, so this keeps a call's start-up
+cost to its own command.
 """
 
 from __future__ import annotations
@@ -24,17 +34,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 
-from . import connes_kreimer as ck
-from . import grossman_larson as gl
-from . import operators as ops
-from . import tree_lie
-from . import verify
 from .exactlin import LinComb
-from .serialize import (encode_key, encode_z_key, lincomb_from_obj,
-                        lincomb_to_json, lincomb_to_text, parse_z_key)
 from .trees import (TreeParseError, count_trees_recurrence, enumerate_trees,
                     parse_forest, parse_tree)
+
+# ``verify.SUITES``, kept here so that building the parser does not import
+# ``verify``; a test pins the two equal.
+SUITES = ("trees", "hr", "gl", "lie", "operators", "dual")
 
 
 class CommandResult:
@@ -62,46 +70,50 @@ def _parse_lie_literal(text: str):
 
 
 _LITERAL_PARSERS = {"hr": parse_forest, "gl": parse_tree, "lie": _parse_lie_literal}
-_FILE_KEY_PARSERS = {"hr": parse_forest, "gl": parse_tree, "lie": parse_z_key}
 
 
 def _load_element(arg: str, family: str) -> LinComb:
     if arg.startswith("@"):
+        from .serialize import lincomb_from_obj, parse_z_key
         with open(arg[1:], encoding="utf-8") as handle:
             obj = json.load(handle)
-        return lincomb_from_obj(obj, _FILE_KEY_PARSERS[family])
+        key_parser = parse_z_key if family == "lie" else _LITERAL_PARSERS[family]
+        return lincomb_from_obj(obj, key_parser)
     return LinComb.term(_LITERAL_PARSERS[family](arg))
 
 
 def _both(attr: str) -> dict:
     """The ``--algebra`` pair: the grafting and the forest algebra's kernel."""
-    return {"gl": (gl, attr), "hr": (ck, attr)}
+    return {"gl": ("grossman_larson", attr), "hr": ("connes_kreimer", attr)}
 
 
-# name: (help, positionals, kernels, key encoder or None for a scalar); the
-# subparsers are listed in this order, between ``enum`` and ``verify``.
+# name: (help, positionals, kernels, ``serialize`` key encoder or None for a
+# scalar); the subparsers are listed in this order, between ``enum`` and
+# ``verify``.
 _COMMANDS = {
-    "prod": ("product of two elements", "a b", _both("product"), encode_key),
-    "coprod": ("coproduct of an element", "x", _both("coproduct"), encode_key),
-    "antipode": ("antipode of an element", "x", _both("antipode"), encode_key),
+    "prod": ("product of two elements", "a b", _both("product"), "encode_key"),
+    "coprod": ("coproduct of an element", "x", _both("coproduct"), "encode_key"),
+    "antipode": ("antipode of an element", "x", _both("antipode"), "encode_key"),
     "counit": ("counit of an element", "x", _both("counit"), None),
     "grow": ("leaf-growth operator", "x",
-             {"gl": (ops, "n_apply"), "hr": (ck, "natural_growth")}, encode_key),
+             {"gl": ("operators", "n_apply"),
+              "hr": ("connes_kreimer", "natural_growth")}, "encode_key"),
     "xk": ("iterated growth of the grafting unit", "k",
-           {int: (ops, "x_k")}, encode_key),
+           {int: ("operators", "x_k")}, "encode_key"),
     "delta": ("iterated growth of the one-vertex tree", "k",
-              {int: (ck, "delta")}, encode_key),
-    "mop": ("chain right-multiplication operator", "x", {"gl": (ops, "m_apply")},
-            encode_key),
-    "lop": ("root-attachment operator", "x", {"hr": (ck, "add_root")}, encode_key),
+              {int: ("connes_kreimer", "delta")}, "encode_key"),
+    "mop": ("chain right-multiplication operator", "x",
+            {"gl": ("operators", "m_apply")}, "encode_key"),
+    "lop": ("root-attachment operator", "x",
+            {"hr": ("connes_kreimer", "add_root")}, "encode_key"),
     "bracket": ("Lie bracket of two basis elements", "a b",
-                {"lie": (tree_lie, "bracket")}, encode_z_key),
-    "star": ("Lie star of two basis elements", "a b", {"lie": (tree_lie, "star")},
-             encode_z_key),
+                {"lie": ("tree_lie", "bracket")}, "encode_z_key"),
+    "star": ("Lie star of two basis elements", "a b",
+             {"lie": ("tree_lie", "star")}, "encode_z_key"),
     "phi": ("root deletion (primitive trees to Lie side)", "t",
-            {"gl": (tree_lie, "phi")}, encode_z_key),
+            {"gl": ("tree_lie", "phi")}, "encode_z_key"),
     "psi": ("root attachment (Lie side to primitive trees)", "t",
-            {"lie": (tree_lie, "psi")}, encode_key),
+            {"lie": ("tree_lie", "psi")}, "encode_key"),
 }
 
 
@@ -123,7 +135,7 @@ def _build_parser() -> _Parser:
             p.add_argument(param, type=int if int in kernels else None)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=verify.SUITES + ("all",), default="all")
+    p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.add_argument("--max-degree", type=int, default=5)
     p.add_argument("--report", choices=("json", "text"), default=None)
     return parser
@@ -149,6 +161,7 @@ def _cmd_enum(args) -> CommandResult:
 
 
 def _cmd_verify(args) -> CommandResult:
+    from . import verify
     report = verify.run_suite(args.suite, args.max_degree)
     fmt = args.report or args.format
     if fmt == "json":
@@ -166,18 +179,24 @@ def _compute(args) -> CommandResult:
     inputs = [getattr(args, param) for param in params.split()]
     if family is not int:
         inputs = [_load_element(arg, family) for arg in inputs]
-    result = getattr(module, attr)(*inputs)
+    result = getattr(import_module(f".{module}", __package__), attr)(*inputs)
     if encode is None:
         return CommandResult(str(result), 0)
-    render = lincomb_to_text if args.format == "text" else lincomb_to_json
-    return CommandResult(render(result, encode), 0)
+    from . import serialize
+    render = (serialize.lincomb_to_text if args.format == "text"
+              else serialize.lincomb_to_json)
+    return CommandResult(render(result, getattr(serialize, encode)), 0)
 
 
 _HANDLERS = {"enum": _cmd_enum, "verify": _cmd_verify}
 
 
 def run(argv) -> CommandResult:
-    """Execute one invocation; never raises for bad input."""
+    """Execute one invocation; an error returns exit 2 instead of raising.
+
+    Bad input gives one ``error:`` line, and so does any other exception,
+    named in that line instead of a traceback.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
@@ -192,6 +211,9 @@ def run(argv) -> CommandResult:
         return CommandResult(f"error: {exc}", 2)
     except RecursionError:
         return CommandResult("error: input nested too deeply", 2)
+    except Exception as exc:  # anything else: one line, never a traceback
+        detail = " ".join(str(exc).split())
+        return CommandResult(f"error: unexpected {type(exc).__name__}: {detail}", 2)
 
 
 def main() -> None:

@@ -44,7 +44,8 @@ def product(a: LinComb, b: LinComb) -> LinComb:
     out: dict = {}
     for fa, ca in a.terms.items():
         for fb, cb in b.terms.items():
-            add_to(out, fa.union(fb), ca * cb)
+            key = fa.union(fb)
+            out[key] = out.get(key, 0) + ca * cb
     return LinComb(out)
 
 
@@ -53,8 +54,8 @@ def multiply_tensors(x: LinComb, y: LinComb) -> LinComb:
     out: dict = {}
     for kx, cx in x.terms.items():
         for ky, cy in y.terms.items():
-            add_to(out, Tensor(kx.left.union(ky.left), kx.right.union(ky.right)),
-                   cx * cy)
+            key = Tensor(kx.left.union(ky.left), kx.right.union(ky.right))
+            out[key] = out.get(key, 0) + cx * cy
     return LinComb(out)
 
 
@@ -82,11 +83,18 @@ def tree_coproduct_recursive(t: Tree) -> LinComb:
 
 @lru_cache(maxsize=None)
 def forest_coproduct(f: Forest) -> LinComb:
-    """Coproduct of a basis forest: product of its tree coproducts."""
-    out = LinComb.term(Tensor(EMPTY_FOREST, EMPTY_FOREST))
-    for t in f.items:
-        out = multiply_tensors(out, tree_coproduct_by_cuts(t))
-    return out
+    """Coproduct of a basis forest: product of its tree coproducts.
+
+    Peels the first tree, so every suffix forest is memoized on the way
+    and a one-tree forest is its tree's coproduct, with no product by 1.
+    """
+    items = f.items
+    if not items:
+        return LinComb.term(Tensor(EMPTY_FOREST, EMPTY_FOREST))
+    if len(items) == 1:
+        return tree_coproduct_by_cuts(items[0])
+    return multiply_tensors(forest_coproduct(Forest(items[1:])),
+                            tree_coproduct_by_cuts(items[0]))
 
 
 def coproduct(x: LinComb) -> LinComb:
@@ -101,18 +109,26 @@ def counit(x: LinComb):
 
 @lru_cache(maxsize=None)
 def tree_antipode(t: Tree) -> LinComb:
-    out = LinComb.term(Forest((t,)), -1)
+    """``S(t) = -t - sum over admissible cuts of S(branch) trunk``."""
+    out: dict = {Forest((t,)): -1}
     for cut in admissible_cuts(t):
-        out = out - product(forest_antipode(cut.branch), tree_monomial(cut.trunk))
-    return out
+        trunk = Forest((cut.trunk,))
+        for f, c in forest_antipode(cut.branch).terms.items():
+            key = f.union(trunk)
+            out[key] = out.get(key, 0) - c
+    return LinComb(out)
 
 
+@lru_cache(maxsize=None)
 def forest_antipode(f: Forest) -> LinComb:
-    """Antipode of a basis forest; multiplicative over the tree factors."""
-    out = UNIT
-    for t in f.items:
-        out = product(out, tree_antipode(t))
-    return out
+    """Antipode of a basis forest; multiplicative over the tree factors,
+    peeled one tree at a time like ``forest_coproduct``."""
+    items = f.items
+    if not items:
+        return UNIT
+    if len(items) == 1:
+        return tree_antipode(items[0])
+    return product(forest_antipode(Forest(items[1:])), tree_antipode(items[0]))
 
 
 def antipode(x: LinComb) -> LinComb:

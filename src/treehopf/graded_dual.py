@@ -100,12 +100,14 @@ def support_index(images) -> dict:
     return index
 
 
+@lru_cache(maxsize=None)
 def product_index(degree_bound: int) -> dict:
     """``{t: [((a, b), c), ...]}``: c is the coefficient of t in ``a * b``.
 
     One pass over ``gl.tree_product`` on every tree pair with degrees
     summing within the bound, ordered by the two degrees, then by the
     encodings; it indexes the dual coproduct of every coordinate at once.
+    Built once per bound and shared by its readers, which never mutate it.
     """
     pairs = ((a, b) for da in range(degree_bound + 1)
              for db in range(degree_bound - da + 1)

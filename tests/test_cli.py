@@ -7,7 +7,9 @@ import json
 import pytest
 
 from conftest import roundtrip_ok, run_python
+from treehopf import cli, verify
 from treehopf import connes_kreimer as ck
+from treehopf import grossman_larson as gl
 from treehopf import tree_lie
 from treehopf.cli import _build_parser, run
 from treehopf.exactlin import LinComb
@@ -238,7 +240,7 @@ def test_verify_exit_one_on_violation(monkeypatch):
         return {"suite": name, "maxDegree": max_degree, "checked": 1,
                 "violations": [{"law": "fake", "inputs": [], "lhs": "0", "rhs": "1"}]}
 
-    monkeypatch.setattr("treehopf.cli.verify.run_suite", broken)
+    monkeypatch.setattr("treehopf.verify.run_suite", broken)
     result = run(["verify", "--suite", "trees", "--max-degree", "2"])
     assert result.exit_code == 1
     assert "fake" in result.payload
@@ -353,3 +355,62 @@ def test_cli_calls_kernels_through_module_attributes(monkeypatch):
         '{"terms": [{"basis": "Z:[[[[]]]]", "coeff": "1"}]}'
     assert ok(["grow", "--algebra", "hr", "[]"]) == \
         '{"terms": [{"basis": "[[]] []", "coeff": "1"}]}'
+
+
+def test_cli_suite_names_match_verify():
+    # the parser lists the suites without importing verify
+    assert cli.SUITES == verify.SUITES
+
+
+def test_unexpected_exception_exits_two_with_one_line(monkeypatch):
+    def raising(a, b):
+        raise RuntimeError("kernel failed\non two lines")
+
+    monkeypatch.setattr(gl, "product", raising)
+    result = run(["prod", "--algebra", "gl", "[]", "[]"])
+    assert result.exit_code == 2
+    assert result.payload == "error: unexpected RuntimeError: kernel failed on two lines"
+
+
+_CORE = {"treehopf", "treehopf.cli", "treehopf.exactlin", "treehopf.trees"}
+_GL = _CORE | {"treehopf.grossman_larson"}
+_OPS = _GL | {"treehopf.operators"}
+_CK = _OPS | {"treehopf.connes_kreimer"}
+_SER = {"treehopf.serialize"}
+
+# one call per command: its exit code and the treehopf modules loaded after it
+MODULES_LOADED = [
+    (["enum", "--size", "4"], 0, _CORE),
+    (["enum", "--size", "30", "--count-only"], 0, _CORE),
+    (["prod", "--algebra", "gl", "[[]]", "[]"], 0, _GL | _SER),
+    (["prod", "--algebra", "hr", "[[]]", "[]"], 0, _CK | _SER),
+    (["coprod", "--algebra", "gl", "[[]]"], 0, _GL | _SER),
+    (["antipode", "--algebra", "hr", "[[]]"], 0, _CK | _SER),
+    (["counit", "--algebra", "gl", "[[]]"], 0, _GL),
+    (["grow", "--algebra", "gl", "[[]]"], 0, _OPS | _SER),
+    (["xk", "3"], 0, _OPS | _SER),
+    (["delta", "3"], 0, _CK | _SER),
+    (["mop", "[[]]"], 0, _OPS | _SER),
+    (["lop", "[[]]"], 0, _CK | _SER),
+    (["bracket", "[]", "[[]]"], 0, _CK | _SER | {"treehopf.tree_lie"}),
+    (["--format", "text", "phi", "[[]]"], 0, _CK | _SER | {"treehopf.tree_lie"}),
+    (["prod", "--algebra", "gl", "[[", "[]"], 2, _CORE),
+    (["verify", "--suite", "trees", "--max-degree", "1"], 0,
+     _CK | _SER | {"treehopf.tree_lie", "treehopf.graded_dual", "treehopf.verify"}),
+]
+
+
+def test_each_command_loads_only_its_modules():
+    """A fresh process compiles every module it imports when no bytecode is
+    cached, so a command loads only what it runs; ``verify`` loads all."""
+    probe = ("import sys, json, treehopf.cli; "
+             "code = treehopf.cli.run(json.loads(sys.argv[1])).exit_code; "
+             "print(code, *sorted(m for m in sys.modules if m.startswith('treehopf')))")
+    for argv, exit_code, expected in MODULES_LOADED:
+        proc = run_python("-c", probe, json.dumps(argv))
+        assert proc.returncode == 0, proc.stderr
+        code, *loaded = proc.stdout.split()
+        assert int(code) == exit_code, argv
+        assert set(loaded) == expected, argv
+        if argv[0] != "verify":
+            assert not {"treehopf.verify", "treehopf.graded_dual"} & set(loaded)
