@@ -22,11 +22,15 @@ the cocycle identity that this transpose satisfies
     (M* f)(a b) = (M* f)(a) eps(b) + sum_i f_i(a) (M* f'_i)(b)
 
 where ``sum_i f_i (x) f'_i`` is the dual coproduct of f.  Almost every case
-compares 0 with 0, so only the cases inside the supports are computed; the
-rest are yielded in bulk as an ``int`` n, meaning n cases whose sides are
-both the zero coefficient (``cases_on_support``).  An alternate basis action
-can be injected in place of the chain multiplication to confirm the check
-actually fails on perturbed operators.
+compares 0 with 0, so for each coordinate t* the two sides are built as
+sparse dicts over the tree pairs, read from the product index and the
+transposed action, and ``sparse_cases`` yields the pairs that either side
+holds as cases and the rest in bulk as an ``int`` n, meaning n cases whose
+sides are both the zero coefficient; ``verify``'s sparse ``dual`` rows use
+it the same way.  An alternate basis action can be injected in place of the
+chain multiplication to confirm the check actually fails on perturbed
+operators.  The chain multiplication is read as ``operators.m_tree`` at call
+time, so a kernel rebound there is the one every dual-side map transposes.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .exactlin import LinComb, Tensor, add_to
 from .trees import LEAF, Tree, enumerate_trees
 from . import grossman_larson as gl
 from .grossman_larson import tree_degree
-from .operators import m_tree
+from . import operators as ops
 
 
 def trees_up_to_degree(bound: int) -> list[Tree]:
@@ -133,7 +137,7 @@ def dual_coproduct(f: DualFunctional, degree_bound: int) -> LinComb:
 @lru_cache(maxsize=None)
 def _m_tree_index(bound: int) -> dict:
     """``m_tree`` of every tree within the bound, transposed: t -> [(a, c)]."""
-    return support_index((a, m_tree(a)) for a in trees_up_to_degree(bound))
+    return support_index((a, ops.m_tree(a)) for a in trees_up_to_degree(bound))
 
 
 def m_dual(f: DualFunctional) -> DualFunctional:
@@ -173,21 +177,25 @@ def dual_product(f: DualFunctional, g: DualFunctional,
     return DualFunctional(coeffs, degree_bound)
 
 
-def cases_on_support(total: int, hits, case):
-    """Yield ``case(i)`` for each index in ``hits``, in increasing order.
+def sparse_cases(position: dict, head: tuple, lhs: dict, rhs: dict):
+    """Yield the cases of one row from its two sides, given as sparse dicts.
 
-    Between them, and after the last, yields the ``int`` count of the
-    indices below ``total`` that were skipped: cases whose sides are both
-    the zero coefficient, which ``verify.check`` counts without a look.
+    ``position`` numbers the row's keys (tuples).  For each key that either
+    side holds, in position order, yields ``(head + key, lhs[key], rhs[key])``,
+    a missing side read as 0; between them, and after the last, yields the
+    ``int`` count of the keys skipped, whose sides are both the zero
+    coefficient, which ``verify.check`` counts without a look.  A key
+    outside ``position`` is not a case of the row and is dropped.
     """
     done = 0
-    for i in sorted(hits):
+    for i, key in sorted((position[k], k) for k in lhs.keys() | rhs.keys()
+                         if k in position):
         if i > done:
             yield i - done
-        yield case(i)
+        yield head + key, lhs.get(key, 0), rhs.get(key, 0)
         done = i + 1
-    if total > done:
-        yield total - done
+    if len(position) > done:
+        yield len(position) - done
 
 
 def hochschild_cases(degree_bound: int, m_tree_func=None):
@@ -198,53 +206,37 @@ def hochschild_cases(degree_bound: int, m_tree_func=None):
 
         (M* t*)(a b)  and  (M* t*)(a) eps(b) + sum_i f_i(a) (M* f'_i)(b).
 
-    A case is computed only when one side can be non-zero on the supports
-    of the kernels under test: some term of ``a b`` has t in its image,
-    b is the unit and t is in the image of a, or the dual coproduct of t*
-    has a term ``a (x) r`` with r in the image of b.  Every other case is
-    counted in an ``int`` (see ``cases_on_support``).  ``m_tree_func``
-    swaps in an alternate basis action for the multiplication operator.
+    Both sides of one t* are built in one pass as sparse dicts over the
+    pairs (a, b): the left side from the products containing a term of
+    ``M* t*``, the right from ``M* t*`` at b = the unit and from the dual
+    coproduct of t* through the transposed action.  Every other case is
+    counted in an ``int`` (see ``sparse_cases``).  ``m_tree_func`` swaps in
+    an alternate basis action for the multiplication operator.
     """
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
-    action = m_tree_func or m_tree
+    action = m_tree_func or ops.m_tree
     arguments = trees_up_to_degree(degree_bound - 1)
-    # the action depends on its argument alone: one evaluation per tree
-    images = {b: action(b) for b in arguments}
-    argument_pairs = [(a, b) for a in arguments for b in arguments
-                      if tree_degree(a) + tree_degree(b) <= degree_bound - 1]
-    position = {p: i for i, p in enumerate(argument_pairs)}
-    # the action's images transposed, s -> [(a, coeff of s in M(a))]
-    transposed = support_index(images.items())
+    position = {p: i for i, p in enumerate(
+        (a, b) for a in arguments for b in arguments
+        if tree_degree(a) + tree_degree(b) <= degree_bound - 1)}
+    # the action's images transposed, s -> [(b, coeff of s in M(b))]; the
+    # action depends on its argument alone: one evaluation per tree
+    transposed = support_index((b, action(b)) for b in arguments)
     products = product_index(degree_bound)
     for t in trees_up_to_degree(degree_bound):
-        # (M* t*) on every tree a product below can reach
-        transpose = dict(transposed.get(t, ()))
-        # the dual coproduct of t*, within deg t, indexed by its left leg
-        cop_by_left: dict = {}
+        lhs: dict = {}
+        rhs: dict = {}
+        for a, v in transposed.get(t, ()):
+            add_to(rhs, (a, LEAF), v)
+            for p, c in products.get(a, ()):
+                add_to(lhs, p, c * v)
+        # the dual coproduct of t*, within deg t
         for (a, right), c in products.get(t, ()):
             if a.size + right.size <= t.size + 1:
-                cop_by_left.setdefault(a, []).append((right, c))
-        hits = {position[(a, LEAF)] for a in transpose}
-        for s in transpose:
-            hits.update(position[p] for p, _ in products.get(s, ()) if p in position)
-        for a, rights in cop_by_left.items():
-            for right, _ in rights:
-                hits.update(position[(a, b)] for b, _ in transposed.get(right, ())
-                            if (a, b) in position)
-
-        def case(i):
-            a, b = argument_pairs[i]
-            lhs = 0
-            for term, c in gl.tree_product(a, b).terms.items():
-                lhs += c * transpose.get(term, 0)
-            rhs = transpose.get(a, 0) if b is LEAF else 0
-            mb = images[b]
-            for right, c in cop_by_left.get(a, ()):
-                rhs += c * mb.coeff(right)
-            return (t, a, b), lhs, rhs
-
-        yield from cases_on_support(len(argument_pairs), hits, case)
+                for b, d in transposed.get(right, ()):
+                    add_to(rhs, (a, b), c * d)
+        yield from sparse_cases(position, (t,), lhs, rhs)
 
 
 def hochschild_check(degree_bound: int, m_tree_func=None) -> dict:

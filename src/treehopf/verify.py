@@ -7,10 +7,11 @@ triple per instance of the identity, or an ``int`` n for n instances whose
 sides are both the zero coefficient.  The one loop in ``check`` counts every
 case and, whenever the sides differ, records a violation with the args (trees
 and forests by encoding) and both sides as text.  The ``dual`` rows compare 0
-with 0 in almost every case, so they compute only the cases inside the
-supports of the kernels under test, read from indexes built once per row
-(``graded_dual.product_index`` and ``support_index``), and yield the rest as
-ints, in the original order.  Most rows are
+with 0 in almost every case, so for each coordinate t* they build the two
+sides as sparse dicts read from the kernels' indexes (``support_index``, and
+``graded_dual.product_index``, built once per bound), and
+``graded_dual.sparse_cases`` yields the keys either side holds as cases and
+the rest as ints, in the original order.  Most rows are
 ``_law(name, domain, sides)`` over a shared domain: trees by size, forests up
 to a weight, or tuples of bounded total size.  A row whose cases share costly
 per-element work is a short generator that does that work once per element.
@@ -410,45 +411,30 @@ def _dual_laws(D: int) -> list:
     small = gd.trees_up_to_degree(bound)
 
     def transpose_coherence():
-        # each basis element's image under the chain multiplication, and
-        # those images transposed: the sides vanish off both supports
-        images = [ops.m_apply(LinComb.term(x)) for x in basis]
-        position = {x: i for i, x in enumerate(basis)}
-        transposed = gd.support_index(enumerate(images))
+        # the images of the chain multiplication, transposed once:
+        # t -> [(x, coeff of t in M(x))]
+        position = {(x,): i for i, x in enumerate(basis)}
+        transposed = gd.support_index((x, ops.m_apply(LinComb.term(x))) for x in basis)
         for t in basis:
-            f = gd.dual_basis(t)
-            transpose = gd.m_dual(f)
-            hits = {position[x] for x in transpose.coeffs if x in position}
-            hits.update(i for i, _ in transposed.get(t, ()))
-
-            def case(i):
-                x = basis[i]
-                return ((t, x), gd.pair(transpose, LinComb.term(x)),
-                        gd.pair(f, images[i]))
-
-            yield from gd.cases_on_support(len(basis), hits, case)
+            lhs = {(x,): c for x, c in gd.m_dual(gd.dual_basis(t)).coeffs.items()}
+            rhs = {(x,): c for x, c in transposed.get(t, ())}
+            yield from gd.sparse_cases(position, (t,), lhs, rhs)
 
     def product_pairing():
         # coeff_t(a b) = s(a) s(b) / s(t) * [B-(a) (x) b] cut-coproduct(t),
         # with s the automorphism order: grafting against cutting
-        legs = [(a, b, Tensor(b_minus(a), Forest((b,))), aut_order(a) * aut_order(b))
-                for a, b in pairs]
-        position = {(a, b): i for i, (a, b, _, _) in enumerate(legs)}
-        at_key = {key: i for i, (_, _, key, _) in enumerate(legs)}
+        position = {p: i for i, p in enumerate(pairs)}
+        legs = {Tensor(b_minus(a), Forest((b,))): ((a, b), aut_order(a) * aut_order(b))
+                for a, b in pairs}
         # the same pairs as ``pairs``: both degrees within D, and their sum
         products = gd.product_index(D)
         for t in basis:
-            cuts, sigma = ck.tree_coproduct_by_cuts(t), aut_order(t)
-            hits = {position[p] for p, _ in products.get(t, ())}
-            hits.update(at_key[key] for key in cuts.terms if key in at_key)
-
-            def case(i):
-                a, b, key, weight = legs[i]
-                c = cuts.coeff(key)
-                return ((t, a, b), gl.tree_product(a, b).coeff(t),
-                        Fraction(c * weight, sigma) if c else 0)
-
-            yield from gd.cases_on_support(len(legs), hits, case)
+            sigma, rhs = aut_order(t), {}
+            for key, c in ck.tree_coproduct_by_cuts(t).terms.items():
+                if key in legs:
+                    p, weight = legs[key]
+                    rhs[p] = Fraction(c * weight, sigma)
+            yield from gd.sparse_cases(position, (t,), dict(products.get(t, ())), rhs)
 
     def perturbed_m(t):
         return LinComb.term(ops.CHAIN2) if t == LEAF else ops.m_tree(t)

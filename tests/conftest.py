@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from treehopf import clear_caches
 from treehopf import connes_kreimer as ck
 from treehopf import graded_dual as gd
 from treehopf import grossman_larson as gl
@@ -315,6 +316,14 @@ def dense_product_pairing(D: int):
             c = cuts.coeff(key)
             yield ((t, a, b), gl.tree_product(a, b).coeff(t),
                    Fraction(c * weight, sigma) if c else 0)
+
+
+@pytest.fixture
+def fresh_caches():
+    """A broken kernel leaves wrong values in the caches of its callers."""
+    clear_caches()
+    yield
+    clear_caches()
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import pytest
 from conftest import (count_cases, dense_dual_coproduct, dense_dual_product,
                       dense_hochschild_cases, dense_m_dual, dense_product_pairing,
                       dense_transpose_coherence, is_normalised, nonzero_cases)
+from treehopf import connes_kreimer as ck
 from treehopf import graded_dual as gd
 from treehopf import grossman_larson as gl
 from treehopf import operators as ops
@@ -162,6 +163,52 @@ def test_sparse_dual_rows_match_dense_oracles(D):
         if D >= 4:
             # the cases off the supports are counted, not computed
             assert 4 * computed < len(dense), (law, computed, len(dense))
+
+
+# kernels the sparse rows read through their indexes, each broken
+BROKEN_KERNELS = {
+    "tree_product": (gl, "tree_product",
+                     lambda k: lambda a, b: LinComb(list(k(a, b).terms.items())[1:])),
+    # off grade: the dual coproduct of t* keeps only the pairs within deg t
+    "tree_product_off_grade": (gl, "tree_product",
+                               lambda k: lambda a, b: k(a, b) + LinComb.term(LEAF)),
+    "m_tree": (ops, "m_tree", lambda k: lambda t: k(t) + LinComb.term(LEAF)),
+    "tree_coproduct_by_cuts": (ck, "tree_coproduct_by_cuts", lambda k: lambda t: 2 * k(t)),
+}
+
+
+@pytest.mark.parametrize("D", (3, 4))
+@pytest.mark.parametrize("module, kernel, breaker", BROKEN_KERNELS.values(),
+                         ids=BROKEN_KERNELS)
+def test_sparse_dual_rows_match_dense_oracles_under_broken_kernels(
+        module, kernel, breaker, D, monkeypatch, fresh_caches):
+    # a sparse row and its dense oracle read the same broken kernel, so
+    # they agree case by case, violations included
+    monkeypatch.setattr(module, kernel, breaker(getattr(module, kernel)))
+    rows = dict(verify._LAWS["dual"](D))
+    violated = False
+    for law, dense in (("dual.hochschild", dense_hochschild_cases(D)),
+                       ("dual.transpose_coherence", dense_transpose_coherence(D)),
+                       ("dual.product_pairing", dense_product_pairing(D))):
+        sparse, dense = list(rows[law]), list(dense)
+        assert nonzero_cases(sparse) == nonzero_cases(dense), law
+        assert count_cases(sparse) == len(dense), law
+        violated |= any(lhs != rhs for _, lhs, rhs in nonzero_cases(sparse))
+    assert violated
+
+
+def test_sparse_cases():
+    position = {(k,): i for i, k in enumerate("abcdef")}
+    # the gaps are counted in order, the trailing one too, and a key
+    # outside the position numbering is dropped
+    assert list(gd.sparse_cases(position, ("t",), {("b",): 1, ("z",): 5},
+                                {("d",): 2, ("b",): 3})) == \
+        [1, (("t", "b"), 1, 3), 1, (("t", "d"), 0, 2), 2]
+    assert list(gd.sparse_cases(position, (), {("f",): 1}, {})) == [5, (("f",), 1, 0)]
+    # a key whose side cancelled to 0 is still one case
+    assert list(gd.sparse_cases(position, (), {("a",): 0}, {})) == [(("a",), 0, 0), 5]
+    assert list(gd.sparse_cases(position, (), {}, {})) == [6]
+    assert list(gd.sparse_cases({}, (), {("a",): 1}, {})) == []
 
 
 def test_sparse_maps_match_dense_on_coordinates():
