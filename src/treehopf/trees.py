@@ -138,15 +138,15 @@ class Cut:
     """An admissible cut of a tree.
 
     ``edges`` names each severed edge by the preorder index of its lower
-    vertex; ``branch`` collects the severed subtrees and ``trunk`` is the
-    part still containing the root.  Admissibility means no severed vertex
-    is an ancestor of another.
+    vertex, in an ascending tuple; ``branch`` collects the severed subtrees
+    and ``trunk`` is the part still containing the root.  Admissibility
+    means no severed vertex is an ancestor of another.
     """
 
     __slots__ = ("edges", "branch", "trunk")
 
     def __init__(self, edges, branch: Forest, trunk: Tree):
-        self.edges = frozenset(edges)
+        self.edges = tuple(edges)
         self.branch = branch
         self.trunk = trunk
 
@@ -155,7 +155,7 @@ class Cut:
         return len(self.edges)
 
     def __repr__(self):
-        return (f"Cut({sorted(self.edges)}, branch={self.branch.encoding!r}, "
+        return (f"Cut({list(self.edges)}, branch={self.branch.encoding!r}, "
                 f"trunk={self.trunk.encoding!r})")
 
 
@@ -286,7 +286,7 @@ def admissible_cuts(t: Tree) -> tuple[Cut, ...]:
         # (edges, branch trees, trunk child or None) for this child
         options = [((offset,), (child,), None), ((), (), child)]
         for cut in admissible_cuts(child):
-            options.append((tuple(sorted(e + offset for e in cut.edges)),
+            options.append((tuple(e + offset for e in cut.edges),
                             cut.branch.items, cut.trunk))
         choices.append(options)
         offset += child.size

@@ -5,13 +5,16 @@ Each suite is a function of the degree bound ``D`` that returns rows
 suite (``op.`` for ``operators``); ``cases`` yields ``(args, lhs, rhs)``, one
 triple per instance of the identity, or an ``int`` n for n instances whose
 sides are both the zero coefficient.  The one loop in ``check`` counts every
-case and, whenever the sides differ, records a violation with the args (trees
-and forests by encoding) and both sides as text.  The ``dual`` rows compare 0
-with 0 in almost every case, so for each coordinate t* they build the two
-sides as sparse dicts read from the kernels' indexes (``support_index``, and
-``graded_dual.product_index``, built once per bound), and
-``graded_dual.sparse_cases`` yields the keys either side holds as cases and
-the rest as ints, in the original order.  Most rows are
+case and, whenever the sides differ, records a violation with the args and
+both sides as text: a combination by its terms, a tree, forest or tensor by
+its encoding, and a tuple element by element.  The ``dual`` rows, the
+transpose cocycle ``hochschild_cases`` among them, compare 0 with 0 in almost
+every case, so for each coordinate t* they build the two sides as sparse
+dicts read from the indexes of ``graded_dual`` (``support_index``, and
+``product_index``, built once per bound), and ``sparse_cases`` yields the
+keys either side holds as cases and the rest as ints, in the original
+order.  Only this module knows that protocol, and no module but ``cli``
+imports this one.  Most rows are
 ``_law(name, domain, sides)`` over a shared domain: trees by size, forests up
 to a weight, or tuples of bounded total size.  A row whose cases share costly
 per-element work is a short generator that does that work once per element.
@@ -50,13 +53,19 @@ CHERRY = Tree((LEAF, LEAF))
 
 
 def _render(value) -> str:
-    return lincomb_to_text(value) if isinstance(value, LinComb) else str(value)
+    """A side as text: a combination by its terms, a basis element by its
+    encoding, a tuple element by element."""
+    if isinstance(value, LinComb):
+        return lincomb_to_text(value)
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(_render, value)) + ")"
+    return str(getattr(value, "encoding", value))
 
 
 def _violation(law: str, args, lhs, rhs) -> dict:
     """The report entry of a failed case."""
     return {"law": law,
-            "inputs": [str(getattr(a, "encoding", a)) for a in args],
+            "inputs": [_render(a) for a in args],
             "lhs": _render(lhs), "rhs": _render(rhs)}
 
 
@@ -74,6 +83,27 @@ def check(rows) -> dict:
             if lhs != rhs:
                 violations.append(_violation(law, args, lhs, rhs))
     return {"checked": checked, "violations": violations}
+
+
+def sparse_cases(position: dict, head: tuple, lhs: dict, rhs: dict):
+    """Yield the cases of one row from its two sides, given as sparse dicts.
+
+    ``position`` numbers the row's keys (tuples).  For each key that either
+    side holds, in position order, yields ``(head + key, lhs[key], rhs[key])``,
+    a missing side read as 0; between them, and after the last, yields the
+    ``int`` count of the keys skipped, whose sides are both the zero
+    coefficient, which ``check`` counts without a look.  A key outside
+    ``position`` is not a case of the row and is dropped.
+    """
+    done = 0
+    for i, key in sorted((position[k], k) for k in lhs.keys() | rhs.keys()
+                         if k in position):
+        if i > done:
+            yield i - done
+        yield head + key, lhs.get(key, 0), rhs.get(key, 0)
+        done = i + 1
+    if len(position) > done:
+        yield len(position) - done
 
 
 def _law(law: str, domain, sides):
@@ -177,7 +207,7 @@ def _trees_laws(D: int) -> list:
         for (t,) in _trees(D + 1):
             subs = preorder_subtrees(t)
             for cut in admissible_cuts(t):
-                yield (t, sorted(cut.edges)), subs, cut
+                yield (t, list(cut.edges)), subs, cut
 
     def antichain(subs, edges):
         return all(not (v < w < v + subs[v].size) for v in edges for w in edges)
@@ -404,6 +434,49 @@ def _operators_laws(D: int) -> list:
 
 # graded dual
 
+def hochschild_cases(degree_bound: int, m_tree_func=None):
+    """Yield every case ``((t, a, b), lhs, rhs)`` of the transpose cocycle
+
+        (M* f)(a b) = (M* f)(a) eps(b) + sum_i f_i(a) (M* f'_i)(b),
+
+    where ``sum_i f_i (x) f'_i`` is the dual coproduct of f, tabulating
+    f(a b) over tree pairs.  For every coordinate functional t* with
+    deg t <= degree_bound and every tree pair (a, b) with
+    deg a + deg b <= degree_bound - 1, both sides of one t* are built in one
+    pass as sparse dicts over the pairs (a, b): the left side from the
+    products containing a term of ``M* t*``, the right from ``M* t*`` at
+    b = the unit and from the dual coproduct of t* through the transposed
+    action.  Every other case is counted in an ``int`` (see
+    ``sparse_cases``).  ``m_tree_func`` swaps in an alternate basis action
+    for the multiplication operator, to confirm that the check fails on a
+    perturbed one.
+    """
+    if degree_bound < 1:
+        raise ValueError("degree_bound must be >= 1")
+    action = m_tree_func or ops.m_tree
+    arguments = gd.trees_up_to_degree(degree_bound - 1)
+    position = {p: i for i, p in enumerate(
+        (a, b) for a in arguments for b in arguments
+        if a.size + b.size <= degree_bound + 1)}
+    # the action's images transposed, s -> [(b, coeff of s in M(b))]; the
+    # action depends on its argument alone: one evaluation per tree
+    transposed = gd.support_index((b, action(b)) for b in arguments)
+    products = gd.product_index(degree_bound)
+    for t in gd.trees_up_to_degree(degree_bound):
+        lhs: dict = {}
+        rhs: dict = {}
+        for a, v in transposed.get(t, ()):
+            add_to(rhs, (a, LEAF), v)
+            for p, c in products.get(a, ()):
+                add_to(lhs, p, c * v)
+        # the dual coproduct of t*, within deg t
+        for (a, right), c in products.get(t, ()):
+            if a.size + right.size <= t.size + 1:
+                for b, d in transposed.get(right, ()):
+                    add_to(rhs, (a, b), c * d)
+        yield from sparse_cases(position, (t,), lhs, rhs)
+
+
 def _dual_laws(D: int) -> list:
     basis = gd.trees_up_to_degree(D)
     pairs = [(a, b) for a in basis for b in basis if a.size + b.size <= D + 2]
@@ -416,9 +489,9 @@ def _dual_laws(D: int) -> list:
         position = {(x,): i for i, x in enumerate(basis)}
         transposed = gd.support_index((x, ops.m_apply(LinComb.term(x))) for x in basis)
         for t in basis:
-            lhs = {(x,): c for x, c in gd.m_dual(gd.dual_basis(t)).coeffs.items()}
+            lhs = {(x,): c for x, c in gd.m_dual(LinComb.term(t)).terms.items()}
             rhs = {(x,): c for x, c in transposed.get(t, ())}
-            yield from gd.sparse_cases(position, (t,), lhs, rhs)
+            yield from sparse_cases(position, (t,), lhs, rhs)
 
     def product_pairing():
         # coeff_t(a b) = s(a) s(b) / s(t) * [B-(a) (x) b] cut-coproduct(t),
@@ -434,24 +507,24 @@ def _dual_laws(D: int) -> list:
                 if key in legs:
                     p, weight = legs[key]
                     rhs[p] = Fraction(c * weight, sigma)
-            yield from gd.sparse_cases(position, (t,), dict(products.get(t, ())), rhs)
+            yield from sparse_cases(position, (t,), dict(products.get(t, ())), rhs)
 
     def perturbed_m(t):
         return LinComb.term(ops.CHAIN2) if t == LEAF else ops.m_tree(t)
 
     def convolution(t1, t2):
-        f1, f2 = gd.dual_basis(t1, bound), gd.dual_basis(t2, bound)
+        f1, f2 = LinComb.term(t1), LinComb.term(t2)
         return gd.dual_product(f1, f2, bound), gd.dual_product(f2, f1, bound)
 
     return [
-        ("dual.hochschild", gd.hochschild_cases(D)),
+        ("dual.hochschild", hochschild_cases(D)),
         ("dual.transpose_coherence", transpose_coherence()),
         ("dual.product_pairing", product_pairing()),
         _law("dual.convolution_commutative", itertools.product(small, small),
              convolution),
         _law("dual.mutation_control", [("m(leaf) := chain",)],
              lambda _: (any(case[1] != case[2] for case in
-                            gd.hochschild_cases(min(D, 2), perturbed_m)
+                            hochschild_cases(min(D, 2), perturbed_m)
                             if type(case) is not int), True)),
     ]
 

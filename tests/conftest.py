@@ -14,6 +14,7 @@ from treehopf import connes_kreimer as ck
 from treehopf import graded_dual as gd
 from treehopf import grossman_larson as gl
 from treehopf import operators as ops
+from treehopf import verify
 from treehopf.exactlin import LinComb, Tensor, add_to, exact
 from treehopf.serialize import (encode_key, encode_z_key, lincomb_from_obj,
                                 lincomb_to_json, parse_forest_tensor,
@@ -67,8 +68,8 @@ def antichain_filter_cuts(t: Tree) -> tuple:
 
     Tries each set of non-root preorder indices in order of size, then
     lexicographically, keeps the antichains in the ancestor order, and
-    rebuilds branch and trunk by walking the tree.  Returns ``(sorted edges,
-    branch encoding, trunk encoding)`` per cut.
+    rebuilds branch and trunk by walking the tree.  Returns ``(edges,
+    branch encoding, trunk encoding)`` per cut, the edges ascending.
     """
     subs = preorder_subtrees(t)
     n = t.size
@@ -95,8 +96,9 @@ def antichain_filter_cuts(t: Tree) -> tuple:
 
 
 def cut_signature(t: Tree) -> tuple:
-    """``admissible_cuts(t)`` in the oracle's shape, keeping its order."""
-    return tuple((tuple(sorted(c.edges)), c.branch.encoding, c.trunk.encoding)
+    """``admissible_cuts(t)`` in the oracle's shape, keeping its order and
+    each cut's edge tuple as stored."""
+    return tuple((c.edges, c.branch.encoding, c.trunk.encoding)
                  for c in admissible_cuts(t))
 
 
@@ -232,43 +234,63 @@ def nonzero_cases(cases) -> list:
             if type(case) is not int and (case[1] != 0 or case[2] != 0)]
 
 
+# Functionals on the grafting algebra are combinations over the tree basis,
+# with coordinates t* = LinComb.term(t).
+
+def pair(f: LinComb, x: LinComb):
+    """Evaluate the functional f on the element x."""
+    return sum(f.coeff(t) * c for t, c in x.terms.items())
+
+
+def dual_coproduct(f: LinComb, degree_bound: int) -> LinComb:
+    """Tabulate f(a * b) over tree pairs with degrees summing within the bound.
+
+    The result, read as ``sum_i f_i (x) f'_i`` on coordinate functionals,
+    satisfies ``f(x y) = sum_i f_i(x) f'_i(y)`` for elements supported
+    within the bound.  Reads ``graded_dual.product_index``.
+    """
+    index = gd.product_index(degree_bound)
+    out: dict = {}
+    for t, ft in f.terms.items():
+        for (a, b), c in index.get(t, ()):
+            add_to(out, Tensor(a, b), ft * c)
+    return LinComb(out)
+
+
+def hochschild_check(degree_bound: int, m_tree_func=None) -> dict:
+    """The report of the transpose cocycle row alone, as ``verify`` counts it."""
+    return verify.check([("dual.hochschild",
+                          verify.hochschild_cases(degree_bound, m_tree_func))])
+
+
 # The dense dual-side maps and rows, as they ran before the sparse supports:
 # every coordinate is evaluated against every kernel image.
 
-def dense_dual_coproduct(f, degree_bound: int) -> LinComb:
+def dense_dual_coproduct(f: LinComb, degree_bound: int) -> LinComb:
     """f(a * b) by one ``pair`` per tree pair within the bound, as an oracle."""
     out: dict = {}
     for da in range(degree_bound + 1):
         for db in range(degree_bound - da + 1):
             for a in enumerate_trees(da + 1):
                 for b in enumerate_trees(db + 1):
-                    value = gd.pair(f, gl.tree_product(a, b))
+                    value = pair(f, gl.tree_product(a, b))
                     if value:
                         add_to(out, Tensor(a, b), value)
     return LinComb(out)
 
 
-def dense_m_dual(f):
+def dense_m_dual(f: LinComb) -> LinComb:
     """The transpose of the chain multiplication by one ``pair`` per tree."""
-    bound = max(f.max_degree - 1, 0)
-    coeffs = {}
-    for a in gd.trees_up_to_degree(bound):
-        value = gd.pair(f, ops.m_tree(a))
-        if value:
-            coeffs[a] = value
-    return gd.DualFunctional(coeffs, bound)
+    top = max((gd.tree_degree(t) for t in f.terms), default=0)
+    return LinComb((a, pair(f, ops.m_tree(a)))
+                   for a in gd.trees_up_to_degree(max(top - 1, 0)))
 
 
-def dense_dual_product(f, g, degree_bound: int):
+def dense_dual_product(f: LinComb, g: LinComb, degree_bound: int) -> LinComb:
     """The convolution product over every tree's coproduct, as an oracle."""
-    coeffs = {}
-    for t in gd.trees_up_to_degree(degree_bound):
-        total = 0
-        for key, c in gl.tree_coproduct(t).terms.items():
-            total += c * f.coeffs.get(key.left, 0) * g.coeffs.get(key.right, 0)
-        if total:
-            coeffs[t] = total
-    return gd.DualFunctional(coeffs, degree_bound)
+    return LinComb((t, sum(c * f.coeff(key.left) * g.coeff(key.right)
+                           for key, c in gl.tree_coproduct(t).terms.items()))
+                   for t in gd.trees_up_to_degree(degree_bound))
 
 
 def dense_hochschild_cases(degree_bound: int, m_tree_func=None):
@@ -279,8 +301,8 @@ def dense_hochschild_cases(degree_bound: int, m_tree_func=None):
     argument_pairs = [(a, b) for a in arguments for b in arguments
                       if a.size + b.size <= degree_bound + 1]
     for t in gd.trees_up_to_degree(degree_bound):
-        f = gd.dual_basis(t)
-        transpose = {a: gd.pair(f, images[a]) for a in arguments}
+        f = LinComb.term(t)
+        transpose = {a: pair(f, images[a]) for a in arguments}
         cop_by_left: dict = {}
         for key, c in dense_dual_coproduct(f, t.size - 1).terms.items():
             cop_by_left.setdefault(key.left, []).append((key.right, c))
@@ -299,10 +321,10 @@ def dense_transpose_coherence(D: int):
     basis = gd.trees_up_to_degree(D)
     images = [(x, LinComb.term(x), ops.m_apply(LinComb.term(x))) for x in basis]
     for t in basis:
-        f = gd.dual_basis(t)
+        f = LinComb.term(t)
         transpose = dense_m_dual(f)
         for x, term, image in images:
-            yield (t, x), gd.pair(transpose, term), gd.pair(f, image)
+            yield (t, x), pair(transpose, term), pair(f, image)
 
 
 def dense_product_pairing(D: int):

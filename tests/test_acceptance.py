@@ -6,6 +6,7 @@ numeric tolerances anywhere.
 """
 
 import ast
+import graphlib
 import hashlib
 import json
 import sys
@@ -13,9 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import roundtrip_ok
+from conftest import hochschild_check, roundtrip_ok
 from treehopf import connes_kreimer as ck
-from treehopf import graded_dual as gd
 from treehopf import grossman_larson as gl
 from treehopf import operators as ops
 from treehopf import verify
@@ -187,7 +187,7 @@ def test_criterion_6_operator_identities(reports):
 
 
 def test_criterion_7_dual_cocycle_and_mutation():
-    report = gd.hochschild_check(4)
+    report = hochschild_check(4)
     assert report["violations"] == [] and report["checked"] > 0
 
     def perturb(target, image):
@@ -201,7 +201,7 @@ def test_criterion_7_dual_cocycle_and_mutation():
         perturb(CHERRY, ops.m_tree(CHERRY) + LinComb.term(LEAF)),
     ]
     for action in mutations:
-        assert len(gd.hochschild_check(4, action)["violations"]) >= 1
+        assert len(hochschild_check(4, action)["violations"]) >= 1
     print("ACCEPTANCE 7 (dual cocycle exact at degree bound 4; each mutation "
           "of the operator produces violations): PASS")
 
@@ -250,3 +250,33 @@ def test_runtime_imports_are_stdlib_only():
     assert outside == []
     print("ACCEPTANCE (every absolute import in src/treehopf is in the "
           "standard library): PASS")
+
+
+def test_module_imports_are_acyclic():
+    package = Path(__file__).parents[1] / "src" / "treehopf"
+    modules = {path.stem for path in package.glob("*.py")}
+    # module -> the modules it imports relatively, at top level or inside a
+    # function; a name that is not a module comes from the package itself
+    graph = {}
+    for name in modules:
+        path = package / f"{name}.py"
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            if node.module:
+                imported.add(node.module.split(".")[0])
+            else:
+                imported |= {alias.name if alias.name in modules else "__init__"
+                             for alias in node.names}
+        graph[name] = imported
+    assert {"graded_dual", "operators"} <= graph["verify"]
+    assert "verify" in graph["cli"]  # imported inside a function
+    try:
+        order = list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as error:
+        pytest.fail(f"import cycle: {' -> '.join(error.args[1])}")
+    assert set(order) == modules
+    assert [name for name in sorted(graph) if "verify" in graph[name]] == ["cli"]
+    print("ACCEPTANCE (the relative imports in src/treehopf form no cycle, "
+          "and only cli imports verify): PASS")
