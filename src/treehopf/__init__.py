@@ -10,26 +10,25 @@ the structural identities.
 
 import sys
 
-from .exactlin import (LinComb, Tensor, combine, exact, extend_bilinear,
+from .exactlin import (LinComb, combine, encoding, exact, extend_bilinear,
                        extend_linear, map_left, map_right, rank,
-                       solve_membership, swap_legs, tensor, tensor_multiply)
+                       solve_membership, swap_legs, tensor, tensor_key,
+                       tensor_multiply)
 from .trees import (EMPTY_FOREST, LEAF, Cut, Forest, Tree, TreeParseError,
                     admissible_cuts, aut_order, b_minus, b_plus, canonicalize,
                     count_trees_recurrence, enumerate_forests, enumerate_trees,
-                    graft, graft_many, natural_growth_terms, parse_forest,
-                    parse_tree, preorder_subtrees, single_cuts)
+                    graft, graft_many, parse_forest, parse_tree, preorder_subtrees)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cut", "EMPTY_FOREST", "Forest", "LEAF", "LinComb", "Tensor",
-    "Tree", "TreeParseError", "admissible_cuts", "aut_order", "b_minus",
-    "b_plus", "canonicalize", "clear_caches", "combine",
-    "count_trees_recurrence", "enumerate_forests", "enumerate_trees", "exact",
+    "Cut", "EMPTY_FOREST", "Forest", "LEAF", "LinComb", "Tree",
+    "TreeParseError", "admissible_cuts", "aut_order", "b_minus", "b_plus",
+    "canonicalize", "clear_caches", "combine", "count_trees_recurrence",
+    "encoding", "enumerate_forests", "enumerate_trees", "exact",
     "extend_bilinear", "extend_linear", "graft", "graft_many", "map_left",
-    "map_right", "natural_growth_terms", "parse_forest", "parse_tree",
-    "preorder_subtrees", "rank", "single_cuts", "solve_membership",
-    "swap_legs", "tensor", "tensor_multiply",
+    "map_right", "parse_forest", "parse_tree", "preorder_subtrees", "rank",
+    "solve_membership", "swap_legs", "tensor", "tensor_key", "tensor_multiply",
 ]
 
 

@@ -22,6 +22,10 @@ add a command, add ``"name": (help, "a b", {"gl": ("module", "kernel")},
 "encode_key")`` to the table, naming the ``serialize`` key encoder
 (``"encode_z_key"`` for Lie-side output) or ``None`` for a scalar.
 
+A command whose work grows steeply with one integer argument refuses a
+value above its row in ``_CEILINGS`` with one ``error:`` line and exit 2,
+before any kernel module is imported, rather than run for minutes.
+
 Each call imports only the modules its command runs: ``serialize`` when an
 ``@file`` is read or a combination rendered, and ``verify`` (which loads
 every module) only for ``verify``.  A one-shot call that is not cached as
@@ -117,6 +121,26 @@ _COMMANDS = {
 }
 
 
+# command: (argument, largest accepted value), from measured growth of about
+# 3x per step: ``xk 14`` takes 3.3 s and prints 5.6 MB (``xk 15``: 9.7 s),
+# ``delta 14`` 1.5 s, a listing ``enum --size 15`` 1.9 s and 3.0 MB, and
+# ``verify --suite all --max-degree 10`` 86 s and 893 MB.  ``enum
+# --count-only`` counts by recurrence and has no ceiling.
+_CEILINGS = {"xk": ("k", 14), "delta": ("k", 15), "enum": ("--size", 15),
+             "verify": ("--max-degree", 10)}
+
+
+def _check_ceiling(args) -> None:
+    """Raise ``ValueError`` when the call's argument is above its ceiling."""
+    if args.command not in _CEILINGS or getattr(args, "count_only", False):
+        return
+    name, limit = _CEILINGS[args.command]
+    value = getattr(args, name.lstrip("-").replace("-", "_"))
+    if value > limit:
+        raise ValueError(f"{args.command} {name}={value} is above its ceiling "
+                         f"of {limit}: the work grows about 3x per step")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="treehopf", description=__doc__.splitlines()[0])
     parser.add_argument("--format", choices=("json", "text"), default="json",
@@ -206,6 +230,7 @@ def run(argv) -> CommandResult:
         code = exc.code if isinstance(exc.code, int) else 0
         return CommandResult("", code)
     try:
+        _check_ceiling(args)
         return _HANDLERS.get(args.command, _compute)(args)
     except (TreeParseError, ValueError, IndexError, OSError) as exc:
         return CommandResult(f"error: {exc}", 2)

@@ -26,8 +26,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import operators as ops
-from .exactlin import (LinComb, Tensor, add_to, extend_linear, solve_membership,
-                       tensor)
+from .exactlin import (LinComb, add_to, extend_linear, solve_membership, tensor,
+                       tensor_key)
 from .trees import (EMPTY_FOREST, Forest, Tree, admissible_cuts, b_plus,
                     leaf_growth)
 
@@ -52,9 +52,9 @@ def product(a: LinComb, b: LinComb) -> LinComb:
 def multiply_tensors(x: LinComb, y: LinComb) -> LinComb:
     """Leg-by-leg forest product on tensor combinations."""
     out: dict = {}
-    for kx, cx in x.terms.items():
-        for ky, cy in y.terms.items():
-            key = Tensor(kx.left.union(ky.left), kx.right.union(ky.right))
+    for (xl, xr), cx in x.terms.items():
+        for (yl, yr), cy in y.terms.items():
+            key = tensor_key(xl.union(yl), xr.union(yr))
             out[key] = out.get(key, 0) + cx * cy
     return LinComb(out)
 
@@ -63,21 +63,21 @@ def multiply_tensors(x: LinComb, y: LinComb) -> LinComb:
 def tree_coproduct_by_cuts(t: Tree) -> LinComb:
     """All-cuts coproduct of a single tree; tensor legs are forests."""
     single = Forest((t,))
-    out = {Tensor(EMPTY_FOREST, single): 1, Tensor(single, EMPTY_FOREST): 1}
+    out = {tensor_key(EMPTY_FOREST, single): 1, tensor_key(single, EMPTY_FOREST): 1}
     for cut in admissible_cuts(t):
-        add_to(out, Tensor(cut.branch, Forest((cut.trunk,))), 1)
+        add_to(out, tensor_key(cut.branch, Forest((cut.trunk,))), 1)
     return LinComb(out)
 
 
 @lru_cache(maxsize=None)
 def tree_coproduct_recursive(t: Tree) -> LinComb:
     """Root-recursion form of the tree coproduct; must match the cut form."""
-    acc = LinComb.term(Tensor(EMPTY_FOREST, EMPTY_FOREST))
+    acc = LinComb.term(tensor_key(EMPTY_FOREST, EMPTY_FOREST))
     for child in t.children:
         acc = multiply_tensors(acc, tree_coproduct_recursive(child))
-    out = {Tensor(Forest((t,)), EMPTY_FOREST): 1}
-    for key, coeff in acc.terms.items():
-        add_to(out, Tensor(key.left, Forest((b_plus(key.right),))), coeff)
+    out = {tensor_key(Forest((t,)), EMPTY_FOREST): 1}
+    for (left, right), coeff in acc.terms.items():
+        add_to(out, tensor_key(left, Forest((b_plus(right),))), coeff)
     return LinComb(out)
 
 
@@ -90,7 +90,7 @@ def forest_coproduct(f: Forest) -> LinComb:
     """
     items = f.items
     if not items:
-        return LinComb.term(Tensor(EMPTY_FOREST, EMPTY_FOREST))
+        return LinComb.term(tensor_key(EMPTY_FOREST, EMPTY_FOREST))
     if len(items) == 1:
         return tree_coproduct_by_cuts(items[0])
     return multiply_tensors(forest_coproduct(Forest(items[1:])),

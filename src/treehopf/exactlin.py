@@ -9,15 +9,18 @@ integer structure constants, so they stay on plain ``int`` arithmetic; a
 per coordinate that ends ``solve_membership``, the cut-count oracle's
 symmetry rescaling, and rational inputs.
 
-Keys may be any hashable objects exposing an ``encoding`` string (trees,
-forests, tensor pairs); the encoding gives deterministic ordering for
-serialization.  Products, coproducts and brackets are defined on basis keys
-elsewhere and lifted here.
+Keys are trees, forests, or tensor keys: a tensor key is the plain tuple
+``(left, right)`` of two of them, equal and hashed by value, so a lookup
+may use any such tuple.  A kernel that stores tensor keys builds them with
+``tensor_key``, which returns one shared tuple per pair, since memoized
+coproducts repeat the same pairs.  ``encoding`` gives a key's text, which
+orders keys deterministically for serialization.  Products, coproducts and
+brackets are defined on basis keys elsewhere and lifted here.
 
 The rule for lifting: a basis map that returns a ``LinComb`` is made linear
 only through ``extend_linear`` / ``extend_bilinear``, called at use time so
 that the basis map is looked up by name on each call.  A map that builds a
-single key per input (a forest union, or a ``Tensor`` of two legs as in
+single key per input (a forest union, or a tensor key of two legs as in
 ``tensor``, ``map_left``, ``map_right`` and ``tensor_multiply`` here) stays
 a direct loop: wrapping every key in a one-term ``LinComb`` only to unpack
 it again costs time on the hottest paths.
@@ -125,8 +128,8 @@ class LinComb:
         return bool(self.terms)
 
     def __repr__(self):
-        body = ", ".join(f"{k.encoding!r}: {c}" for k, c in
-                         sorted(self.terms.items(), key=lambda kv: kv[0].encoding))
+        body = ", ".join(f"{text!r}: {c}" for text, c in
+                         sorted((encoding(k), c) for k, c in self.terms.items()))
         return f"LinComb({{{body}}})"
 
 
@@ -167,38 +170,22 @@ def extend_bilinear(f):
     return lifted
 
 
-class Tensor:
-    """Ordered pair of basis keys; the basis of a two-fold tensor space.
-
-    Interned like trees and forests: one object per ``(left, right)`` pair,
-    so ``==`` and ``hash`` are the default identity ones.
-    """
-
-    __slots__ = ("left", "right", "encoding")
-
-    def __new__(cls, left, right):
-        key = (left, right)
-        pair = _tensors.get(key)
-        if pair is None:
-            pair = object.__new__(cls)
-            pair.left = left
-            pair.right = right
-            pair.encoding = f"{left.encoding} | {right.encoding}"
-            _tensors[key] = pair
-        return pair
-
-    def __init__(self, left, right):
-        """Nothing to do: ``__new__`` returns a finished, shared pair."""
-
-    def __reduce__(self):
-        return Tensor, (self.left, self.right)
-
-    def __repr__(self):
-        return f"Tensor({self.left!r}, {self.right!r})"
+# (left, right) -> that same tuple; never cleared, like the tree tables
+_pairs: dict[tuple, tuple] = {}
 
 
-# (left, right) -> its one Tensor; never cleared, like the tree tables
-_tensors: dict[tuple, Tensor] = {}
+def tensor_key(left, right) -> tuple:
+    """The basis key of a two-fold tensor: the one shared ``(left, right)``."""
+    key = (left, right)
+    return _pairs.setdefault(key, key)
+
+
+def encoding(key) -> str:
+    """The text of a basis key; a tensor key reads ``"<left> | <right>"``."""
+    if type(key) is tuple:
+        left, right = key
+        return f"{left.encoding} | {right.encoding}"
+    return key.encoding
 
 
 def tensor(a: LinComb, b: LinComb) -> LinComb:
@@ -206,31 +193,31 @@ def tensor(a: LinComb, b: LinComb) -> LinComb:
     out: dict = {}
     for ka, ca in a.terms.items():
         for kb, cb in b.terms.items():
-            add_to(out, Tensor(ka, kb), ca * cb)
+            add_to(out, tensor_key(ka, kb), ca * cb)
     return LinComb(out)
 
 
 def map_left(f, x: LinComb) -> LinComb:
     """Apply a linear basis map to the left leg of a tensor combination."""
     out: dict = {}
-    for key, c in x.terms.items():
-        for image_key, image_c in f(key.left).terms.items():
-            add_to(out, Tensor(image_key, key.right), c * image_c)
+    for (left, right), c in x.terms.items():
+        for image_key, image_c in f(left).terms.items():
+            add_to(out, tensor_key(image_key, right), c * image_c)
     return LinComb(out)
 
 
 def map_right(f, x: LinComb) -> LinComb:
     """Apply a linear basis map to the right leg of a tensor combination."""
     out: dict = {}
-    for key, c in x.terms.items():
-        for image_key, image_c in f(key.right).terms.items():
-            add_to(out, Tensor(key.left, image_key), c * image_c)
+    for (left, right), c in x.terms.items():
+        for image_key, image_c in f(right).terms.items():
+            add_to(out, tensor_key(left, image_key), c * image_c)
     return LinComb(out)
 
 
 def swap_legs(x: LinComb) -> LinComb:
     """Exchange the tensor legs."""
-    return x.map_keys(lambda key: Tensor(key.right, key.left))
+    return x.map_keys(lambda key: tensor_key(key[1], key[0]))
 
 
 def tensor_multiply(x: LinComb, y: LinComb, mult_left, mult_right) -> LinComb:
@@ -240,14 +227,14 @@ def tensor_multiply(x: LinComb, y: LinComb, mult_left, mult_right) -> LinComb:
     combinations; the result is the bilinear leg-by-leg product of x and y.
     """
     out: dict = {}
-    for kx, cx in x.terms.items():
-        for ky, cy in y.terms.items():
+    for (xl, xr), cx in x.terms.items():
+        for (yl, yr), cy in y.terms.items():
             scale = cx * cy
-            left = mult_left(kx.left, ky.left)
-            right = mult_right(kx.right, ky.right)
+            left = mult_left(xl, yl)
+            right = mult_right(xr, yr)
             for kl, cl in left.terms.items():
                 for kr, cr in right.terms.items():
-                    add_to(out, Tensor(kl, kr), scale * cl * cr)
+                    add_to(out, tensor_key(kl, kr), scale * cl * cr)
     return LinComb(out)
 
 

@@ -13,7 +13,8 @@ transposes, instead of evaluating that kernel against each coordinate:
 ``product_index`` inverts the grafting product over the pairs within a bound
 (t -> the pairs whose product contains t), ``m_dual`` reads the ``m_tree``
 images transposed once per bound, and ``dual_product`` reads the
-``tree_coproduct`` terms inverted once per bound, keyed by their two legs.
+``tree_coproduct`` terms inverted once per bound, keyed by their tensor
+keys, which a plain ``(left, right)`` tuple looks up.
 ``support_index`` is the one inversion behind all three.  The ``dual`` rows
 of ``verify`` read the same indexes.  The chain multiplication is read as
 ``operators.m_tree`` at call time, so a kernel rebound there is the one
@@ -87,10 +88,8 @@ def m_dual(f: LinComb) -> LinComb:
 @lru_cache(maxsize=None)
 def _coproduct_index(bound: int) -> dict:
     """``tree_coproduct`` of every tree within the bound, inverted:
-    (left, right) -> [(t, c)].  Keyed by the pair of legs, not by a
-    ``Tensor``, so a lookup that misses never interns a new tensor."""
-    index = support_index((t, gl.tree_coproduct(t)) for t in trees_up_to_degree(bound))
-    return {(key.left, key.right): entries for key, entries in index.items()}
+    (left, right) -> [(t, c)]."""
+    return support_index((t, gl.tree_coproduct(t)) for t in trees_up_to_degree(bound))
 
 
 def dual_product(f: LinComb, g: LinComb, degree_bound: int) -> LinComb:

@@ -25,8 +25,8 @@ import itertools
 from functools import lru_cache
 from math import comb, prod
 
-from .exactlin import (LinComb, Tensor, add_to, extend_bilinear, extend_linear,
-                       rank, tensor)
+from .exactlin import (LinComb, add_to, extend_bilinear, extend_linear, rank,
+                       tensor, tensor_key)
 from .trees import LEAF, Tree, enumerate_trees
 
 UNIT = LinComb.term(LEAF)
@@ -103,7 +103,7 @@ def tree_coproduct(t: Tree) -> LinComb:
     for mask in range(1 << r):
         left = Tree(subtrees[i] for i in range(r) if mask >> i & 1)
         right = Tree(subtrees[i] for i in range(r) if not mask >> i & 1)
-        add_to(out, Tensor(left, right), 1)
+        add_to(out, tensor_key(left, right), 1)
     return LinComb(out)
 
 
@@ -122,10 +122,11 @@ def tree_antipode(t: Tree) -> LinComb:
     """Connected graded recursion through the reduced coproduct."""
     if t is LEAF:
         return UNIT
+    # the terms with neither leg the unit
     reduced = LinComb((key, c) for key, c in tree_coproduct(t).terms.items()
-                      if key.left is not LEAF and key.right is not LEAF)
+                      if LEAF not in key)
     step = extend_linear(
-        lambda key: product(tree_antipode(key.left), LinComb.term(key.right)))
+        lambda key: product(tree_antipode(key[0]), LinComb.term(key[1])))
     return LinComb.term(t, -1) - step(reduced)
 
 

@@ -6,8 +6,10 @@ denominator, and ``"3"`` is accepted on input as shorthand for ``"3/1"``.
 On input a coefficient must be a JSON string matching ``-?[0-9]+(/[0-9]+)?``
 with a nonzero denominator; JSON numbers, booleans and anything else are
 rejected with ``ValueError``, as is a basis that is not a JSON string.
-Tensor keys render as ``"<left> | <right>"``; the Lie-side basis renders with
-a ``"Z:"`` prefix on the tree encoding.
+A basis key renders as ``exactlin.encoding`` gives it: a tensor key as
+``"<left> | <right>"``, and a tensor key parses back to the shared tuple of
+``tensor_key``.  The Lie-side basis renders with a ``"Z:"`` prefix on the tree
+encoding.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ import json
 import re
 from fractions import Fraction
 
-from .exactlin import LinComb, Tensor
+from .exactlin import LinComb, encoding, tensor_key
 from .trees import parse_forest, parse_tree
 
 
 def encode_key(key) -> str:
-    return key.encoding
+    return encoding(key)
 
 
 def encode_z_key(key) -> str:
@@ -34,18 +36,18 @@ def parse_z_key(text: str):
     return parse_tree(text[2:])
 
 
-def parse_tensor_key(text: str, parse_left, parse_right) -> Tensor:
+def parse_tensor_key(text: str, parse_left, parse_right) -> tuple:
     left, sep, right = text.partition(" | ")
     if not sep:
         raise ValueError(f"missing ' | ' tensor separator in {text!r}")
-    return Tensor(parse_left(left), parse_right(right))
+    return tensor_key(parse_left(left), parse_right(right))
 
 
-def parse_tree_tensor(text: str) -> Tensor:
+def parse_tree_tensor(text: str) -> tuple:
     return parse_tensor_key(text, parse_tree, parse_tree)
 
 
-def parse_forest_tensor(text: str) -> Tensor:
+def parse_forest_tensor(text: str) -> tuple:
     return parse_tensor_key(text, parse_forest, parse_forest)
 
 

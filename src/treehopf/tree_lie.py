@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import connes_kreimer as ck
-from .exactlin import LinComb, Tensor, extend_bilinear
+from .exactlin import LinComb, extend_bilinear
 from .grossman_larson import graft_forest
 from .trees import Forest, Tree, aut_order, enumerate_trees
 
@@ -47,7 +47,7 @@ def star_by_cut_counting(t1: Tree, t2: Tree) -> LinComb:
     Each tree t with ``size(t1) + size(t2)`` vertices gets its raw count from
     the cut coproduct, rescaled by ``|Aut(t1)| * |Aut(t2)| / |Aut(t)|``.
     """
-    key = Tensor(Forest((t1,)), Forest((t2,)))
+    key = (Forest((t1,)), Forest((t2,)))
     scale = Fraction(aut_order(t1) * aut_order(t2))
     out: dict = {}
     for t in enumerate_trees(t1.size + t2.size):

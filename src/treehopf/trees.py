@@ -150,10 +150,6 @@ class Cut:
         self.branch = branch
         self.trunk = trunk
 
-    @property
-    def order(self) -> int:
-        return len(self.edges)
-
     def __repr__(self):
         return (f"Cut({list(self.edges)}, branch={self.branch.encoding!r}, "
                 f"trunk={self.trunk.encoding!r})")
@@ -303,14 +299,6 @@ def admissible_cuts(t: Tree) -> tuple[Cut, ...]:
         for _, edges, picks in combos)
 
 
-def single_cuts(t: Tree) -> tuple[Cut, ...]:
-    """The one-edge cuts, one per non-root vertex, by vertex index.
-
-    ``admissible_cuts`` lists them first, since it sorts by cut order.
-    """
-    return admissible_cuts(t)[:t.size - 1]
-
-
 @lru_cache(maxsize=None)
 def leaf_growth(t: Tree) -> LinComb:
     """Every way to attach one new leaf to a vertex of t, counted per tree.
@@ -333,14 +321,6 @@ def leaf_growth(t: Tree) -> LinComb:
             out[tree] = out.get(tree, 0) + m * k
         start += m
     return LinComb(out)
-
-
-def natural_growth_terms(t: Tree) -> list[Tree]:
-    """One leaf graft per vertex; isomorphic results keep their multiplicity.
-
-    Built from the cached ``leaf_growth``; every call returns a fresh list.
-    """
-    return [grown for grown, k in leaf_growth(t).terms.items() for _ in range(k)]
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ from treehopf import graded_dual as gd
 from treehopf import grossman_larson as gl
 from treehopf import operators as ops
 from treehopf import verify
-from treehopf.exactlin import LinComb, Tensor, add_to, exact
+from treehopf.exactlin import LinComb, add_to, encoding, exact, tensor_key
 from treehopf.serialize import (encode_key, encode_z_key, lincomb_from_obj,
                                 lincomb_to_json, parse_forest_tensor,
                                 parse_tree_tensor, parse_z_key)
@@ -152,7 +152,7 @@ def dense_solve_membership(target: LinComb, generators) -> list | None:
     """
     generators = list(generators)
     keys = sorted({k for g in generators for k in g.terms} | set(target.terms),
-                  key=lambda k: k.encoding)
+                  key=encoding)
     ncols = len(generators)
     rows = [[Fraction(g.coeff(k)) for g in generators] + [Fraction(target.coeff(k))]
             for k in keys]
@@ -188,7 +188,7 @@ def dense_rank(vectors) -> int:
     The elimination ``exactlin.rank`` ran before the sparse reducer.
     """
     vectors = list(vectors)
-    keys = sorted({k for v in vectors for k in v.terms}, key=lambda k: k.encoding)
+    keys = sorted({k for v in vectors for k in v.terms}, key=encoding)
     if not keys:
         return 0
     index = {k: i for i, k in enumerate(keys)}
@@ -253,7 +253,7 @@ def dual_coproduct(f: LinComb, degree_bound: int) -> LinComb:
     out: dict = {}
     for t, ft in f.terms.items():
         for (a, b), c in index.get(t, ()):
-            add_to(out, Tensor(a, b), ft * c)
+            add_to(out, tensor_key(a, b), ft * c)
     return LinComb(out)
 
 
@@ -275,7 +275,7 @@ def dense_dual_coproduct(f: LinComb, degree_bound: int) -> LinComb:
                 for b in enumerate_trees(db + 1):
                     value = pair(f, gl.tree_product(a, b))
                     if value:
-                        add_to(out, Tensor(a, b), value)
+                        add_to(out, tensor_key(a, b), value)
     return LinComb(out)
 
 
@@ -288,8 +288,8 @@ def dense_m_dual(f: LinComb) -> LinComb:
 
 def dense_dual_product(f: LinComb, g: LinComb, degree_bound: int) -> LinComb:
     """The convolution product over every tree's coproduct, as an oracle."""
-    return LinComb((t, sum(c * f.coeff(key.left) * g.coeff(key.right)
-                           for key, c in gl.tree_coproduct(t).terms.items()))
+    return LinComb((t, sum(c * f.coeff(left) * g.coeff(right)
+                           for (left, right), c in gl.tree_coproduct(t).terms.items()))
                    for t in gd.trees_up_to_degree(degree_bound))
 
 
@@ -304,8 +304,8 @@ def dense_hochschild_cases(degree_bound: int, m_tree_func=None):
         f = LinComb.term(t)
         transpose = {a: pair(f, images[a]) for a in arguments}
         cop_by_left: dict = {}
-        for key, c in dense_dual_coproduct(f, t.size - 1).terms.items():
-            cop_by_left.setdefault(key.left, []).append((key.right, c))
+        for (left, right), c in dense_dual_coproduct(f, t.size - 1).terms.items():
+            cop_by_left.setdefault(left, []).append((right, c))
         for a, b in argument_pairs:
             lhs = 0
             for term, c in gl.tree_product(a, b).terms.items():
@@ -330,7 +330,7 @@ def dense_transpose_coherence(D: int):
 def dense_product_pairing(D: int):
     """``dual.product_pairing`` with every (t, a, b) case computed."""
     basis = gd.trees_up_to_degree(D)
-    legs = [(a, b, Tensor(b_minus(a), Forest((b,))), aut_order(a) * aut_order(b))
+    legs = [(a, b, (b_minus(a), Forest((b,))), aut_order(a) * aut_order(b))
             for a in basis for b in basis if a.size + b.size <= D + 2]
     for t in basis:
         cuts, sigma = ck.tree_coproduct_by_cuts(t), aut_order(t)

@@ -280,3 +280,15 @@ def test_module_imports_are_acyclic():
     assert [name for name in sorted(graph) if "verify" in graph[name]] == ["cli"]
     print("ACCEPTANCE (the relative imports in src/treehopf form no cycle, "
           "and only cli imports verify): PASS")
+
+
+def test_exported_names_resolve():
+    """Every name in ``treehopf.__all__`` is bound, once, so that
+    ``from treehopf import *`` does not break on a stale entry."""
+    import treehopf
+    names = treehopf.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(treehopf, name)] == []
+    namespace: dict = {}
+    exec("from treehopf import *", namespace)
+    assert set(names) <= namespace.keys()

@@ -10,6 +10,7 @@ from conftest import roundtrip_ok, run_python
 from treehopf import cli, verify
 from treehopf import connes_kreimer as ck
 from treehopf import grossman_larson as gl
+from treehopf import operators as ops
 from treehopf import tree_lie
 from treehopf.cli import _build_parser, run
 from treehopf.exactlin import LinComb
@@ -28,7 +29,8 @@ def test_enum_count_only():
 
 
 def test_enum_count_only_uses_recurrence():
-    # A000081(30); enumerating these trees would not finish
+    # A000081(30); enumerating these trees would not finish, and
+    # --count-only has no ceiling
     assert ok(["enum", "--size", "30", "--count-only"]) == "354426847597"
     for n in range(1, 10):
         assert ok(["enum", "--size", str(n), "--count-only"]) == \
@@ -166,10 +168,36 @@ def test_non_string_basis_exits_two_without_traceback(tmp_path, basis):
 
 
 def test_xk_past_the_recursion_limit_exits_two():
-    # x_k recurses on k, so a huge k is refused before any growth is done
+    # x_k recurses on k, but a k this large is refused by its ceiling first
     result = run(["xk", "3000"])
     assert result.exit_code == 2
-    assert result.payload == "error: input nested too deeply"
+    assert result.payload == ("error: xk k=3000 is above its ceiling of 14: "
+                              "the work grows about 3x per step")
+
+
+# one call just above each ceiling; refused before any work is done
+ABOVE_CEILINGS = [
+    (["xk", "15"], "xk k=15", 14),
+    (["delta", "16"], "delta k=16", 15),
+    (["enum", "--size", "16"], "enum --size=16", 15),
+    (["verify", "--suite", "trees", "--max-degree", "11"],
+     "verify --max-degree=11", 10),
+]
+
+
+@pytest.mark.parametrize("argv, named, limit", ABOVE_CEILINGS,
+                         ids=[argv[0] for argv, _, _ in ABOVE_CEILINGS])
+def test_work_above_a_ceiling_is_refused(argv, named, limit, monkeypatch):
+    def never(*args):
+        raise AssertionError("a refused call must not start its work")
+
+    for module, attr in [(cli, "enumerate_trees"), (verify, "run_suite"),
+                         (ops, "x_k"), (ck, "delta")]:
+        monkeypatch.setattr(module, attr, never)
+    result = run(argv)
+    assert result.exit_code == 2
+    assert result.payload.startswith(f"error: {named} is above its ceiling of {limit}")
+    assert "\n" not in result.payload
 
 
 @pytest.mark.parametrize("command", ["coprod", "grow"])
@@ -397,6 +425,8 @@ MODULES_LOADED = [
     (["prod", "--algebra", "gl", "[[", "[]"], 2, _CORE),
     (["verify", "--suite", "trees", "--max-degree", "1"], 0,
      _CK | _SER | {"treehopf.tree_lie", "treehopf.graded_dual", "treehopf.verify"}),
+    # a call above its ceiling is refused before any kernel module loads
+    *[(argv, 2, _CORE) for argv, _, _ in ABOVE_CEILINGS],
 ]
 
 

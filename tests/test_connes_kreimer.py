@@ -3,7 +3,7 @@
 import pytest
 
 from treehopf import connes_kreimer as ck
-from treehopf.exactlin import LinComb, Tensor, combine, swap_legs, tensor
+from treehopf.exactlin import LinComb, combine, swap_legs, tensor, tensor_key
 from treehopf.trees import (EMPTY_FOREST, LEAF, Forest, enumerate_forests,
                             enumerate_trees, graft, parse_forest, parse_tree)
 
@@ -22,7 +22,7 @@ def elem(text):
 
 
 def tens(left, right, coeff=1):
-    return LinComb.term(Tensor(forest(left), forest(right)), coeff)
+    return LinComb.term(tensor_key(forest(left), forest(right)), coeff)
 
 
 def test_product_examples():
@@ -78,10 +78,10 @@ def test_counit_axiom_small():
     for w in range(5):
         for f in enumerate_forests(w):
             cop = ck.forest_coproduct(f)
-            left = LinComb((k.right, c) for k, c in cop.items()
-                           if k.left == EMPTY_FOREST)
-            right = LinComb((k.left, c) for k, c in cop.items()
-                            if k.right == EMPTY_FOREST)
+            left = LinComb((b, c) for (a, b), c in cop.items()
+                           if a == EMPTY_FOREST)
+            right = LinComb((a, c) for (a, b), c in cop.items()
+                            if b == EMPTY_FOREST)
             assert left == LinComb.term(f)
             assert right == LinComb.term(f)
 
@@ -100,9 +100,9 @@ def test_antipode_axiom_small():
             expected = ck.UNIT if f == EMPTY_FOREST else LinComb.zero()
             cop = ck.forest_coproduct(f)
             acc = LinComb.zero()
-            for key, c in cop.items():
-                acc = combine(acc, ck.product(ck.forest_antipode(key.left),
-                                              LinComb.term(key.right)), c)
+            for (left, right), c in cop.items():
+                acc = combine(acc, ck.product(ck.forest_antipode(left),
+                                              LinComb.term(right)), c)
             assert acc == expected
 
 

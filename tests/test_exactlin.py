@@ -11,9 +11,9 @@ from treehopf import connes_kreimer as ck
 from treehopf import grossman_larson as gl
 from treehopf import operators as ops
 from treehopf import tree_lie
-from treehopf.exactlin import (LinComb, Tensor, combine, exact, extend_bilinear,
+from treehopf.exactlin import (LinComb, combine, encoding, exact, extend_bilinear,
                                extend_linear, map_left, map_right, rank,
-                               solve_membership, swap_legs, tensor)
+                               solve_membership, swap_legs, tensor, tensor_key)
 from treehopf.serialize import lincomb_from_json
 from treehopf.trees import Forest, LEAF, enumerate_trees, parse_tree
 
@@ -92,16 +92,36 @@ def test_extend_linear_and_bilinear():
 
 def test_tensor_helpers():
     x = tensor(LinComb({E: 1, L2: 2}), LinComb.term(L3))
-    assert x == LinComb({Tensor(E, L3): 1, Tensor(L2, L3): 2})
-    assert swap_legs(x) == LinComb({Tensor(L3, E): 1, Tensor(L3, L2): 2})
+    assert x == LinComb({tensor_key(E, L3): 1, tensor_key(L2, L3): 2})
+    assert swap_legs(x) == LinComb({tensor_key(L3, E): 1, tensor_key(L3, L2): 2})
     grown = map_left(lambda k: LinComb.term(k, -1), x)
     assert grown == -x
     assert map_right(lambda k: LinComb.zero(), x) == LinComb.zero()
 
 
 def test_tensor_encoding_is_unambiguous():
-    assert Tensor(E, L2).encoding == "[] | [[]]"
-    assert Tensor(E, L2) != Tensor(L2, E)
+    assert encoding(tensor_key(E, L2)) == "[] | [[]]"
+    assert encoding(L2) == "[[]]"
+    assert tensor_key(E, L2) != tensor_key(L2, E)
+
+
+def test_tensor_key_is_one_shared_pair():
+    for a in KEYS:
+        for b in KEYS:
+            key = tensor_key(a, b)
+            assert key is tensor_key(a, b)
+            assert key == (a, b) and hash(key) == hash((a, b))
+            assert key[0] is a and key[1] is b
+
+
+def test_plain_pair_reads_a_memoized_coproduct():
+    # a lookup needs no shared key: a plain tuple reads the stored one
+    for t in enumerate_trees(5):
+        for cop in (gl.tree_coproduct(t), ck.tree_coproduct_by_cuts(t)):
+            for key, c in cop.terms.items():
+                left, right = key
+                assert key is tensor_key(left, right)
+                assert cop.coeff((left, right)) == c
 
 
 def test_solve_membership_identity_and_zero():

@@ -16,7 +16,7 @@ from treehopf import graded_dual as gd
 from treehopf import grossman_larson as gl
 from treehopf import operators as ops
 from treehopf import verify
-from treehopf.exactlin import LinComb, Tensor
+from treehopf.exactlin import LinComb, tensor_key
 from treehopf.trees import LEAF, parse_tree
 
 E = LEAF
@@ -34,17 +34,17 @@ def test_pair_examples():
 
 
 def test_dual_coproduct_of_counit():
-    assert dual_coproduct(coordinate(E), 3) == LinComb.term(Tensor(E, E))
+    assert dual_coproduct(coordinate(E), 3) == LinComb.term(tensor_key(E, E))
 
 
 def test_dual_coproduct_of_chain():
     assert dual_coproduct(coordinate(L2), 1) == \
-        LinComb.term(Tensor(E, L2)) + LinComb.term(Tensor(L2, E))
+        LinComb.term(tensor_key(E, L2)) + LinComb.term(tensor_key(L2, E))
 
 
 def test_dual_coproduct_of_cherry_pairs_chain_squared():
     cop = dual_coproduct(coordinate(CHERRY), 2)
-    assert cop.coeff(Tensor(L2, L2)) == 1
+    assert cop.coeff((L2, L2)) == 1
 
 
 def test_dual_coproduct_reproduces_pairing():
@@ -55,7 +55,7 @@ def test_dual_coproduct_reproduces_pairing():
             for b in gd.trees_up_to_degree(3):
                 if gd.tree_degree(a) + gd.tree_degree(b) > 3:
                     continue
-                assert gl.tree_product(a, b).coeff(t) == cop.coeff(Tensor(a, b))
+                assert gl.tree_product(a, b).coeff(t) == cop.coeff((a, b))
 
 
 def test_m_dual_examples():

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import multiset_site_product, product_pairs
 from treehopf import grossman_larson as gl
-from treehopf.exactlin import LinComb, Tensor, combine, swap_legs, tensor
+from treehopf.exactlin import LinComb, combine, swap_legs, tensor, tensor_key
 from treehopf.trees import LEAF, enumerate_trees, graft_many, parse_tree
 
 E = LEAF
@@ -99,15 +99,15 @@ def test_associativity_small():
 
 
 def test_coproduct_examples():
-    assert gl.tree_coproduct(E) == LinComb.term(Tensor(E, E))
+    assert gl.tree_coproduct(E) == LinComb.term(tensor_key(E, E))
     assert gl.tree_coproduct(L2) == \
-        LinComb.term(Tensor(E, L2)) + LinComb.term(Tensor(L2, E))
+        LinComb.term(tensor_key(E, L2)) + LinComb.term(tensor_key(L2, E))
     assert gl.tree_coproduct(CHERRY) == (
-        LinComb.term(Tensor(E, CHERRY)) + LinComb.term(Tensor(CHERRY, E))
-        + LinComb.term(Tensor(L2, L2), 2))
+        LinComb.term(tensor_key(E, CHERRY)) + LinComb.term(tensor_key(CHERRY, E))
+        + LinComb.term(tensor_key(L2, L2), 2))
     assert gl.tree_coproduct(FORK) == (
-        LinComb.term(Tensor(E, FORK)) + LinComb.term(Tensor(FORK, E))
-        + LinComb.term(Tensor(L3, L2)) + LinComb.term(Tensor(L2, L3)))
+        LinComb.term(tensor_key(E, FORK)) + LinComb.term(tensor_key(FORK, E))
+        + LinComb.term(tensor_key(L3, L2)) + LinComb.term(tensor_key(L2, L3)))
 
 
 def test_coproduct_mass_and_cocommutativity():
@@ -135,9 +135,9 @@ def test_antipode_axiom_small():
         for t in enumerate_trees(n):
             expected = gl.UNIT if t == E else LinComb.zero()
             acc = LinComb.zero()
-            for key, c in gl.tree_coproduct(t).items():
-                acc = combine(acc, gl.product(gl.tree_antipode(key.left),
-                                              elem(key.right)), c)
+            for (left, right), c in gl.tree_coproduct(t).items():
+                acc = combine(acc, gl.product(gl.tree_antipode(left),
+                                              elem(right)), c)
             assert acc == expected
 
 

@@ -8,7 +8,7 @@ import pytest
 from conftest import KEY_ENCODERS, KEY_PARSERS
 from treehopf import connes_kreimer as ck
 from treehopf import grossman_larson as gl
-from treehopf.exactlin import LinComb, Tensor, tensor_multiply
+from treehopf.exactlin import LinComb, tensor_key, tensor_multiply
 from treehopf.serialize import lincomb_from_obj, lincomb_to_json
 from treehopf.trees import enumerate_forests, enumerate_trees
 
@@ -52,14 +52,14 @@ def test_antipode_convolves_to_counit(name, data):
     basis, _, product, coproduct, antipode, counit, unit = ALGEBRAS[name]
     x = data.draw(combinations(st.sampled_from(basis)))
     convolved = LinComb.zero()
-    for key, c in coproduct(x).terms.items():
-        convolved += c * product(antipode(LinComb.term(key.left)),
-                                 LinComb.term(key.right))
+    for (left, right), c in coproduct(x).terms.items():
+        convolved += c * product(antipode(LinComb.term(left)),
+                                 LinComb.term(right))
     assert convolved == counit(x) * unit
 
 
 def _tensors(keys):
-    return st.builds(Tensor, keys, keys)
+    return st.builds(tensor_key, keys, keys)
 
 
 KEYS = {

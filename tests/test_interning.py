@@ -1,4 +1,4 @@
-"""Hash-consing: one object per tree, forest and tensor shape."""
+"""Hash-consing: one object per tree and forest shape, one tuple per tensor key."""
 
 import copy
 import pickle
@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from treehopf import clear_caches
-from treehopf.exactlin import Tensor
+from treehopf.exactlin import tensor_key
 from treehopf.trees import (EMPTY_FOREST, LEAF, Forest, Tree, b_minus, b_plus,
                             canonicalize, enumerate_forests, enumerate_trees,
                             parse_forest, parse_tree)
@@ -32,12 +32,12 @@ def test_forests_and_tensors_are_interned():
     for a in forests:
         assert parse_forest(a.encoding) is a
         for b in forests:
-            assert Tensor(a, b) is Tensor(a, b)
+            assert tensor_key(a, b) is tensor_key(a, b)
 
 
 def test_distinct_shapes_stay_distinct_objects():
     assert len({id(t) for t in TREES}) == len(TREES)
-    assert Tensor(LEAF, EMPTY_FOREST) is not Tensor(EMPTY_FOREST, LEAF)
+    assert tensor_key(LEAF, EMPTY_FOREST) != tensor_key(EMPTY_FOREST, LEAF)
     # each class has its own table, although their keys can coincide
     assert Forest(()) is not Tree(())
     assert Forest((LEAF,)) is not Tree((LEAF,))
@@ -56,14 +56,18 @@ def test_clear_caches_keeps_the_intern_tables():
     lambda: LEAF,
     lambda: parse_forest("[[]] [] []"),
     lambda: EMPTY_FOREST,
-    lambda: Tensor(parse_tree("[[]]"), LEAF),
-    lambda: Tensor(EMPTY_FOREST, parse_forest("[] [[]]")),
+    lambda: tensor_key(parse_tree("[[]]"), LEAF),
+    lambda: tensor_key(EMPTY_FOREST, parse_forest("[] [[]]")),
 ], ids=["tree", "leaf", "forest", "empty-forest", "tree-tensor", "forest-tensor"])
 def test_copy_and_pickle_return_the_interned_object(make):
     x = make()
-    assert copy.copy(x) is x
-    assert copy.deepcopy(x) is x
-    assert pickle.loads(pickle.dumps(x)) is x
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        if isinstance(x, tuple):
+            # a tensor key is a plain tuple: unpickling builds a new, equal
+            # one, whose legs are the interned objects themselves
+            assert y == x and all(a is b for a, b in zip(y, x))
+        else:
+            assert y is x
     assert LEAF.encoding == "[]" and LEAF.size == 1 and LEAF.children == ()
     assert EMPTY_FOREST.encoding == "1" and EMPTY_FOREST.items == ()
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from treehopf.exactlin import LinComb, Tensor
+from treehopf.exactlin import LinComb, tensor_key
 from treehopf.serialize import (encode_z_key, lincomb_from_json,
                                 lincomb_from_obj, lincomb_to_json,
                                 lincomb_to_obj, lincomb_to_text, parse_forest_tensor,
@@ -57,12 +57,12 @@ def test_coefficient_grammar_is_strict(coeff):
 
 def test_forest_and_tensor_keys():
     f = parse_forest("[] [[]]")
-    x = LinComb.term(Tensor(f, Forest((E,))))
+    x = LinComb.term(tensor_key(f, Forest((E,))))
     text = lincomb_to_json(x)
     assert '"[[]] [] | []"' in text
     assert lincomb_from_json(text, parse_forest_tensor) == x
 
-    y = LinComb.term(Tensor(E, L2), 2)
+    y = LinComb.term(tensor_key(E, L2), 2)
     assert lincomb_from_json(lincomb_to_json(y), parse_tree_tensor) == y
 
 

@@ -5,7 +5,7 @@ import pytest
 from treehopf import connes_kreimer as ck
 from treehopf import grossman_larson as gl
 from treehopf import tree_lie
-from treehopf.exactlin import LinComb, Tensor
+from treehopf.exactlin import LinComb
 from treehopf.trees import (LEAF, Forest, aut_order, enumerate_trees, graft,
                             parse_tree)
 
@@ -66,7 +66,7 @@ def test_oracle_equals_graft_form():
 def raw_cut_count(t1, t2, t):
     """One-edge cuts of t with branch t1 and trunk t2: the coefficient of
     t1 (x) t2 in the cut coproduct of t."""
-    return ck.tree_coproduct_by_cuts(t).coeff(Tensor(Forest((t1,)), Forest((t2,))))
+    return ck.tree_coproduct_by_cuts(t).coeff((Forest((t1,)), Forest((t2,))))
 
 
 def test_raw_cut_count_differs_by_symmetry():

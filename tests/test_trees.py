@@ -1,7 +1,5 @@
 """Tree and forest primitives: parsing, surgery, and enumeration."""
 
-from collections import Counter
-
 import pytest
 
 from conftest import antichain_filter_cuts, cut_signature, graft_per_vertex_growth
@@ -9,9 +7,8 @@ from treehopf.trees import (EMPTY_FOREST, LEAF, Forest, Tree, TreeParseError,
                             admissible_cuts, aut_order, b_minus, b_plus,
                             canonicalize, count_trees_recurrence,
                             enumerate_forests, enumerate_trees, graft,
-                            graft_many, leaf_growth, natural_growth_terms,
-                            parse_forest, parse_tree, preorder_subtrees,
-                            single_cuts)
+                            graft_many, leaf_growth, parse_forest, parse_tree,
+                            preorder_subtrees)
 
 E = parse_tree("[]")
 L2 = parse_tree("[[]]")
@@ -180,8 +177,10 @@ def test_cuts_conserve_vertices_and_are_antichains():
                 for v in cut.edges:
                     for w in cut.edges:
                         assert not (v < w < v + subs[v].size)
-            # one cut per non-root vertex, by index, severing that subtree
-            assert [(c.edges, c.branch.items) for c in single_cuts(t)] == \
+            # the one-edge cuts come first: one per non-root vertex, by
+            # index, severing that subtree
+            assert [(c.edges, c.branch.items)
+                    for c in admissible_cuts(t)[:t.size - 1]] == \
                 [((v,), (subs[v],)) for v in range(1, t.size)]
 
 
@@ -190,16 +189,6 @@ def test_admissible_cuts_match_antichain_filter():
     for n in range(1, 10):
         for t in enumerate_trees(n):
             assert cut_signature(t) == antichain_filter_cuts(t), t
-
-
-def test_natural_growth_terms_returns_fresh_list():
-    first = natural_growth_terms(CHERRY)
-    first.append(E)
-    first[0] = E
-    again = natural_growth_terms(CHERRY)
-    assert again is not first
-    assert len(again) == CHERRY.size
-    assert Counter(t.encoding for t in again) == {"[[][][]]": 1, "[[[]][]]": 2}
 
 
 def test_forest_union_matches_resort():
@@ -215,11 +204,12 @@ def test_forest_union_matches_resort():
 
 
 def test_natural_growth_examples():
-    assert natural_growth_terms(E) == [L2]
-    assert Counter(t.encoding for t in natural_growth_terms(L2)) == {
-        "[[][]]": 1, "[[[]]]": 1}
-    assert Counter(t.encoding for t in natural_growth_terms(CHERRY)) == {
-        "[[][][]]": 1, "[[[]][]]": 2}
+    def counts(t):
+        return {g.encoding: k for g, k in leaf_growth(t).terms.items()}
+
+    assert counts(E) == {"[[]]": 1}
+    assert counts(L2) == {"[[][]]": 1, "[[[]]]": 1}
+    assert counts(CHERRY) == {"[[][][]]": 1, "[[[]][]]": 2}
 
 
 def test_leaf_growth_matches_graft_per_vertex():
@@ -227,15 +217,14 @@ def test_leaf_growth_matches_graft_per_vertex():
         for t in enumerate_trees(n):
             oracle = graft_per_vertex_growth(t)
             assert leaf_growth(t).terms == oracle, t
-            assert Counter(natural_growth_terms(t)) == oracle, t
 
 
 def test_growth_count_equals_size():
     for n in range(1, 7):
         for t in enumerate_trees(n):
-            grown = natural_growth_terms(t)
-            assert len(grown) == t.size
-            assert all(g.size == t.size + 1 for g in grown)
+            grown = leaf_growth(t)
+            assert grown.mass() == t.size
+            assert all(g.size == t.size + 1 for g in grown.terms)
 
 
 def test_enumerate_small():
