@@ -17,7 +17,7 @@ from .exactlin import (LinComb, combine, encoding, exact, extend_bilinear,
 from .trees import (EMPTY_FOREST, LEAF, Cut, Forest, Tree, TreeParseError,
                     admissible_cuts, aut_order, b_minus, b_plus, canonicalize,
                     count_trees_recurrence, enumerate_forests, enumerate_trees,
-                    graft, graft_many, parse_forest, parse_tree, preorder_subtrees)
+                    graft_many, parse_forest, parse_tree, preorder_subtrees)
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,7 @@ __all__ = [
     "TreeParseError", "admissible_cuts", "aut_order", "b_minus", "b_plus",
     "canonicalize", "clear_caches", "combine", "count_trees_recurrence",
     "encoding", "enumerate_forests", "enumerate_trees", "exact",
-    "extend_bilinear", "extend_linear", "graft", "graft_many", "map_left",
+    "extend_bilinear", "extend_linear", "graft_many", "map_left",
     "map_right", "parse_forest", "parse_tree", "preorder_subtrees", "rank",
     "solve_membership", "swap_legs", "tensor", "tensor_key", "tensor_multiply",
 ]

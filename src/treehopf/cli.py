@@ -4,7 +4,8 @@ Compute in either Hopf algebra, apply the operators, run verification
 suites, and emit deterministic JSON or text.  Exit codes: 0 on success, 1
 when a verification suite reports violations, 2 for usage or input errors
 and for any unexpected error, which prints one ``error:`` line and never a
-traceback.
+traceback.  A reader that closes the pipe early ends the call quietly, with
+the command's own exit code.
 
 Element arguments are literal encodings (a tree for the grafting algebra and
 the Lie commands, a forest for the forest algebra, with ``1`` as its unit)
@@ -19,8 +20,9 @@ looked up at call time, so that a kernel rebound at run time (a test's
 stub, a tracer's wrapper) is the one called.  Two families add
 ``--algebra``, and the family ``int`` makes the positionals integers.  To
 add a command, add ``"name": (help, "a b", {"gl": ("module", "kernel")},
-"encode_key")`` to the table, naming the ``serialize`` key encoder
-(``"encode_z_key"`` for Lie-side output) or ``None`` for a scalar.
+"encoding")`` to the table, naming the key encoder as ``serialize`` holds
+it (``"encoding"``, which it imports from ``exactlin``, or
+``"encode_z_key"`` for Lie-side output) or ``None`` for a scalar.
 
 A command whose work grows steeply with one integer argument refuses a
 value above its row in ``_CEILINGS`` with one ``error:`` line and exit 2,
@@ -37,26 +39,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections import namedtuple
 from importlib import import_module
 
 from .exactlin import LinComb
-from .trees import (TreeParseError, count_trees_recurrence, enumerate_trees,
-                    parse_forest, parse_tree)
+from .trees import (count_trees_recurrence, enumerate_trees, parse_forest,
+                    parse_tree)
 
 # ``verify.SUITES``, kept here so that building the parser does not import
 # ``verify``; a test pins the two equal.
 SUITES = ("trees", "hr", "gl", "lie", "operators", "dual")
 
 
-class CommandResult:
-    """What one CLI call produced; a plain class keeps ``dataclasses`` unloaded."""
-
-    __slots__ = ("payload", "exit_code")
-
-    def __init__(self, payload: str, exit_code: int):
-        self.payload = payload
-        self.exit_code = exit_code  # 0 ok, 1 verification failure, 2 usage error
+# What one CLI call produced; exit_code is 0 ok, 1 verification failure, 2
+# usage error.  ``collections`` is already loaded, ``dataclasses`` is not.
+CommandResult = namedtuple("CommandResult", "payload exit_code")
 
 
 class _UsageError(Exception):
@@ -95,21 +94,21 @@ def _both(attr: str) -> dict:
 # scalar); the subparsers are listed in this order, between ``enum`` and
 # ``verify``.
 _COMMANDS = {
-    "prod": ("product of two elements", "a b", _both("product"), "encode_key"),
-    "coprod": ("coproduct of an element", "x", _both("coproduct"), "encode_key"),
-    "antipode": ("antipode of an element", "x", _both("antipode"), "encode_key"),
+    "prod": ("product of two elements", "a b", _both("product"), "encoding"),
+    "coprod": ("coproduct of an element", "x", _both("coproduct"), "encoding"),
+    "antipode": ("antipode of an element", "x", _both("antipode"), "encoding"),
     "counit": ("counit of an element", "x", _both("counit"), None),
     "grow": ("leaf-growth operator", "x",
              {"gl": ("operators", "n_apply"),
-              "hr": ("connes_kreimer", "natural_growth")}, "encode_key"),
+              "hr": ("connes_kreimer", "natural_growth")}, "encoding"),
     "xk": ("iterated growth of the grafting unit", "k",
-           {int: ("operators", "x_k")}, "encode_key"),
+           {int: ("operators", "x_k")}, "encoding"),
     "delta": ("iterated growth of the one-vertex tree", "k",
-              {int: ("connes_kreimer", "delta")}, "encode_key"),
+              {int: ("connes_kreimer", "delta")}, "encoding"),
     "mop": ("chain right-multiplication operator", "x",
-            {"gl": ("operators", "m_apply")}, "encode_key"),
+            {"gl": ("operators", "m_apply")}, "encoding"),
     "lop": ("root-attachment operator", "x",
-            {"hr": ("connes_kreimer", "add_root")}, "encode_key"),
+            {"hr": ("connes_kreimer", "add_root")}, "encoding"),
     "bracket": ("Lie bracket of two basis elements", "a b",
                 {"lie": ("tree_lie", "bracket")}, "encode_z_key"),
     "star": ("Lie star of two basis elements", "a b",
@@ -117,7 +116,7 @@ _COMMANDS = {
     "phi": ("root deletion (primitive trees to Lie side)", "t",
             {"gl": ("tree_lie", "phi")}, "encode_z_key"),
     "psi": ("root attachment (Lie side to primitive trees)", "t",
-            {"lie": ("tree_lie", "psi")}, "encode_key"),
+            {"lie": ("tree_lie", "psi")}, "encoding"),
 }
 
 
@@ -232,7 +231,7 @@ def run(argv) -> CommandResult:
     try:
         _check_ceiling(args)
         return _HANDLERS.get(args.command, _compute)(args)
-    except (TreeParseError, ValueError, IndexError, OSError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         return CommandResult(f"error: {exc}", 2)
     except RecursionError:
         return CommandResult("error: input nested too deeply", 2)
@@ -243,6 +242,13 @@ def run(argv) -> CommandResult:
 
 def main() -> None:
     result = run(sys.argv[1:])
-    if result.payload:
-        print(result.payload, file=sys.stderr if result.exit_code == 2 else sys.stdout)
+    stream = sys.stderr if result.exit_code == 2 else sys.stdout
+    try:
+        if result.payload:
+            print(result.payload, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        # the reader left early; pointing the stream at devnull keeps the
+        # flush at exit from raising too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     raise SystemExit(result.exit_code)

@@ -19,17 +19,26 @@ membership solves.  The grafting side grows the same trees, so only one
 growth chain is built: ``delta(k)`` is ``operators.x_k(k - 1)`` with each
 tree read as a one-tree forest.  ``add_root`` (a basis forest goes to the
 tree grown over it) is the Hochschild 1-cocycle partner of the coproduct.
+
+The cut coproduct also gives the tree Lie algebra's grafting operation an
+oracle that shares no code with the grafting kernel, since cuts are not
+grafts: the raw count of one-edge cuts of t with branch t1 and trunk t2 is
+the coefficient of t1 (x) t2 in Delta_CK(t).  That counts severable edges,
+not attachment sites; double counting isomorphisms of the cut pair gives
+``sites * |Aut(t)| = edges * |Aut(t1)| * |Aut(t2)|``, so
+``star_by_cut_counting`` rescales each raw count accordingly.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from . import operators as ops
 from .exactlin import (LinComb, add_to, extend_linear, solve_membership, tensor,
                        tensor_key)
-from .trees import (EMPTY_FOREST, Forest, Tree, admissible_cuts, b_plus,
-                    leaf_growth)
+from .trees import (EMPTY_FOREST, Forest, Tree, admissible_cuts, aut_order,
+                    b_plus, enumerate_trees, leaf_growth)
 
 UNIT = LinComb.term(EMPTY_FOREST)
 
@@ -78,6 +87,24 @@ def tree_coproduct_recursive(t: Tree) -> LinComb:
     out = {tensor_key(Forest((t,)), EMPTY_FOREST): 1}
     for (left, right), coeff in acc.terms.items():
         add_to(out, tensor_key(left, Forest((b_plus(right),))), coeff)
+    return LinComb(out)
+
+
+def star_by_cut_counting(t1: Tree, t2: Tree) -> LinComb:
+    """Cut-count oracle for ``tree_lie.star_trees``; must equal it on every
+    basis pair.
+
+    Each tree t with ``size(t1) + size(t2)`` vertices gets its raw count from
+    the cut coproduct, rescaled by ``|Aut(t1)| * |Aut(t2)| / |Aut(t)|``.
+    """
+    key = (Forest((t1,)), Forest((t2,)))
+    scale = Fraction(aut_order(t1) * aut_order(t2))
+    out: dict = {}
+    for t in enumerate_trees(t1.size + t2.size):
+        # a module global read at call time: a replaced kernel is the one read
+        raw = tree_coproduct_by_cuts(t).coeff(key)
+        if raw:
+            out[t] = scale * raw / aut_order(t)
     return LinComb(out)
 
 

@@ -86,12 +86,6 @@ class LinComb:
     def coeff(self, key):
         return self.terms.get(key, 0)
 
-    def items(self):
-        return self.terms.items()
-
-    def support(self):
-        return self.terms.keys()
-
     def mass(self):
         """Sum of all coefficients (total multiplicity)."""
         return exact(sum(self.terms.values()))

@@ -6,10 +6,10 @@ denominator, and ``"3"`` is accepted on input as shorthand for ``"3/1"``.
 On input a coefficient must be a JSON string matching ``-?[0-9]+(/[0-9]+)?``
 with a nonzero denominator; JSON numbers, booleans and anything else are
 rejected with ``ValueError``, as is a basis that is not a JSON string.
-A basis key renders as ``exactlin.encoding`` gives it: a tensor key as
-``"<left> | <right>"``, and a tensor key parses back to the shared tuple of
-``tensor_key``.  The Lie-side basis renders with a ``"Z:"`` prefix on the tree
-encoding.
+A basis key renders as ``exactlin.encoding``, the default encoder, gives
+it: a tensor key as ``"<left> | <right>"``, which ``parse_tensor_key`` reads
+back, with a parser per leg, to the shared tuple of ``tensor_key``.  The
+Lie-side basis renders with a ``"Z:"`` prefix on the tree encoding.
 """
 
 from __future__ import annotations
@@ -19,11 +19,7 @@ import re
 from fractions import Fraction
 
 from .exactlin import LinComb, encoding, tensor_key
-from .trees import parse_forest, parse_tree
-
-
-def encode_key(key) -> str:
-    return encoding(key)
+from .trees import parse_tree
 
 
 def encode_z_key(key) -> str:
@@ -43,21 +39,13 @@ def parse_tensor_key(text: str, parse_left, parse_right) -> tuple:
     return tensor_key(parse_left(left), parse_right(right))
 
 
-def parse_tree_tensor(text: str) -> tuple:
-    return parse_tensor_key(text, parse_tree, parse_tree)
-
-
-def parse_forest_tensor(text: str) -> tuple:
-    return parse_tensor_key(text, parse_forest, parse_forest)
-
-
-def lincomb_to_obj(x: LinComb, encode=encode_key) -> dict:
+def lincomb_to_obj(x: LinComb, encode=encoding) -> dict:
     pairs = sorted(((encode(k), c) for k, c in x.terms.items()),
                    key=lambda kv: kv[0])
     return {"terms": [{"basis": basis, "coeff": str(coeff)} for basis, coeff in pairs]}
 
 
-def lincomb_to_json(x: LinComb, encode=encode_key) -> str:
+def lincomb_to_json(x: LinComb, encode=encoding) -> str:
     return json.dumps(lincomb_to_obj(x, encode), sort_keys=True)
 
 
@@ -82,11 +70,7 @@ def lincomb_from_obj(obj, parse_key) -> LinComb:
     return LinComb(pairs)
 
 
-def lincomb_from_json(text: str, parse_key) -> LinComb:
-    return lincomb_from_obj(json.loads(text), parse_key)
-
-
-def lincomb_to_text(x: LinComb, encode=encode_key) -> str:
+def lincomb_to_text(x: LinComb, encode=encoding) -> str:
     """Human-readable rendering, e.g. ``[[[]]] + 2*[[][]]``; zero is ``0``."""
     if not x.terms:
         return "0"

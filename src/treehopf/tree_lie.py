@@ -7,12 +7,8 @@ pre-Lie grafting is the degree-one part of the Grossman-Larson product.
 The bracket is the commutator of that operation (which itself is not
 associative).
 
-The independent oracle shares no code with the grafting kernel, since cuts
-are not grafts: the raw count of one-edge cuts of t with branch t1 and
-trunk t2 is the coefficient of t1 (x) t2 in Delta_CK(t).  That counts
-severable edges, not attachment sites; double counting isomorphisms of the
-cut pair gives ``sites * |Aut(t)| = edges * |Aut(t1)| * |Aut(t2)|``, so the
-oracle rescales each raw count accordingly.
+Its independent oracle, ``connes_kreimer.star_by_cut_counting``, counts
+one-edge cuts instead of grafts and lives beside the cut coproduct it reads.
 
 Root deletion maps the single-child-root trees of the grafting algebra onto
 this Lie algebra; root attachment is its inverse.
@@ -20,12 +16,9 @@ this Lie algebra; root attachment is its inverse.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from . import connes_kreimer as ck
 from .exactlin import LinComb, extend_bilinear
 from .grossman_larson import graft_forest
-from .trees import Forest, Tree, aut_order, enumerate_trees
+from .trees import Tree
 
 
 def star_trees(t1: Tree, t2: Tree) -> LinComb:
@@ -39,23 +32,6 @@ def star_trees(t1: Tree, t2: Tree) -> LinComb:
 def star(a: LinComb, b: LinComb) -> LinComb:
     """Single grafting, bilinear over ``star_trees``."""
     return extend_bilinear(star_trees)(a, b)
-
-
-def star_by_cut_counting(t1: Tree, t2: Tree) -> LinComb:
-    """Cut-count oracle for ``star_trees``; must equal it on every basis pair.
-
-    Each tree t with ``size(t1) + size(t2)`` vertices gets its raw count from
-    the cut coproduct, rescaled by ``|Aut(t1)| * |Aut(t2)| / |Aut(t)|``.
-    """
-    key = (Forest((t1,)), Forest((t2,)))
-    scale = Fraction(aut_order(t1) * aut_order(t2))
-    out: dict = {}
-    for t in enumerate_trees(t1.size + t2.size):
-        # looked up at call time, so a replaced kernel is the one read
-        raw = ck.tree_coproduct_by_cuts(t).coeff(key)
-        if raw:
-            out[t] = scale * raw / aut_order(t)
-    return LinComb(out)
 
 
 def bracket(a: LinComb, b: LinComb) -> LinComb:

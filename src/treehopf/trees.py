@@ -20,7 +20,6 @@ after construction and every operation is pure.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from functools import lru_cache
 from operator import attrgetter
 
@@ -217,9 +216,10 @@ def graft_many(host: Tree, placements) -> Tree:
 
     ``placements`` is an iterable of (preorder index, scion tree) pairs; all
     indices refer to the original host, so simultaneous attachments do not
-    disturb each other.  Only the vertices on the paths from the root to the
-    graft sites are rebuilt; every other subtree of the host is shared, as
-    the same object, with the result.
+    disturb each other.  A plain rebuild of every vertex, kept as the
+    reference for ``grossman_larson.graft_forest``; interning returns each
+    untouched subtree as the same object, so every subtree off the paths
+    from the root to the graft sites is shared with the result.
     """
     extra: dict[int, list[Tree]] = {}
     for vertex, scion in placements:
@@ -227,29 +227,17 @@ def graft_many(host: Tree, placements) -> Tree:
             raise IndexError(
                 f"vertex {vertex} out of range for tree of size {host.size}")
         extra.setdefault(vertex, []).append(scion)
-    sites = sorted(extra)
 
     def rebuild(node: Tree, index: int) -> Tree:
         child_index = index + 1
         kids = []
         for child in node.children:
-            # the child covers the preorder interval [child_index, end)
-            end = child_index + child.size
-            hit = bisect_left(sites, child_index)
-            if hit < len(sites) and sites[hit] < end:
-                kids.append(rebuild(child, child_index))
-            else:
-                kids.append(child)
-            child_index = end
+            kids.append(rebuild(child, child_index))
+            child_index += child.size
         kids.extend(extra.get(index, ()))
         return Tree(kids)
 
     return rebuild(host, 0)
-
-
-def graft(host: Tree, vertex: int, scion: Tree) -> Tree:
-    """Attach the scion's root as a new child of the given host vertex."""
-    return graft_many(host, [(vertex, scion)])
 
 
 def preorder_subtrees(t: Tree) -> list[Tree]:

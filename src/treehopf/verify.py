@@ -344,7 +344,7 @@ def _lie_laws(D: int) -> list:
     return [
         _law("lie.star_oracle", pairs,
              lambda a, b: (tree_lie.star_trees(a, b),
-                           tree_lie.star_by_cut_counting(a, b))),
+                           ck.star_by_cut_counting(a, b))),
         _law("lie.bracket_antisymmetry", pairs,
              lambda a, b: (bracket(term(a), term(b)), -bracket(term(b), term(a)))),
         _law("lie.jacobi", _tuples(3, D + 1), jacobi),

@@ -16,26 +16,25 @@ from treehopf import grossman_larson as gl
 from treehopf import operators as ops
 from treehopf import verify
 from treehopf.exactlin import LinComb, add_to, encoding, exact, tensor_key
-from treehopf.serialize import (encode_key, encode_z_key, lincomb_from_obj,
-                                lincomb_to_json, parse_forest_tensor,
-                                parse_tree_tensor, parse_z_key)
+from treehopf.serialize import (encode_z_key, lincomb_from_obj, lincomb_to_json,
+                                parse_tensor_key, parse_z_key)
 from treehopf.trees import (LEAF, Forest, Tree, admissible_cuts, aut_order,
-                            b_minus, enumerate_trees, graft, graft_many,
-                            parse_forest, parse_tree, preorder_subtrees)
+                            b_minus, enumerate_trees, graft_many, parse_forest,
+                            parse_tree, preorder_subtrees)
 
 KEY_PARSERS = {
     "tree": parse_tree,
     "forest": parse_forest,
-    "tensor-tree": parse_tree_tensor,
-    "tensor-forest": parse_forest_tensor,
+    "tensor-tree": lambda text: parse_tensor_key(text, parse_tree, parse_tree),
+    "tensor-forest": lambda text: parse_tensor_key(text, parse_forest, parse_forest),
     "z": parse_z_key,
 }
 
 KEY_ENCODERS = {
-    "tree": encode_key,
-    "forest": encode_key,
-    "tensor-tree": encode_key,
-    "tensor-forest": encode_key,
+    "tree": encoding,
+    "forest": encoding,
+    "tensor-tree": encoding,
+    "tensor-forest": encoding,
     "z": encode_z_key,
 }
 
@@ -43,12 +42,17 @@ KEY_ENCODERS = {
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """Run ``python *args`` in a fresh process that imports this checkout's package."""
+def child_env() -> dict:
+    """The environment of a child process that imports this checkout's package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return env
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh process that imports this checkout's package."""
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env)
+                          env=child_env())
 
 
 def is_normalised(value) -> bool:
@@ -103,13 +107,13 @@ def cut_signature(t: Tree) -> tuple:
 
 
 def graft_per_vertex_growth(t: Tree) -> dict:
-    """Leaf growth by one ``graft`` of a leaf per vertex, as an oracle.
+    """Leaf growth by one ``graft_many`` of a leaf per vertex, as an oracle.
 
     Returns ``{tree: count}``, the terms of ``trees.leaf_growth(t)``.
     """
     out: dict = {}
     for v in range(t.size):
-        add_to(out, graft(t, v, LEAF), 1)
+        add_to(out, graft_many(t, [(v, LEAF)]), 1)
     return out
 
 

@@ -271,6 +271,7 @@ def test_module_imports_are_acyclic():
                              for alias in node.names}
         graph[name] = imported
     assert {"graded_dual", "operators"} <= graph["verify"]
+    assert graph["tree_lie"] == {"exactlin", "grossman_larson", "trees"}
     assert "verify" in graph["cli"]  # imported inside a function
     try:
         order = list(graphlib.TopologicalSorter(graph).static_order())

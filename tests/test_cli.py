@@ -3,10 +3,12 @@
 import argparse
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
-from conftest import roundtrip_ok, run_python
+from conftest import child_env, roundtrip_ok, run_python
 from treehopf import cli, verify
 from treehopf import connes_kreimer as ck
 from treehopf import grossman_larson as gl
@@ -254,6 +256,20 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     assert proc.stdout == "[]\n"
 
 
+def test_closed_pipe_ends_quietly():
+    """A reader that stops after 10 bytes of a listing larger than a pipe
+    buffer (133 KB) gets no traceback, and the call keeps its exit code."""
+    proc = subprocess.Popen([sys.executable, "-m", "treehopf", "enum", "--size", "12"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=child_env())
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert stderr == b""
+
+
 def test_cross_process_determinism():
     argv = ["-m", "treehopf", "enum", "--size", "4"]
     first = run_python(*argv)
@@ -405,6 +421,7 @@ _GL = _CORE | {"treehopf.grossman_larson"}
 _OPS = _GL | {"treehopf.operators"}
 _CK = _OPS | {"treehopf.connes_kreimer"}
 _SER = {"treehopf.serialize"}
+_LIE = _GL | _SER | {"treehopf.tree_lie"}
 
 # one call per command: its exit code and the treehopf modules loaded after it
 MODULES_LOADED = [
@@ -420,8 +437,10 @@ MODULES_LOADED = [
     (["delta", "3"], 0, _CK | _SER),
     (["mop", "[[]]"], 0, _OPS | _SER),
     (["lop", "[[]]"], 0, _CK | _SER),
-    (["bracket", "[]", "[[]]"], 0, _CK | _SER | {"treehopf.tree_lie"}),
-    (["--format", "text", "phi", "[[]]"], 0, _CK | _SER | {"treehopf.tree_lie"}),
+    (["bracket", "[]", "[[]]"], 0, _LIE),
+    (["star", "[]", "[[]]"], 0, _LIE),
+    (["--format", "text", "phi", "[[]]"], 0, _LIE),
+    (["psi", "[[]]"], 0, _LIE),
     (["prod", "--algebra", "gl", "[[", "[]"], 2, _CORE),
     (["verify", "--suite", "trees", "--max-degree", "1"], 0,
      _CK | _SER | {"treehopf.tree_lie", "treehopf.graded_dual", "treehopf.verify"}),
@@ -444,3 +463,5 @@ def test_each_command_loads_only_its_modules():
         assert set(loaded) == expected, argv
         if argv[0] != "verify":
             assert not {"treehopf.verify", "treehopf.graded_dual"} & set(loaded)
+        if expected == _LIE:  # the Lie algebra needs no cut algebra
+            assert not {"treehopf.connes_kreimer", "treehopf.operators"} & set(loaded)

@@ -5,7 +5,8 @@ import pytest
 from treehopf import connes_kreimer as ck
 from treehopf.exactlin import LinComb, combine, swap_legs, tensor, tensor_key
 from treehopf.trees import (EMPTY_FOREST, LEAF, Forest, enumerate_forests,
-                            enumerate_trees, graft, parse_forest, parse_tree)
+                            enumerate_trees, graft_many, parse_forest,
+                            parse_tree)
 
 E = parse_tree("[]")
 L2 = parse_tree("[[]]")
@@ -78,9 +79,9 @@ def test_counit_axiom_small():
     for w in range(5):
         for f in enumerate_forests(w):
             cop = ck.forest_coproduct(f)
-            left = LinComb((b, c) for (a, b), c in cop.items()
+            left = LinComb((b, c) for (a, b), c in cop.terms.items()
                            if a == EMPTY_FOREST)
-            right = LinComb((a, c) for (a, b), c in cop.items()
+            right = LinComb((a, c) for (a, b), c in cop.terms.items()
                             if b == EMPTY_FOREST)
             assert left == LinComb.term(f)
             assert right == LinComb.term(f)
@@ -100,7 +101,7 @@ def test_antipode_axiom_small():
             expected = ck.UNIT if f == EMPTY_FOREST else LinComb.zero()
             cop = ck.forest_coproduct(f)
             acc = LinComb.zero()
-            for (left, right), c in cop.items():
+            for (left, right), c in cop.terms.items():
                 acc = combine(acc, ck.product(ck.forest_antipode(left),
                                               LinComb.term(right)), c)
             assert acc == expected
@@ -156,14 +157,14 @@ def test_forest_growth_cached_matches_leibniz():
                 rest = f.items[:i] + f.items[i + 1:]
                 for v in range(t.size):
                     expected = expected + LinComb.term(
-                        Forest(rest + (graft(t, v, LEAF),)))
+                        Forest(rest + (graft_many(t, [(v, LEAF)]),)))
             assert ck.forest_growth(f) == expected, f
             assert ck.forest_growth(f) is ck.forest_growth(f)
 
 
 def test_delta_homogeneous():
     for k in range(1, 7):
-        assert all(f.weight == k for f in ck.delta(k).support())
+        assert all(f.weight == k for f in ck.delta(k).terms)
 
 
 def test_add_root():

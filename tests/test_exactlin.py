@@ -1,5 +1,6 @@
 """Rational combinations, bilinear lifting, and exact elimination."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from treehopf import tree_lie
 from treehopf.exactlin import (LinComb, combine, encoding, exact, extend_bilinear,
                                extend_linear, map_left, map_right, rank,
                                solve_membership, swap_legs, tensor, tensor_key)
-from treehopf.serialize import lincomb_from_json
+from treehopf.serialize import lincomb_from_obj
 from treehopf.trees import Forest, LEAF, enumerate_trees, parse_tree
 
 E = LEAF
@@ -243,15 +244,15 @@ def test_structure_constants_stay_normalised():
             assert_normalised(gl.tree_product(t, u))
             assert_normalised(ck.product(ck.tree_monomial(t), ck.tree_monomial(u)))
             if t.size + u.size <= 6:
-                assert_normalised(tree_lie.star_by_cut_counting(t, u))
+                assert_normalised(ck.star_by_cut_counting(t, u))
     for k in range(1, 7):
         assert_normalised(ops.x_k(k))
         assert_normalised(ck.delta(k))
 
 
 def test_parsed_coefficients_are_normalised():
-    x = lincomb_from_json('{"terms": [{"basis": "[]", "coeff": "1/2"}, '
-                          '{"basis": "[[]]", "coeff": "4/2"}]}', parse_tree)
+    x = lincomb_from_obj(json.loads('{"terms": [{"basis": "[]", "coeff": "1/2"}, '
+                                    '{"basis": "[[]]", "coeff": "4/2"}]}'), parse_tree)
     assert_normalised(x)
     assert x.terms == {E: Fraction(1, 2), L2: 2}
     assert type(x.coeff(L2)) is int

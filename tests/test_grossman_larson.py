@@ -50,7 +50,7 @@ def test_product_mass_conservation():
                 for tb in enumerate_trees(nb):
                     p = gl.tree_product(ta, tb)
                     assert p.mass() == Fraction(tb.size ** ta.fertility)
-                    assert all(k.size == ta.size + tb.size - 1 for k in p.support())
+                    assert all(k.size == ta.size + tb.size - 1 for k in p.terms)
 
 
 def test_product_matches_tuple_enumeration():
@@ -135,7 +135,7 @@ def test_antipode_axiom_small():
         for t in enumerate_trees(n):
             expected = gl.UNIT if t == E else LinComb.zero()
             acc = LinComb.zero()
-            for (left, right), c in gl.tree_coproduct(t).items():
+            for (left, right), c in gl.tree_coproduct(t).terms.items():
                 acc = combine(acc, gl.product(gl.tree_antipode(left),
                                               elem(right)), c)
             assert acc == expected

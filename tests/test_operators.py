@@ -48,7 +48,7 @@ def test_xk_closed_form():
     # an oracle that takes no growth step and no product
     for k in range(8):
         xk = ops.x_k(k)
-        assert set(xk.support()) == set(enumerate_trees(k + 1))
+        assert set(xk.terms) == set(enumerate_trees(k + 1))
         for t in enumerate_trees(k + 1):
             assert xk.coeff(t) == \
                 Fraction(factorial(k + 1), tree_factorial(t) * aut_order(t)), t
@@ -56,7 +56,7 @@ def test_xk_closed_form():
 
 def test_xk_homogeneous():
     for k in range(6):
-        assert all(t.size == k + 1 for t in ops.x_k(k).support())
+        assert all(t.size == k + 1 for t in ops.x_k(k).terms)
 
 
 def test_growth_is_left_chain_multiplication():

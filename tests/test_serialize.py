@@ -1,14 +1,14 @@
 """Serialization: JSON schema, shorthand coefficients, text rendering."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from conftest import KEY_PARSERS
 from treehopf.exactlin import LinComb, tensor_key
-from treehopf.serialize import (encode_z_key, lincomb_from_json,
-                                lincomb_from_obj, lincomb_to_json,
-                                lincomb_to_obj, lincomb_to_text, parse_forest_tensor,
-                                parse_tree_tensor, parse_z_key)
+from treehopf.serialize import (encode_z_key, lincomb_from_obj, lincomb_to_json,
+                                lincomb_to_obj, lincomb_to_text, parse_z_key)
 from treehopf.trees import Forest, parse_forest, parse_tree
 
 E = parse_tree("[]")
@@ -26,7 +26,7 @@ def test_obj_terms_sorted_by_basis():
 def test_json_roundtrip_tree_basis():
     x = LinComb({L2: Fraction(-7, 2), E: 4})
     text = lincomb_to_json(x)
-    assert lincomb_from_json(text, parse_tree) == x
+    assert lincomb_from_obj(json.loads(text), parse_tree) == x
 
 
 def test_integer_shorthand_accepted():
@@ -60,17 +60,18 @@ def test_forest_and_tensor_keys():
     x = LinComb.term(tensor_key(f, Forest((E,))))
     text = lincomb_to_json(x)
     assert '"[[]] [] | []"' in text
-    assert lincomb_from_json(text, parse_forest_tensor) == x
+    assert lincomb_from_obj(json.loads(text), KEY_PARSERS["tensor-forest"]) == x
 
     y = LinComb.term(tensor_key(E, L2), 2)
-    assert lincomb_from_json(lincomb_to_json(y), parse_tree_tensor) == y
+    assert lincomb_from_obj(json.loads(lincomb_to_json(y)),
+                            KEY_PARSERS["tensor-tree"]) == y
 
 
 def test_z_keys():
     x = LinComb({E: 1, L2: -1})
     text = lincomb_to_json(x, encode_z_key)
     assert '"Z:[]"' in text and '"Z:[[]]"' in text
-    assert lincomb_from_json(text, parse_z_key) == x
+    assert lincomb_from_obj(json.loads(text), parse_z_key) == x
     with pytest.raises(ValueError):
         parse_z_key("[]")
 

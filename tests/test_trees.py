@@ -6,8 +6,8 @@ from conftest import antichain_filter_cuts, cut_signature, graft_per_vertex_grow
 from treehopf.trees import (EMPTY_FOREST, LEAF, Forest, Tree, TreeParseError,
                             admissible_cuts, aut_order, b_minus, b_plus,
                             canonicalize, count_trees_recurrence,
-                            enumerate_forests, enumerate_trees, graft,
-                            graft_many, leaf_growth, parse_forest, parse_tree,
+                            enumerate_forests, enumerate_trees, graft_many,
+                            leaf_growth, parse_forest, parse_tree,
                             preorder_subtrees)
 
 E = parse_tree("[]")
@@ -93,11 +93,11 @@ def test_b_plus_b_minus_inverse():
 
 
 def test_graft_examples():
-    assert graft(E, 0, E) == L2
-    assert graft(L2, 0, E) == CHERRY
-    assert graft(L2, 1, E) == L3
+    assert graft_many(E, [(0, E)]) == L2
+    assert graft_many(L2, [(0, E)]) == CHERRY
+    assert graft_many(L2, [(1, E)]) == L3
     with pytest.raises(IndexError):
-        graft(L2, 2, E)
+        graft_many(L2, [(2, E)])
     with pytest.raises(IndexError):
         graft_many(E, [(-1, E)])
 
