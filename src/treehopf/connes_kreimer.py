@@ -84,10 +84,8 @@ def tree_coproduct_recursive(t: Tree) -> LinComb:
     acc = LinComb.term(tensor_key(EMPTY_FOREST, EMPTY_FOREST))
     for child in t.children:
         acc = multiply_tensors(acc, tree_coproduct_recursive(child))
-    out = {tensor_key(Forest((t,)), EMPTY_FOREST): 1}
-    for (left, right), coeff in acc.terms.items():
-        add_to(out, tensor_key(left, Forest((b_plus(right),))), coeff)
-    return LinComb(out)
+    return LinComb.term(tensor_key(Forest((t,)), EMPTY_FOREST)) + acc.map_keys(
+        lambda key: tensor_key(key[0], Forest((b_plus(key[1]),))))
 
 
 def star_by_cut_counting(t1: Tree, t2: Tree) -> LinComb:
@@ -200,18 +198,19 @@ def add_root(x: LinComb) -> LinComb:
 
 
 def partitions(n: int) -> list[tuple[int, ...]]:
-    """Integer partitions of n with descending parts, largest-first order."""
-    out: list[tuple[int, ...]] = []
+    """Integer partitions of n with descending parts, largest-first order.
 
-    def descend(remaining: int, largest: int, acc: list[int]) -> None:
+    A partition is a first part, then a partition of the rest into parts no
+    larger than it.
+    """
+
+    def bounded(remaining: int, largest: int) -> list[tuple[int, ...]]:
         if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            descend(remaining - part, part, acc + [part])
+            return [()]
+        return [(part,) + rest for part in range(min(remaining, largest), 0, -1)
+                for rest in bounded(remaining - part, part)]
 
-    descend(n, n, [])
-    return out
+    return bounded(n, n)
 
 
 def delta_monomial(parts) -> LinComb:
@@ -233,11 +232,7 @@ def delta_membership(x: LinComb, weight: int):
     for f in x.terms:
         if f.weight != weight:
             raise ValueError("element is not homogeneous of the given weight")
-    parts = partitions(weight)
-    coords = solve_membership(x, [delta_monomial(p) for p in parts])
-    if coords is None:
-        return None
-    return dict(zip(parts, coords))
+    return _coordinates(x, {p: delta_monomial(p) for p in partitions(weight)})
 
 
 def delta_coproduct_membership(k: int):
@@ -249,15 +244,14 @@ def delta_coproduct_membership(k: int):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    target = coproduct(delta(k))
-    labels = []
-    generators = []
-    for left_weight in range(k + 1):
-        for p in partitions(left_weight):
-            for q in partitions(k - left_weight):
-                labels.append((p, q))
-                generators.append(tensor(delta_monomial(p), delta_monomial(q)))
-    coords = solve_membership(target, generators)
-    if coords is None:
-        return None
-    return dict(zip(labels, coords))
+    return _coordinates(coproduct(delta(k)), {
+        (p, q): tensor(delta_monomial(p), delta_monomial(q))
+        for left_weight in range(k + 1) for p in partitions(left_weight)
+        for q in partitions(k - left_weight)})
+
+
+def _coordinates(target: LinComb, generators: dict):
+    """``{label: coefficient}`` of target over ``{label: generator}``, or
+    None when target is outside their span."""
+    coords = solve_membership(target, generators.values())
+    return None if coords is None else dict(zip(generators, coords))

@@ -214,18 +214,18 @@ def swap_legs(x: LinComb) -> LinComb:
     return x.map_keys(lambda key: tensor_key(key[1], key[0]))
 
 
-def tensor_multiply(x: LinComb, y: LinComb, mult_left, mult_right) -> LinComb:
+def tensor_multiply(x: LinComb, y: LinComb, mult) -> LinComb:
     """Componentwise product of tensor combinations.
 
-    ``mult_left`` and ``mult_right`` are basis-level products returning
-    combinations; the result is the bilinear leg-by-leg product of x and y.
+    ``mult`` is one basis-level product returning combinations, applied to
+    both legs; the result is the bilinear leg-by-leg product of x and y.
     """
     out: dict = {}
     for (xl, xr), cx in x.terms.items():
         for (yl, yr), cy in y.terms.items():
             scale = cx * cy
-            left = mult_left(xl, yl)
-            right = mult_right(xr, yr)
+            left = mult(xl, yl)
+            right = mult(xr, yr)
             for kl, cl in left.terms.items():
                 for kr, cr in right.terms.items():
                     add_to(out, tensor_key(kl, kr), scale * cl * cr)

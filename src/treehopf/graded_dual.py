@@ -15,7 +15,10 @@ transposes, instead of evaluating that kernel against each coordinate:
 images transposed once per bound, and ``dual_product`` reads the
 ``tree_coproduct`` terms inverted once per bound, keyed by their tensor
 keys, which a plain ``(left, right)`` tuple looks up.
-``support_index`` is the one inversion behind all three.  The ``dual`` rows
+``support_index`` is the one inversion behind all three.  Each dual map is
+the lift, through ``extend_linear`` or ``extend_bilinear``, of the basis
+map that sends a coordinate (or a pair of coordinates) to the combination
+its index lists, so no dual map accumulates by hand.  The ``dual`` rows
 of ``verify`` read the same indexes.  The chain multiplication is read as
 ``operators.m_tree`` at call time, so a kernel rebound there is the one
 every dual-side map transposes.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactlin import LinComb, add_to
+from .exactlin import LinComb, extend_bilinear, extend_linear
 from .trees import Tree, enumerate_trees
 from . import grossman_larson as gl
 from .grossman_larson import tree_degree
@@ -78,11 +81,7 @@ def m_dual(f: LinComb) -> LinComb:
     """
     top = max((tree_degree(t) for t in f.terms), default=0)
     index = _m_tree_index(max(top - 1, 0))
-    coeffs: dict = {}
-    for t, ft in f.terms.items():
-        for a, c in index.get(t, ()):
-            add_to(coeffs, a, ft * c)
-    return LinComb(coeffs)
+    return extend_linear(lambda t: LinComb(index.get(t, ())))(f)
 
 
 @lru_cache(maxsize=None)
@@ -100,9 +99,5 @@ def dual_product(f: LinComb, g: LinComb, degree_bound: int) -> LinComb:
     so the cost is one lookup per pair of coordinates of f and g.
     """
     index = _coproduct_index(degree_bound)
-    coeffs: dict = {}
-    for left, fl in f.terms.items():
-        for right, gr in g.terms.items():
-            for t, c in index.get((left, right), ()):
-                add_to(coeffs, t, c * fl * gr)
-    return LinComb(coeffs)
+    return extend_bilinear(
+        lambda left, right: LinComb(index.get((left, right), ())))(f, g)

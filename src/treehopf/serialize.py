@@ -39,10 +39,14 @@ def parse_tensor_key(text: str, parse_left, parse_right) -> tuple:
     return tensor_key(parse_left(left), parse_right(right))
 
 
+def _sorted_terms(x: LinComb, encode) -> list:
+    """``(encoding, coefficient)`` for each term of x, sorted by encoding."""
+    return sorted((encode(k), c) for k, c in x.terms.items())
+
+
 def lincomb_to_obj(x: LinComb, encode=encoding) -> dict:
-    pairs = sorted(((encode(k), c) for k, c in x.terms.items()),
-                   key=lambda kv: kv[0])
-    return {"terms": [{"basis": basis, "coeff": str(coeff)} for basis, coeff in pairs]}
+    return {"terms": [{"basis": basis, "coeff": str(coeff)}
+                      for basis, coeff in _sorted_terms(x, encode)]}
 
 
 def lincomb_to_json(x: LinComb, encode=encoding) -> str:
@@ -74,10 +78,8 @@ def lincomb_to_text(x: LinComb, encode=encoding) -> str:
     """Human-readable rendering, e.g. ``[[[]]] + 2*[[][]]``; zero is ``0``."""
     if not x.terms:
         return "0"
-    pairs = sorted(((encode(k), c) for k, c in x.terms.items()),
-                   key=lambda kv: kv[0])
     pieces = []
-    for basis, coeff in pairs:
+    for basis, coeff in _sorted_terms(x, encode):
         magnitude = -coeff if coeff < 0 else coeff
         body = basis if magnitude == 1 else f"{magnitude}*{basis}"
         if not pieces:

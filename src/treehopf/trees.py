@@ -324,25 +324,20 @@ def enumerate_trees(n: int) -> tuple[Tree, ...]:
 
 @lru_cache(maxsize=None)
 def enumerate_forests(weight: int) -> tuple[Forest, ...]:
-    """All canonical forests with the given total vertex count, sorted."""
+    """All canonical forests with the given total vertex count, sorted.
+
+    By the recurrence on the last tree: a forest of weight w is its last
+    tree t, in canonical order, added to a forest of weight w - |t| whose
+    trees all sort no later than t, so each forest is built exactly once.
+    """
     if weight < 0:
         raise ValueError("forest weight must be >= 0")
     if weight == 0:
         return (EMPTY_FOREST,)
-    pool = [t for k in range(1, weight + 1) for t in enumerate_trees(k)]
-    found = []
-
-    def extend(remaining: int, start: int, acc: list[Tree]) -> None:
-        if remaining == 0:
-            found.append(Forest(acc))
-            return
-        for i in range(start, len(pool)):
-            tree = pool[i]
-            if tree.size > remaining:
-                break  # the pool is sorted by size
-            extend(remaining - tree.size, i, acc + [tree])
-
-    extend(weight, 0, [])
+    found = [_forest(f.items + (t,))
+             for k in range(1, weight + 1) for t in enumerate_trees(k)
+             for f in enumerate_forests(weight - k)
+             if not f.items or f.items[-1].encoding <= t.encoding]
     return tuple(sorted(found, key=_by_encoding))
 
 

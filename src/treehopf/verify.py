@@ -307,7 +307,7 @@ def _gl_laws(D: int) -> list:
                                for k in product(a, b).terms), True)),
         _law("gl.coproduct_multiplicative", pairs,
              lambda a, b: (gl.coproduct(product(a, b)),
-                           tensor_multiply(cop(a), cop(b), product, product))),
+                           tensor_multiply(cop(a), cop(b), product))),
         _law("gl.associativity", _tuples(3, D + 3),
              lambda a, b, c: (gl.product(product(a, b), term(c)),
                               gl.product(term(a), product(b, c)))),

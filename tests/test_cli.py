@@ -31,8 +31,8 @@ def test_enum_count_only():
 
 
 def test_enum_count_only_uses_recurrence():
-    # A000081(30); enumerating these trees would not finish, and
-    # --count-only has no ceiling
+    # A000081(30); enumerating these trees would not finish, but
+    # --count-only has its own, far higher ceiling
     assert ok(["enum", "--size", "30", "--count-only"]) == "354426847597"
     for n in range(1, 10):
         assert ok(["enum", "--size", str(n), "--count-only"]) == \
@@ -184,17 +184,19 @@ ABOVE_CEILINGS = [
     (["enum", "--size", "16"], "enum --size=16", 15),
     (["verify", "--suite", "trees", "--max-degree", "11"],
      "verify --max-degree=11", 10),
+    (["enum", "--size", "501", "--count-only"], "enum --count-only --size=501", 500),
 ]
 
 
 @pytest.mark.parametrize("argv, named, limit", ABOVE_CEILINGS,
-                         ids=[argv[0] for argv, _, _ in ABOVE_CEILINGS])
+                         ids=[named.rsplit(" ", 1)[0].replace(" --", "-")
+                              for _, named, _ in ABOVE_CEILINGS])
 def test_work_above_a_ceiling_is_refused(argv, named, limit, monkeypatch):
     def never(*args):
         raise AssertionError("a refused call must not start its work")
 
-    for module, attr in [(cli, "enumerate_trees"), (verify, "run_suite"),
-                         (ops, "x_k"), (ck, "delta")]:
+    for module, attr in [(cli, "enumerate_trees"), (cli, "count_trees_recurrence"),
+                         (verify, "run_suite"), (ops, "x_k"), (ck, "delta")]:
         monkeypatch.setattr(module, attr, never)
     result = run(argv)
     assert result.exit_code == 2

@@ -148,8 +148,7 @@ def test_coproduct_multiplicative_small():
             for ta in enumerate_trees(na):
                 for tb in enumerate_trees(nb):
                     assert gl.coproduct(gl.tree_product(ta, tb)) == tensor_multiply(
-                        gl.tree_coproduct(ta), gl.tree_coproduct(tb),
-                        gl.tree_product, gl.tree_product)
+                        gl.tree_coproduct(ta), gl.tree_coproduct(tb), gl.tree_product)
 
 
 def test_primitive_basis():

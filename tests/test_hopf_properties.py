@@ -1,7 +1,9 @@
 """Property tests for the Hopf laws of both algebras on random rational
-combinations, and for the JSON round trip of every key family."""
+combinations, and for the JSON and text round trips of every key family."""
 
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +11,7 @@ from conftest import KEY_ENCODERS, KEY_PARSERS
 from treehopf import connes_kreimer as ck
 from treehopf import grossman_larson as gl
 from treehopf.exactlin import LinComb, tensor_key, tensor_multiply
-from treehopf.serialize import lincomb_from_obj, lincomb_to_json
+from treehopf.serialize import lincomb_from_obj, lincomb_to_json, lincomb_to_text
 from treehopf.trees import enumerate_forests, enumerate_trees
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -41,7 +43,7 @@ def test_coproduct_of_product_is_product_of_coproducts(name, data):
     basis, basis_product, product, coproduct, *_ = ALGEBRAS[name]
     x, y = (data.draw(combinations(st.sampled_from(basis))) for _ in range(2))
     assert coproduct(product(x, y)) == \
-        tensor_multiply(coproduct(x), coproduct(y), basis_product, basis_product)
+        tensor_multiply(coproduct(x), coproduct(y), basis_product)
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
@@ -78,3 +80,34 @@ def test_json_roundtrip(family, data):
     x = data.draw(combinations(KEYS[family], max_size=6))
     text = lincomb_to_json(x, KEY_ENCODERS[family])
     assert lincomb_from_obj(json.loads(text), KEY_PARSERS[family]) == x
+
+
+def text_terms(text):
+    """``(basis, coefficient)`` pairs read back from ``lincomb_to_text``.
+
+    Terms are joined by ``" + "`` or ``" - "``; the first may carry a
+    leading ``-``, and each an optional ``c*`` before its basis.
+    """
+    if text == "0":
+        return []
+    pieces = re.split(r" ([+-]) ", text)
+    signs = ["-" if pieces[0].startswith("-") else "+"] + pieces[1::2]
+    bodies = [pieces[0].removeprefix("-")] + pieces[2::2]
+    terms = []
+    for sign, body in zip(signs, bodies):
+        coeff, star, basis = body.rpartition("*")
+        magnitude = Fraction(coeff) if star else 1
+        terms.append((basis, -magnitude if sign == "-" else magnitude))
+    return terms
+
+
+@pytest.mark.parametrize("family", KEY_PARSERS)
+@hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+@hypothesis.given(data=st.data())
+def test_text_roundtrip(family, data):
+    x = data.draw(combinations(KEYS[family], max_size=6))
+    encode = KEY_ENCODERS[family]
+    terms = text_terms(lincomb_to_text(x, encode))
+    assert LinComb((KEY_PARSERS[family](basis), c) for basis, c in terms) == x
+    assert [basis for basis, _ in terms] == sorted(basis for basis, _ in terms)
+    assert lincomb_to_text(LinComb.zero(), encode) == "0"

