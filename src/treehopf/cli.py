@@ -28,13 +28,17 @@ A command whose work grows steeply with one integer argument refuses a
 value above its row in ``_CEILINGS`` with one ``error:`` line and exit 2,
 before any kernel module is imported, rather than run for minutes.  ``enum
 --count-only`` has a row of its own: it counts by a recurrence that is
-cubic in ``--size``, so its ceiling is far above the listing's.
+cubic in ``--size``, so its ceiling is far above the listing's.  A command
+whose work grows with the shape of its input (the root fertility, the
+admissible cuts, the placements of a product's scions) has a row too,
+measured on the parsed input by ``_SHAPES``, again before any kernel module
+is imported.
 
 Each call imports only the modules its command runs: ``serialize`` when an
-``@file`` is read or a combination rendered, and ``verify`` (which loads
-every module) only for ``verify``.  A one-shot call that is not cached as
-bytecode compiles every module it imports, so this keeps a call's start-up
-cost to its own command.
+``@file`` is read or a combination rendered, and ``verify`` only for
+``verify``, which imports the kernels of the suites it runs and nothing
+more.  A one-shot call that is not cached as bytecode compiles every module
+it imports, so this keeps a call's start-up cost to its own command.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ import os
 import sys
 from collections import namedtuple
 from importlib import import_module
+from itertools import groupby
+from math import comb
+from operator import attrgetter
 
 from .exactlin import LinComb
 from .trees import (count_trees_recurrence, enumerate_trees, parse_forest,
@@ -122,29 +129,94 @@ _COMMANDS = {
 }
 
 
-# command: (argument, largest accepted value, how the work grows), from
-# measured growth: ``xk 14`` takes 3.3 s and prints 5.6 MB (``xk 15``:
-# 9.7 s), ``delta 14`` 1.5 s, a listing ``enum --size 15`` 1.9 s and
-# 3.0 MB, ``verify --suite all --max-degree 10`` 86 s and 893 MB, and
-# ``enum --size 500 --count-only`` 0.85 s (``--size 600``: 2.3 s).
+def _cuts(items) -> int:
+    """Admissible cuts of the tree grown over ``items``, by the recurrence
+    on its children: each is severed, kept or cut in one of its own ways,
+    and keeping all of them is no cut.  No cut is enumerated."""
+    count = 1
+    for child in items:
+        count *= _cuts(child.children) + 2
+    return count - 1
+
+
+def _placements(tree, host_size: int) -> int:
+    """Distinct ways to attach the root subtrees of ``tree`` to ``host_size``
+    vertices: a run of m equal subtrees lands as a multiset."""
+    count = 1
+    for _, run in groupby(tree.children):
+        m = sum(1 for _ in run)
+        count *= comb(host_size + m - 1, m)
+    return count
+
+
+def _widest(measure, x: LinComb) -> int:
+    """The largest measure over the terms of x."""
+    return max(map(measure, x.terms), default=0)
+
+
+def _root_fertility(x: LinComb) -> int:
+    return _widest(attrgetter("fertility"), x)
+
+
+def _forest_cuts(x: LinComb) -> int:
+    # a forest's cuts are those of the tree grown over it, less the one
+    # that severs every tree, so a one-tree forest has its tree's cuts
+    return _widest(lambda f: _cuts(f.items) - 1, x)
+
+
+def _product_placements(a: LinComb, b: LinComb) -> int:
+    host_size = _widest(attrgetter("size"), b)
+    return _widest(lambda t: _placements(t, host_size), a)
+
+
+# row: (argument or measure, largest accepted value, how the work grows).
+# An argument row is a command, from measured growth: ``xk 14`` takes 3.3 s
+# and prints 5.6 MB (``xk 15``: 9.7 s), ``delta 14`` 1.5 s, a listing
+# ``enum --size 15`` 1.9 s and 3.0 MB, ``verify --suite all --max-degree
+# 10`` 86 s and 893 MB, and ``enum --size 500 --count-only`` 0.85 s
+# (``--size 600``: 2.3 s).
+# A shape row is a command and its ``--algebra``, measured by ``_SHAPES``
+# on the parsed inputs, from measured times on corollas: ``coprod
+# --algebra gl`` on 18 leaves 2.0 s (19 leaves: 4.1 s), ``antipode
+# --algebra gl`` on 12 leaves 0.8 s (13: 1.7 s), and ``coprod`` and
+# ``antipode --algebra hr`` on 16 leaves, 65535 cuts, 1.2 and 0.9 s (17:
+# 2.3 s); a complete binary tree of 15 vertices has 675 cuts, so the size
+# is the wrong measure.  Grafting a 9-leaf corolla onto a 12-vertex chain
+# has 167960 placements and takes 3.7 s, an 8-leaf one 75582 and 1.9 s; the
+# root fertility alone would pass a 12-leaf corolla on that chain, 30 s
+# and 112 MB of output.
 _STEEP = "about 3x per step"
 _CEILINGS = {"xk": ("k", 14, _STEEP), "delta": ("k", 15, _STEEP),
              "enum": ("--size", 15, _STEEP),
              "enum --count-only": ("--size", 500, "with the cube of the size"),
-             "verify": ("--max-degree", 10, _STEEP)}
+             "verify": ("--max-degree", 10, _STEEP),
+             "coprod --algebra gl": ("fertility", 18, "2x per step"),
+             "antipode --algebra gl": ("fertility", 12, _STEEP),
+             "prod --algebra gl": ("placements", 100_000, "with their number"),
+             "coprod --algebra hr": ("cuts", 65535, "with their number"),
+             "antipode --algebra hr": ("cuts", 65535, "with their number")}
+_SHAPES = {"coprod --algebra gl": _root_fertility,
+           "antipode --algebra gl": _root_fertility,
+           "prod --algebra gl": _product_placements,
+           "coprod --algebra hr": _forest_cuts,
+           "antipode --algebra hr": _forest_cuts}
 
 
-def _check_ceiling(args) -> None:
-    """Raise ``ValueError`` when the call's argument is above its ceiling."""
-    row = args.command + (" --count-only" if getattr(args, "count_only", False)
-                          else "")
-    if row not in _CEILINGS:
-        return
+def _check_ceiling(row: str, value: int) -> None:
+    """Raise ``ValueError`` when the row's value is above its ceiling."""
     name, limit, growth = _CEILINGS[row]
-    value = getattr(args, name.lstrip("-").replace("-", "_"))
     if value > limit:
         raise ValueError(f"{row} {name}={value} is above its ceiling "
                          f"of {limit}: the work grows {growth}")
+
+
+def _check_argument(args) -> None:
+    """Check the call's integer argument, where its command has a ceiling."""
+    row = args.command + (" --count-only" if getattr(args, "count_only", False)
+                          else "")
+    if row in _CEILINGS:
+        name = _CEILINGS[row][0]
+        _check_ceiling(row, getattr(args, name.lstrip("-").replace("-", "_")))
 
 
 def _build_parser() -> _Parser:
@@ -209,6 +281,9 @@ def _compute(args) -> CommandResult:
     inputs = [getattr(args, param) for param in params.split()]
     if family is not int:
         inputs = [_load_element(arg, family) for arg in inputs]
+        row = f"{args.command} --algebra {family}"
+        if row in _SHAPES:
+            _check_ceiling(row, _SHAPES[row](*inputs))
     result = getattr(import_module(f".{module}", __package__), attr)(*inputs)
     if encode is None:
         return CommandResult(str(result), 0)
@@ -236,7 +311,7 @@ def run(argv) -> CommandResult:
         code = exc.code if isinstance(exc.code, int) else 0
         return CommandResult("", code)
     try:
-        _check_ceiling(args)
+        _check_argument(args)
         return _HANDLERS.get(args.command, _compute)(args)
     except (ValueError, IndexError, OSError) as exc:
         return CommandResult(f"error: {exc}", 2)

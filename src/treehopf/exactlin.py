@@ -143,7 +143,7 @@ def extend_linear(f):
         out: dict = {}
         for key, c in x.terms.items():
             for image_key, image_c in f(key).terms.items():
-                add_to(out, image_key, c * image_c)
+                out[image_key] = out.get(image_key, 0) + c * image_c
         return LinComb(out)
 
     return lifted
@@ -158,7 +158,7 @@ def extend_bilinear(f):
             for kb, cb in b.terms.items():
                 scale = ca * cb
                 for image_key, image_c in f(ka, kb).terms.items():
-                    add_to(out, image_key, scale * image_c)
+                    out[image_key] = out.get(image_key, 0) + scale * image_c
         return LinComb(out)
 
     return lifted

@@ -29,14 +29,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exactlin import LinComb, extend_bilinear, extend_linear
-from .trees import Tree, enumerate_trees
+from .trees import enumerate_trees, trees_up_to_degree
 from . import grossman_larson as gl
 from .grossman_larson import tree_degree
 from . import operators as ops
-
-
-def trees_up_to_degree(bound: int) -> list[Tree]:
-    return [t for d in range(bound + 1) for t in enumerate_trees(d + 1)]
 
 
 def support_index(images) -> dict:

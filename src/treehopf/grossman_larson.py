@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb, prod
+from math import comb
 
 from .exactlin import (LinComb, add_to, extend_bilinear, extend_linear, rank,
                        tensor, tensor_key)
-from .trees import LEAF, Tree, enumerate_trees
+from .trees import LEAF, Tree, _tree, enumerate_trees, with_child
 
 UNIT = LinComb.term(LEAF)
 
@@ -60,24 +60,24 @@ def graft_forest(scions: tuple, host: Tree) -> LinComb:
         return LinComb.term(host)
     if host.size == 1:
         return LinComb.term(Tree(scions))
-    first, rest = host.children[0], Tree(host.children[1:])
+    first, rest = host.children[0], _tree(host.children[1:])
     runs = [(scion, len(list(group)))
             for scion, group in itertools.groupby(scions)]
     out: dict = {}
     for taken in itertools.product(*(range(n + 1) for _, n in runs)):
-        weight = prod(comb(n, k) for (_, n), k in zip(runs, taken))
-        kept = [n - k for (_, n), k in zip(runs, taken)]
-        down = graft_forest(_repeat(runs, taken), first)
-        up = graft_forest(_repeat(runs, kept), rest)
-        for grown, c in down.terms.items():
-            for base, d in up.terms.items():
-                add_to(out, Tree(base.children + (grown,)), weight * c * d)
+        # the split's weight and its scions for c1 and for the rest, in order
+        weight, down, up = 1, (), ()
+        for (scion, n), k in zip(runs, taken):
+            weight *= comb(n, k)
+            down += (scion,) * k
+            up += (scion,) * (n - k)
+        grown_terms = graft_forest(down, first).terms.items()
+        for base, d in graft_forest(up, rest).terms.items():
+            kids, scale = base.children, weight * d
+            for grown, c in grown_terms:
+                tree = with_child(kids, grown)
+                out[tree] = out.get(tree, 0) + scale * c
     return LinComb(out)
-
-
-def _repeat(runs, counts) -> tuple:
-    """``counts[i]`` copies of the i-th run's scion, in canonical order."""
-    return tuple(scion for (scion, _), k in zip(runs, counts) for _ in range(k))
 
 
 def tree_product(t1: Tree, t2: Tree) -> LinComb:

@@ -10,7 +10,9 @@ Trees and forests are hash-consed: the constructor returns the one object
 already built for that canonical shape, so two trees are isomorphic exactly
 when they are the same object, and ``==`` and ``hash`` are plain identity.
 Objects made by bypassing the constructor (such as ``object.__new__(Tree)``)
-are not supported.
+are not supported.  The constructor sorts its children and then looks the
+sorted tuple up; ``with_child`` adds one child to a tuple that is already
+sorted by inserting it in place, and looks up the same table.
 
 Vertices are addressed by preorder index on the canonical form: the root is
 0 and children are visited in canonical order.  All values are immutable
@@ -20,6 +22,7 @@ after construction and every operation is pure.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from functools import lru_cache
 from operator import attrgetter
 
@@ -46,15 +49,7 @@ class Tree:
     __slots__ = ("children", "encoding", "size")
 
     def __new__(cls, children=()):
-        kids = tuple(sorted(children, key=_by_encoding))
-        tree = _trees.get(kids)
-        if tree is None:
-            tree = object.__new__(cls)
-            tree.children = kids
-            tree.encoding = "[" + "".join(c.encoding for c in kids) + "]"
-            tree.size = 1 + sum(c.size for c in kids)
-            _trees[kids] = tree
-        return tree
+        return _tree(tuple(sorted(children, key=_by_encoding)))
 
     def __init__(self, children=()):
         """Nothing to do: ``__new__`` returns a finished, shared tree."""
@@ -115,6 +110,28 @@ class Forest:
 # are never cleared, so a shape keeps its object for the whole process.
 _trees: dict[tuple, Tree] = {}
 _forests: dict[tuple, Forest] = {}
+
+
+def _tree(kids: tuple) -> Tree:
+    """The interned tree of an already sorted child tuple."""
+    tree = _trees.get(kids)
+    if tree is None:
+        tree = object.__new__(Tree)
+        tree.children = kids
+        tree.encoding = "[" + "".join(c.encoding for c in kids) + "]"
+        tree.size = 1 + sum(c.size for c in kids)
+        _trees[kids] = tree
+    return tree
+
+
+def with_child(kids: tuple, child: Tree) -> Tree:
+    """The tree ``Tree(kids + (child,))``, for an already canonical ``kids``.
+
+    Inserts the child in place, after every child that sorts no later, so
+    nothing is re-sorted; the result is the same interned object.
+    """
+    i = bisect_right(kids, child.encoding, key=_by_encoding)
+    return _tree(kids[:i] + (child,) + kids[i:])
 
 
 def _forest(items: tuple) -> Forest:
@@ -299,13 +316,13 @@ def leaf_growth(t: Tree) -> LinComb:
     mutated.
     """
     kids = t.children
-    out = {Tree(kids + (LEAF,)): 1}
+    out = {with_child(kids, LEAF): 1}
     start = 0
     for child, group in itertools.groupby(kids):
         m = len(list(group))
         others = kids[:start] + kids[start + 1:]
         for grown, k in leaf_growth(child).terms.items():
-            tree = Tree(others + (grown,))
+            tree = with_child(others, grown)
             out[tree] = out.get(tree, 0) + m * k
         start += m
     return LinComb(out)
@@ -320,6 +337,11 @@ def enumerate_trees(n: int) -> tuple[Tree, ...]:
         return (LEAF,)
     return tuple(sorted((b_plus(f) for f in enumerate_forests(n - 1)),
                         key=_by_encoding))
+
+
+def trees_up_to_degree(bound: int) -> list[Tree]:
+    """Each tree of degree (size - 1) at most ``bound``, by size, then encoding."""
+    return [t for d in range(bound + 1) for t in enumerate_trees(d + 1)]
 
 
 @lru_cache(maxsize=None)

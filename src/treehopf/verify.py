@@ -25,6 +25,10 @@ size 8.
 The rows are built afresh on each ``run_suite`` call and reach the kernels
 through module attributes or globals, so a kernel rebound at run time (a
 deliberately broken one in a test, or a tracer's wrapper) is the one checked.
+At module level this module imports only the standard library, ``exactlin``
+and ``trees``: each suite's function (and ``hochschild_cases``) imports the
+kernel modules it reads, and ``_render`` imports ``serialize`` only for a
+violation, so a suite compiles no module it does not run.
 To add a law, append ``_law("gl.name", _trees(D + 1), lambda t: (lhs, rhs))``,
 or a generator row, to its suite's list; then re-pin the per-law counts in
 ``tests/test_verify.py`` and the report digests in ``tests/test_acceptance.py``.
@@ -36,18 +40,12 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from . import connes_kreimer as ck
-from . import graded_dual as gd
-from . import grossman_larson as gl
-from . import operators as ops
-from . import tree_lie
 from .exactlin import (LinComb, add_to, extend_linear, map_left, map_right, rank,
                        swap_legs, tensor, tensor_multiply)
-from .serialize import lincomb_to_text
 from .trees import (EMPTY_FOREST, LEAF, Forest, Tree, admissible_cuts, aut_order,
                     b_minus, b_plus, canonicalize, count_trees_recurrence,
                     enumerate_forests, enumerate_trees, leaf_growth, parse_tree,
-                    preorder_subtrees)
+                    preorder_subtrees, trees_up_to_degree)
 
 CHERRY = Tree((LEAF, LEAF))
 
@@ -56,6 +54,7 @@ def _render(value) -> str:
     """A side as text: a combination by its terms, a basis element by its
     encoding, a tuple element by element."""
     if isinstance(value, LinComb):
+        from .serialize import lincomb_to_text
         return lincomb_to_text(value)
     if isinstance(value, tuple):
         return "(" + ", ".join(map(_render, value)) + ")"
@@ -118,7 +117,7 @@ def _each(values) -> list:
 
 def _trees(n: int) -> list:
     """Each tree of size at most n, by size, then encoding."""
-    return _each(gd.trees_up_to_degree(n - 1))
+    return _each(trees_up_to_degree(n - 1))
 
 
 def _forests(w: int) -> list:
@@ -128,6 +127,7 @@ def _forests(w: int) -> list:
 
 def _primitives(n: int) -> list:
     """The primitive basis trees of degree 1 to n, by degree."""
+    from . import grossman_larson as gl
     return [p for d in range(1, n + 1) for p in gl.primitive_basis(d)]
 
 
@@ -238,6 +238,7 @@ def _trees_laws(D: int) -> list:
 # the forest Hopf algebra
 
 def _hr_laws(D: int) -> list:
+    from . import connes_kreimer as ck
     forests = _forests(D + 1)
     pairs = _tuples(2, D + 1, enumerate_forests, 0)
     ks = _each(range(1, max(2, D - 1) + 1))
@@ -282,6 +283,7 @@ def _hr_laws(D: int) -> list:
 # the grafting Hopf algebra
 
 def _gl_laws(D: int) -> list:
+    from . import grossman_larson as gl
     singles = _trees(D + 2)
     # the left factor stops at size D + 1, the total at D + 3
     pairs = [p for p in _tuples(2, D + 3) if p[0].size <= D + 1]
@@ -326,6 +328,9 @@ def _gl_laws(D: int) -> list:
 # the tree Lie algebra
 
 def _lie_laws(D: int) -> list:
+    from . import connes_kreimer as ck
+    from . import grossman_larson as gl
+    from . import tree_lie
     pairs = _tuples(2, D + 1)
     primitive = _primitives(D - 1)
     primitive_pairs = [(p, q) for p in primitive for q in primitive
@@ -366,6 +371,8 @@ def _lie_laws(D: int) -> list:
 # growth and chain-multiplication operators
 
 def _operators_laws(D: int) -> list:
+    from . import grossman_larson as gl
+    from . import operators as ops
     basis = _trees(D + 1)
     pairs = _tuples(2, D + 1)
     orders = _each(range(D + 2))
@@ -449,10 +456,12 @@ def hochschild_cases(degree_bound: int, m_tree_func=None):
     for the multiplication operator, to confirm that the check fails on a
     perturbed one.
     """
+    from . import graded_dual as gd
+    from . import operators as ops
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
     action = m_tree_func or ops.m_tree
-    arguments = gd.trees_up_to_degree(degree_bound - 1)
+    arguments = trees_up_to_degree(degree_bound - 1)
     position = {p: i for i, p in enumerate(
         (a, b) for a in arguments for b in arguments
         if a.size + b.size <= degree_bound + 1)}
@@ -460,7 +469,7 @@ def hochschild_cases(degree_bound: int, m_tree_func=None):
     # action depends on its argument alone: one evaluation per tree
     transposed = gd.support_index((b, action(b)) for b in arguments)
     products = gd.product_index(degree_bound)
-    for t in gd.trees_up_to_degree(degree_bound):
+    for t in trees_up_to_degree(degree_bound):
         lhs: dict = {}
         rhs: dict = {}
         for a, v in transposed.get(t, ()):
@@ -476,10 +485,13 @@ def hochschild_cases(degree_bound: int, m_tree_func=None):
 
 
 def _dual_laws(D: int) -> list:
-    basis = gd.trees_up_to_degree(D)
+    from . import connes_kreimer as ck
+    from . import graded_dual as gd
+    from . import operators as ops
+    basis = trees_up_to_degree(D)
     pairs = [(a, b) for a in basis for b in basis if a.size + b.size <= D + 2]
     bound = min(D, 4)
-    small = gd.trees_up_to_degree(bound)
+    small = trees_up_to_degree(bound)
 
     def transpose_coherence():
         # the images of the chain multiplication, transposed once:

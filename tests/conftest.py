@@ -20,7 +20,7 @@ from treehopf.serialize import (encode_z_key, lincomb_from_obj, lincomb_to_json,
                                 parse_tensor_key, parse_z_key)
 from treehopf.trees import (LEAF, Forest, Tree, admissible_cuts, aut_order,
                             b_minus, enumerate_trees, graft_many, parse_forest,
-                            parse_tree, preorder_subtrees)
+                            parse_tree, preorder_subtrees, trees_up_to_degree)
 
 KEY_PARSERS = {
     "tree": parse_tree,
@@ -287,24 +287,24 @@ def dense_m_dual(f: LinComb) -> LinComb:
     """The transpose of the chain multiplication by one ``pair`` per tree."""
     top = max((gd.tree_degree(t) for t in f.terms), default=0)
     return LinComb((a, pair(f, ops.m_tree(a)))
-                   for a in gd.trees_up_to_degree(max(top - 1, 0)))
+                   for a in trees_up_to_degree(max(top - 1, 0)))
 
 
 def dense_dual_product(f: LinComb, g: LinComb, degree_bound: int) -> LinComb:
     """The convolution product over every tree's coproduct, as an oracle."""
     return LinComb((t, sum(c * f.coeff(left) * g.coeff(right)
                            for (left, right), c in gl.tree_coproduct(t).terms.items()))
-                   for t in gd.trees_up_to_degree(degree_bound))
+                   for t in trees_up_to_degree(degree_bound))
 
 
 def dense_hochschild_cases(degree_bound: int, m_tree_func=None):
     """Every case of the transpose cocycle, each computed, as an oracle."""
     action = m_tree_func or ops.m_tree
-    arguments = gd.trees_up_to_degree(degree_bound - 1)
+    arguments = trees_up_to_degree(degree_bound - 1)
     images = {b: action(b) for b in arguments}
     argument_pairs = [(a, b) for a in arguments for b in arguments
                       if a.size + b.size <= degree_bound + 1]
-    for t in gd.trees_up_to_degree(degree_bound):
+    for t in trees_up_to_degree(degree_bound):
         f = LinComb.term(t)
         transpose = {a: pair(f, images[a]) for a in arguments}
         cop_by_left: dict = {}
@@ -322,7 +322,7 @@ def dense_hochschild_cases(degree_bound: int, m_tree_func=None):
 
 def dense_transpose_coherence(D: int):
     """``dual.transpose_coherence`` with every (t, x) case computed."""
-    basis = gd.trees_up_to_degree(D)
+    basis = trees_up_to_degree(D)
     images = [(x, LinComb.term(x), ops.m_apply(LinComb.term(x))) for x in basis]
     for t in basis:
         f = LinComb.term(t)
@@ -333,7 +333,7 @@ def dense_transpose_coherence(D: int):
 
 def dense_product_pairing(D: int):
     """``dual.product_pairing`` with every (t, a, b) case computed."""
-    basis = gd.trees_up_to_degree(D)
+    basis = trees_up_to_degree(D)
     legs = [(a, b, (b_minus(a), Forest((b,))), aut_order(a) * aut_order(b))
             for a in basis for b in basis if a.size + b.size <= D + 2]
     for t in basis:

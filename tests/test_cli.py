@@ -16,7 +16,8 @@ from treehopf import operators as ops
 from treehopf import tree_lie
 from treehopf.cli import _build_parser, run
 from treehopf.exactlin import LinComb
-from treehopf.trees import enumerate_forests, enumerate_trees, parse_forest, parse_tree
+from treehopf.trees import (admissible_cuts, enumerate_forests, enumerate_trees,
+                            parse_forest, parse_tree)
 
 
 def ok(argv):
@@ -185,23 +186,49 @@ ABOVE_CEILINGS = [
     (["verify", "--suite", "trees", "--max-degree", "11"],
      "verify --max-degree=11", 10),
     (["enum", "--size", "501", "--count-only"], "enum --count-only --size=501", 500),
+    # the input's shape: root fertility, placements of the left factor's
+    # root subtrees (two distinct ones on 316 vertices give 99856), and cuts
+    (["coprod", "--algebra", "gl", "[" + "[]" * 19 + "]"],
+     "coprod --algebra gl fertility=19", 18),
+    (["antipode", "--algebra", "gl", "[" + "[]" * 13 + "]"],
+     "antipode --algebra gl fertility=13", 12),
+    (["prod", "--algebra", "gl", "[[][[]]]", "[" + "[]" * 316 + "]"],
+     "prod --algebra gl placements=100489", 100000),
+    # a chain over a 16-leaf corolla: (2 ** 16 - 1) + 2 - 1 cuts
+    (["coprod", "--algebra", "hr", "[[" + "[]" * 16 + "]]"],
+     "coprod --algebra hr cuts=65536", 65535),
+    (["antipode", "--algebra", "hr", "[[" + "[]" * 16 + "]]"],
+     "antipode --algebra hr cuts=65536", 65535),
 ]
 
 
 @pytest.mark.parametrize("argv, named, limit", ABOVE_CEILINGS,
                          ids=[named.rsplit(" ", 1)[0].replace(" --", "-")
-                              for _, named, _ in ABOVE_CEILINGS])
+                              .replace(" ", "-") for _, named, _ in ABOVE_CEILINGS])
 def test_work_above_a_ceiling_is_refused(argv, named, limit, monkeypatch):
     def never(*args):
         raise AssertionError("a refused call must not start its work")
 
     for module, attr in [(cli, "enumerate_trees"), (cli, "count_trees_recurrence"),
-                         (verify, "run_suite"), (ops, "x_k"), (ck, "delta")]:
+                         (verify, "run_suite"), (ops, "x_k"), (ck, "delta"),
+                         (gl, "coproduct"), (gl, "antipode"), (gl, "product"),
+                         (ck, "coproduct"), (ck, "antipode")]:
         monkeypatch.setattr(module, attr, never)
     result = run(argv)
     assert result.exit_code == 2
     assert result.payload.startswith(f"error: {named} is above its ceiling of {limit}")
     assert "\n" not in result.payload
+
+
+def test_shape_measures_count_without_enumerating():
+    # the cut recurrence is exact, and the placements bound every product
+    for t in (t for n in range(1, 9) for t in enumerate_trees(n)):
+        assert cli._cuts(t.children) == len(admissible_cuts(t)), t
+    for a in (t for n in range(1, 6) for t in enumerate_trees(n)):
+        for b in (t for n in range(1, 5) for t in enumerate_trees(n)):
+            assert cli._placements(a, b.size) >= len(gl.tree_product(a, b).terms)
+    forests = LinComb.term(parse_forest("[[]] [[][]]")) + LinComb.term(parse_forest("1"))
+    assert cli._forest_cuts(forests) == 3 * 5 - 2
 
 
 @pytest.mark.parametrize("command", ["coprod", "grow"])
@@ -424,6 +451,7 @@ _OPS = _GL | {"treehopf.operators"}
 _CK = _OPS | {"treehopf.connes_kreimer"}
 _SER = {"treehopf.serialize"}
 _LIE = _GL | _SER | {"treehopf.tree_lie"}
+_VERIFY = _CORE | {"treehopf.verify"}
 
 # one call per command: its exit code and the treehopf modules loaded after it
 MODULES_LOADED = [
@@ -444,8 +472,13 @@ MODULES_LOADED = [
     (["--format", "text", "phi", "[[]]"], 0, _LIE),
     (["psi", "[[]]"], 0, _LIE),
     (["prod", "--algebra", "gl", "[[", "[]"], 2, _CORE),
-    (["verify", "--suite", "trees", "--max-degree", "1"], 0,
-     _CK | _SER | {"treehopf.tree_lie", "treehopf.graded_dual", "treehopf.verify"}),
+    # a suite loads the kernels its laws read, and a clean report no serialize
+    *[(["verify", "--suite", suite, "--max-degree", "1"], 0, loaded | _VERIFY)
+      for suite, loaded in [
+          ("trees", _CORE), ("gl", _GL), ("operators", _OPS), ("hr", _CK),
+          ("lie", _CK | {"treehopf.tree_lie"}),
+          ("dual", _CK | {"treehopf.graded_dual"}),
+          ("all", _CK | {"treehopf.tree_lie", "treehopf.graded_dual"})]],
     # a call above its ceiling is refused before any kernel module loads
     *[(argv, 2, _CORE) for argv, _, _ in ABOVE_CEILINGS],
 ]
@@ -453,7 +486,8 @@ MODULES_LOADED = [
 
 def test_each_command_loads_only_its_modules():
     """A fresh process compiles every module it imports when no bytecode is
-    cached, so a command loads only what it runs; ``verify`` loads all."""
+    cached, so a command loads only what it runs; a ``verify`` suite loads
+    only the kernels its laws read, and ``serialize`` only for a violation."""
     probe = ("import sys, json, treehopf.cli; "
              "code = treehopf.cli.run(json.loads(sys.argv[1])).exit_code; "
              "print(code, *sorted(m for m in sys.modules if m.startswith('treehopf')))")

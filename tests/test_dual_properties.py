@@ -7,11 +7,12 @@ from conftest import (dense_dual_coproduct, dense_dual_product, dense_m_dual,
                       dual_coproduct)
 from treehopf import graded_dual as gd
 from treehopf.exactlin import LinComb
+from treehopf.trees import trees_up_to_degree
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-TREES = gd.trees_up_to_degree(4)
+TREES = trees_up_to_degree(4)
 
 
 @st.composite

@@ -17,7 +17,7 @@ from treehopf import grossman_larson as gl
 from treehopf import operators as ops
 from treehopf import verify
 from treehopf.exactlin import LinComb, tensor_key
-from treehopf.trees import LEAF, parse_tree
+from treehopf.trees import LEAF, parse_tree, trees_up_to_degree
 
 E = LEAF
 L2 = parse_tree("[[]]")
@@ -48,11 +48,11 @@ def test_dual_coproduct_of_cherry_pairs_chain_squared():
 
 
 def test_dual_coproduct_reproduces_pairing():
-    for t in gd.trees_up_to_degree(3):
+    for t in trees_up_to_degree(3):
         f = coordinate(t)
         cop = dual_coproduct(f, gd.tree_degree(t))
-        for a in gd.trees_up_to_degree(3):
-            for b in gd.trees_up_to_degree(3):
+        for a in trees_up_to_degree(3):
+            for b in trees_up_to_degree(3):
                 if gd.tree_degree(a) + gd.tree_degree(b) > 3:
                     continue
                 assert gl.tree_product(a, b).coeff(t) == cop.coeff((a, b))
@@ -68,7 +68,7 @@ def test_m_dual_drops_degree():
     # the transpose of a coordinate lives one degree below it, and the top
     # of the support sets the index bound: a sum of coordinates of two
     # degrees transposes term by term
-    for t in gd.trees_up_to_degree(4):
+    for t in trees_up_to_degree(4):
         assert all(gd.tree_degree(a) == gd.tree_degree(t) - 1
                    for a in gd.m_dual(coordinate(t)).terms), t
     assert gd.m_dual(coordinate(L2) + coordinate(CHERRY)) == \
@@ -76,10 +76,10 @@ def test_m_dual_drops_degree():
 
 
 def test_transpose_coherence():
-    for t in gd.trees_up_to_degree(3):
+    for t in trees_up_to_degree(3):
         f = coordinate(t)
         transpose = gd.m_dual(f)
-        for x in gd.trees_up_to_degree(3):
+        for x in trees_up_to_degree(3):
             assert pair(transpose, LinComb.term(x)) == \
                 pair(f, ops.m_apply(LinComb.term(x)))
 
@@ -87,12 +87,12 @@ def test_transpose_coherence():
 def test_convolution_unit_and_commutativity():
     bound = 3
     eps = coordinate(LEAF)
-    for t in gd.trees_up_to_degree(bound):
+    for t in trees_up_to_degree(bound):
         f = coordinate(t)
         assert gd.dual_product(eps, f, bound) == f
         assert gd.dual_product(f, eps, bound) == f
-    for t1 in gd.trees_up_to_degree(2):
-        for t2 in gd.trees_up_to_degree(2):
+    for t1 in trees_up_to_degree(2):
+        for t2 in trees_up_to_degree(2):
             f1, f2 = coordinate(t1), coordinate(t2)
             assert gd.dual_product(f1, f2, 3) == gd.dual_product(f2, f1, 3)
 
@@ -145,7 +145,7 @@ def test_dual_coefficients_are_normalised():
     assert pair(f, ops.x_k(2)) == Fraction(5, 2)
     assert type(pair(coordinate(L3), ops.x_k(2))) is int
     half = coordinate(E, Fraction(1, 2))
-    for t1 in gd.trees_up_to_degree(2):
+    for t1 in trees_up_to_degree(2):
         g = coordinate(t1)
         for h in (gd.dual_product(g, g, 3), gd.dual_product(half, g, 3),
                   gd.m_dual(g)):
@@ -217,7 +217,7 @@ def test_sparse_cases():
 
 
 def test_sparse_maps_match_dense_on_coordinates():
-    trees = gd.trees_up_to_degree(4)
+    trees = trees_up_to_degree(4)
     for t in trees:
         f = coordinate(t)
         assert gd.m_dual(f) == dense_m_dual(f)

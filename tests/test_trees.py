@@ -3,12 +3,12 @@
 import pytest
 
 from conftest import antichain_filter_cuts, cut_signature, graft_per_vertex_growth
-from treehopf.trees import (EMPTY_FOREST, LEAF, Forest, TreeParseError,
+from treehopf.trees import (EMPTY_FOREST, LEAF, Forest, Tree, TreeParseError,
                             admissible_cuts, aut_order, b_minus, b_plus,
                             canonicalize, count_trees_recurrence,
                             enumerate_forests, enumerate_trees, graft_many,
                             leaf_growth, parse_forest, parse_tree,
-                            preorder_subtrees)
+                            preorder_subtrees, trees_up_to_degree, with_child)
 
 E = parse_tree("[]")
 L2 = parse_tree("[[]]")
@@ -169,6 +169,24 @@ def test_forest_union_matches_resort():
             assert merged.weight == resorted.weight
             assert merged is resorted
             assert merged.items == resorted.items
+
+
+def test_with_child_matches_resort():
+    # every canonical child tuple of a tree with up to 7 vertices, plus every
+    # tree with up to 4 vertices, is the tree the sorting constructor returns
+    seen = set()
+    for t in trees_up_to_degree(6):
+        kids = t.children
+        for child in trees_up_to_degree(3):
+            grown = with_child(kids, child)
+            assert grown is Tree(kids + (child,)), (t, child)
+            if child in kids:
+                seen.add("beside an equal child")
+            elif kids:
+                position = grown.children.index(child)
+                seen.add("first" if position == 0 else
+                         "last" if position == len(kids) else "inside")
+    assert seen == {"first", "last", "inside", "beside an equal child"}
 
 
 def test_natural_growth_examples():

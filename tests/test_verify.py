@@ -77,6 +77,11 @@ BREAKS = [
      "lie.star_oracle"),
     ("operators", ops, "n_tree", lambda k: lambda t: _extra_term(k(t)),
      "op.growth_is_left_chain_mult"),
+    # puts the inserted child first; grafting reads this binding, leaf growth
+    # the one in trees, so x_k b and N^k(b) part
+    ("operators", gl, "with_child",
+     lambda k: lambda kids, child: trees._tree((child,) + kids),
+     "op.growth_iterates"),
     ("dual", gd, "m_dual", lambda k: lambda f: _bump_leaf(k(f)),
      "dual.transpose_coherence"),
     # the cut coproduct, not the product, gives the other side
@@ -113,7 +118,8 @@ def test_broken_kernel_fires_its_law(suite, module, kernel, breaker, law,
     hits = [v for v in report["violations"] if v["law"] == law]
     assert hits, report["violations"][:3]
     for v in hits:
-        assert v["inputs"] and all(parse_forest(s).encoding == s
+        # an input is an integer (a degree, an order) or an encoding
+        assert v["inputs"] and all(s.isdigit() or parse_forest(s).encoding == s
                                    for s in v["inputs"]), v
         # each side renders as its inputs do, never as a Python repr
         for side in (v["lhs"], v["rhs"]):
