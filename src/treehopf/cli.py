@@ -30,9 +30,9 @@ before any kernel module is imported, rather than run for minutes.  ``enum
 --count-only`` has a row of its own: it counts by a recurrence that is
 cubic in ``--size``, so its ceiling is far above the listing's.  A command
 whose work grows with the shape of its input (the root fertility, the
-admissible cuts, the placements of a product's scions) has a row too,
-measured on the parsed input by ``_SHAPES``, again before any kernel module
-is imported.
+admissible cuts, the placements of a product's scions) has a row too, for
+the command and its ``--algebra``, whose measure is a function of the
+parsed inputs, again checked before any kernel module is imported.
 
 Each call imports only the modules its command runs: ``serialize`` when an
 ``@file`` is read or a combination rendered, and ``verify`` only for
@@ -44,14 +44,13 @@ it imports, so this keeps a call's start-up cost to its own command.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from collections import namedtuple
 from importlib import import_module
-from itertools import groupby
 from math import comb
-from operator import attrgetter
 
 from .exactlin import LinComb
 from .trees import (count_trees_recurrence, enumerate_trees, parse_forest,
@@ -129,94 +128,110 @@ _COMMANDS = {
 }
 
 
-def _cuts(items) -> int:
-    """Admissible cuts of the tree grown over ``items``, by the recurrence
-    on its children: each is severed, kept or cut in one of its own ways,
-    and keeping all of them is no cut.  No cut is enumerated."""
+def _runs(items):
+    """Each distinct item of a sorted tuple, with how often it occurs."""
+    return ((item, sum(1 for _ in run)) for item, run in itertools.groupby(items))
+
+
+def _tree_cuts(children) -> int:
+    """Admissible cuts of a tree with these children, by the recurrence on
+    them: each is severed, kept or cut in one of its own ways, and keeping
+    all of them is no cut.  No cut is enumerated."""
     count = 1
-    for child in items:
-        count *= _cuts(child.children) + 2
+    for child, m in _runs(children):
+        count *= (_tree_cuts(child.children) + 2) ** m
     return count - 1
 
 
-def _placements(tree, host_size: int) -> int:
-    """Distinct ways to attach the root subtrees of ``tree`` to ``host_size``
-    vertices: a run of m equal subtrees lands as a multiset."""
+def _cut_terms(t) -> int:
+    """Distinct terms of a tree's cut coproduct, bounded by the recurrence on
+    its children: each run of m equal children takes a multiset of m of the
+    child's own terms, and ``t | 1`` is one more."""
     count = 1
-    for _, run in groupby(tree.children):
-        m = sum(1 for _ in run)
-        count *= comb(host_size + m - 1, m)
+    for child, m in _runs(t.children):
+        count *= comb(_cut_terms(child) + m - 1, m)
+    return count + 1
+
+
+# The shape measures, each of one basis element of every input; a row takes
+# the largest over the terms.
+
+
+def _fertility(t) -> int:
+    return t.fertility
+
+
+def _cuts(f) -> int:
+    """What a forest's cut coproduct costs: the most admissible cuts one of
+    its trees enumerates, or the bound on its distinct non-trivial terms,
+    whichever is more.  The forest's coproduct is the product of its trees',
+    so the bound is the product of theirs, a run of m equal trees taking a
+    multiset of m terms.  A one-tree forest measures its admissible cuts."""
+    terms, widest = 1, 0
+    for tree, m in _runs(f.items):
+        terms *= comb(_cut_terms(tree) + m - 1, m)
+        widest = max(widest, _tree_cuts(tree.children))
+    return max(widest, terms - 2)
+
+
+def _placements(a, b) -> int:
+    """Distinct ways to attach the root subtrees of ``a`` to the vertices of
+    ``b``: a run of m equal subtrees lands as a multiset."""
+    count = 1
+    for _, m in _runs(a.children):
+        count *= comb(b.size + m - 1, m)
     return count
 
 
-def _widest(measure, x: LinComb) -> int:
-    """The largest measure over the terms of x."""
-    return max(map(measure, x.terms), default=0)
-
-
-def _root_fertility(x: LinComb) -> int:
-    return _widest(attrgetter("fertility"), x)
-
-
-def _forest_cuts(x: LinComb) -> int:
-    # a forest's cuts are those of the tree grown over it, less the one
-    # that severs every tree, so a one-tree forest has its tree's cuts
-    return _widest(lambda f: _cuts(f.items) - 1, x)
-
-
-def _product_placements(a: LinComb, b: LinComb) -> int:
-    host_size = _widest(attrgetter("size"), b)
-    return _widest(lambda t: _placements(t, host_size), a)
-
-
-# row: (argument or measure, largest accepted value, how the work grows).
-# An argument row is a command, from measured growth: ``xk 14`` takes 3.3 s
-# and prints 5.6 MB (``xk 15``: 9.7 s), ``delta 14`` 1.5 s, a listing
-# ``enum --size 15`` 1.9 s and 3.0 MB, ``verify --suite all --max-degree
-# 10`` 86 s and 893 MB, and ``enum --size 500 --count-only`` 0.85 s
-# (``--size 600``: 2.3 s).
-# A shape row is a command and its ``--algebra``, measured by ``_SHAPES``
-# on the parsed inputs, from measured times on corollas: ``coprod
-# --algebra gl`` on 18 leaves 2.0 s (19 leaves: 4.1 s), ``antipode
-# --algebra gl`` on 12 leaves 0.8 s (13: 1.7 s), and ``coprod`` and
-# ``antipode --algebra hr`` on 16 leaves, 65535 cuts, 1.2 and 0.9 s (17:
-# 2.3 s); a complete binary tree of 15 vertices has 675 cuts, so the size
-# is the wrong measure.  Grafting a 9-leaf corolla onto a 12-vertex chain
-# has 167960 placements and takes 3.7 s, an 8-leaf one 75582 and 1.9 s; the
-# root fertility alone would pass a 12-leaf corolla on that chain, 30 s
-# and 112 MB of output.
+# row: (measure, largest accepted value, how the work grows).  The measure
+# of a command's row is the integer argument it names, from measured
+# growth: ``xk 14`` takes 3.3 s and prints 5.6 MB (``xk 15``: 9.7 s),
+# ``delta 14`` 1.5 s, a listing ``enum --size 15`` 1.9 s and 3.0 MB,
+# ``verify --suite all --max-degree 10`` 86 s and 893 MB, and ``enum --size
+# 500 --count-only`` 0.85 s (``--size 600``: 2.3 s).
+# The measure of a command and its ``--algebra`` is a shape measure above,
+# from measured times on corollas: ``coprod --algebra gl`` on 18 leaves
+# 2.0 s (19 leaves: 4.1 s), ``antipode --algebra gl`` on 12 leaves 0.8 s
+# (13: 1.7 s), and ``coprod`` and ``antipode --algebra hr`` on 16 leaves,
+# 65535 cuts, 1.2 and 0.9 s (17: 2.3 s); a complete binary tree of 15
+# vertices has 675 cuts, so the size is the wrong measure.  A forest's terms
+# cost less than a tree's cuts: seven distinct trees whose coproduct has at
+# most 62998 terms take 0.55 s, eight with 94498 0.83 s.  The cuts bound the
+# cut coproduct, but not the antipode: that of a chain has a term per
+# partition of its size, and one of 40 vertices, with 39 cuts, takes 4.3 s
+# (ROADMAP item 5).  Grafting a 9-leaf corolla onto a 12-vertex chain has
+# 167960 placements and takes 3.7 s, an 8-leaf one 75582 and 1.9 s; the
+# root fertility alone would pass a 12-leaf corolla on that chain, 30 s and
+# 112 MB of output.
 _STEEP = "about 3x per step"
 _CEILINGS = {"xk": ("k", 14, _STEEP), "delta": ("k", 15, _STEEP),
              "enum": ("--size", 15, _STEEP),
              "enum --count-only": ("--size", 500, "with the cube of the size"),
              "verify": ("--max-degree", 10, _STEEP),
-             "coprod --algebra gl": ("fertility", 18, "2x per step"),
-             "antipode --algebra gl": ("fertility", 12, _STEEP),
-             "prod --algebra gl": ("placements", 100_000, "with their number"),
-             "coprod --algebra hr": ("cuts", 65535, "with their number"),
-             "antipode --algebra hr": ("cuts", 65535, "with their number")}
-_SHAPES = {"coprod --algebra gl": _root_fertility,
-           "antipode --algebra gl": _root_fertility,
-           "prod --algebra gl": _product_placements,
-           "coprod --algebra hr": _forest_cuts,
-           "antipode --algebra hr": _forest_cuts}
+             "coprod --algebra gl": (_fertility, 18, "2x per step"),
+             "antipode --algebra gl": (_fertility, 12, _STEEP),
+             "prod --algebra gl": (_placements, 100_000, "with their number"),
+             "coprod --algebra hr": (_cuts, 65535, "with their number"),
+             "antipode --algebra hr": (_cuts, 65535, "with their number")}
 
 
-def _check_ceiling(row: str, value: int) -> None:
-    """Raise ``ValueError`` when the row's value is above its ceiling."""
-    name, limit, growth = _CEILINGS[row]
+def _check_ceiling(row: str, args, inputs=()) -> None:
+    """Raise ``ValueError`` when the row's measure is above its ceiling: the
+    integer argument it names, or its shape measure at its widest over
+    every choice of one term from each input."""
+    if row not in _CEILINGS:
+        return
+    measure, limit, growth = _CEILINGS[row]
+    if isinstance(measure, str):
+        name = measure
+        value = getattr(args, measure.lstrip("-").replace("-", "_"))
+    else:
+        name = measure.__name__.lstrip("_")
+        value = max(itertools.starmap(measure, itertools.product(
+            *(x.terms for x in inputs))), default=0)
     if value > limit:
         raise ValueError(f"{row} {name}={value} is above its ceiling "
                          f"of {limit}: the work grows {growth}")
-
-
-def _check_argument(args) -> None:
-    """Check the call's integer argument, where its command has a ceiling."""
-    row = args.command + (" --count-only" if getattr(args, "count_only", False)
-                          else "")
-    if row in _CEILINGS:
-        name = _CEILINGS[row][0]
-        _check_ceiling(row, getattr(args, name.lstrip("-").replace("-", "_")))
 
 
 def _build_parser() -> _Parser:
@@ -281,9 +296,7 @@ def _compute(args) -> CommandResult:
     inputs = [getattr(args, param) for param in params.split()]
     if family is not int:
         inputs = [_load_element(arg, family) for arg in inputs]
-        row = f"{args.command} --algebra {family}"
-        if row in _SHAPES:
-            _check_ceiling(row, _SHAPES[row](*inputs))
+        _check_ceiling(f"{args.command} --algebra {family}", args, inputs)
     result = getattr(import_module(f".{module}", __package__), attr)(*inputs)
     if encode is None:
         return CommandResult(str(result), 0)
@@ -311,7 +324,8 @@ def run(argv) -> CommandResult:
         code = exc.code if isinstance(exc.code, int) else 0
         return CommandResult("", code)
     try:
-        _check_argument(args)
+        _check_ceiling(args.command + (" --count-only" if getattr(
+            args, "count_only", False) else ""), args)
         return _HANDLERS.get(args.command, _compute)(args)
     except (ValueError, IndexError, OSError) as exc:
         return CommandResult(f"error: {exc}", 2)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -16,8 +17,8 @@ from treehopf import operators as ops
 from treehopf import tree_lie
 from treehopf.cli import _build_parser, run
 from treehopf.exactlin import LinComb
-from treehopf.trees import (admissible_cuts, enumerate_forests, enumerate_trees,
-                            parse_forest, parse_tree)
+from treehopf.trees import (Forest, admissible_cuts, enumerate_forests,
+                            enumerate_trees, parse_forest, parse_tree)
 
 
 def ok(argv):
@@ -223,12 +224,40 @@ def test_work_above_a_ceiling_is_refused(argv, named, limit, monkeypatch):
 def test_shape_measures_count_without_enumerating():
     # the cut recurrence is exact, and the placements bound every product
     for t in (t for n in range(1, 9) for t in enumerate_trees(n)):
-        assert cli._cuts(t.children) == len(admissible_cuts(t)), t
+        assert cli._tree_cuts(t.children) == len(admissible_cuts(t)), t
+        assert cli._cuts(Forest((t,))) == len(admissible_cuts(t)), t
+        assert cli._cut_terms(t) >= len(ck.tree_coproduct_by_cuts(t).terms), t
     for a in (t for n in range(1, 6) for t in enumerate_trees(n)):
         for b in (t for n in range(1, 5) for t in enumerate_trees(n)):
-            assert cli._placements(a, b.size) >= len(gl.tree_product(a, b).terms)
-    forests = LinComb.term(parse_forest("[[]] [[][]]")) + LinComb.term(parse_forest("1"))
-    assert cli._forest_cuts(forests) == 3 * 5 - 2
+            assert cli._placements(a, b) >= len(gl.tree_product(a, b).terms)
+    # a forest's measure bounds its coproduct's non-trivial terms, a run of
+    # equal trees counted as a multiset
+    for f in (f for w in range(1, 8) for f in enumerate_forests(w)):
+        assert cli._cuts(f) >= len(ck.forest_coproduct(f).terms) - 2, f
+    assert cli._cuts(parse_forest("[[]] [[][]]")) == 3 * 4 - 2
+    assert cli._cuts(parse_forest(" ".join(["[]"] * 17))) == 18 - 2
+
+
+@pytest.mark.parametrize("trees", [["[]"] * 17, ["[[]]"] * 11],
+                         ids=["17-leaves", "11-chains"])
+@pytest.mark.parametrize("command", ["coprod", "antipode"])
+def test_forests_of_equal_trees_are_answered(command, trees):
+    # the kernels multiply one memoized result per distinct tree, so a run
+    # of equal trees costs little however long it is
+    result = run([command, "--algebra", "hr", " ".join(trees)])
+    assert result.exit_code == 0, result.payload
+    assert len(json.loads(result.payload)["terms"]) == (
+        {"coprod": 18, "antipode": 1}[command] if trees[0] == "[]" else
+        {"coprod": comb(3 + 11 - 1, 11), "antipode": 12}[command])
+
+
+def test_forests_of_distinct_trees_multiply_their_terms(monkeypatch):
+    # seven distinct trees, a leaf and a chain: 94498 terms at most, where
+    # the widest tree has 15 cuts
+    monkeypatch.setattr(ck, "coproduct", lambda x: pytest.fail("not refused"))
+    forest = "[[][][][]] [[][][]] [[[][]]] [[[]][]] [[[[]]]] [[[[]]]] [[]] []"
+    result = run(["coprod", "--algebra", "hr", forest])
+    assert result.payload.startswith("error: coprod --algebra hr cuts=94498 ")
 
 
 @pytest.mark.parametrize("command", ["coprod", "grow"])
