@@ -35,10 +35,12 @@ the command and its ``--algebra``, whose measure is a function of the
 parsed inputs, again checked before any kernel module is imported.
 
 Each call imports only the modules its command runs: ``serialize`` when an
-``@file`` is read or a combination rendered, and ``verify`` only for
-``verify``, which imports the kernels of the suites it runs and nothing
-more.  A one-shot call that is not cached as bytecode compiles every module
-it imports, so this keeps a call's start-up cost to its own command.
+``@file`` is read or a combination rendered, ``verify`` only for
+``verify``, which imports the laws and kernels of the suites it runs and
+nothing more, and the standard library's ``fractions`` only where a
+``Fraction`` is made (see ``exactlin``).  A one-shot call that is not
+cached as bytecode compiles every module it imports, so this keeps a
+call's start-up cost to its own command.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ from importlib import import_module
 from math import comb
 
 from .exactlin import LinComb
-from .trees import (count_trees_recurrence, enumerate_trees, parse_forest,
-                    parse_tree)
+from .trees import (LEAF, Tree, count_trees_recurrence, enumerate_trees,
+                    parse_forest, parse_tree)
 
 # ``verify.SUITES``, kept here so that building the parser does not import
 # ``verify``; a test pins the two equal.
@@ -174,9 +176,10 @@ def _cuts(f) -> int:
     return max(widest, terms - 2)
 
 
-def _placements(a, b) -> int:
+def _placements(a, b=Tree((LEAF,))) -> int:
     """Distinct ways to attach the root subtrees of ``a`` to the vertices of
-    ``b``: a run of m equal subtrees lands as a multiset."""
+    ``b``: a run of m equal subtrees lands as a multiset.  ``b`` defaults to
+    the two-vertex chain, the right factor of ``mop``."""
     count = 1
     for _, m in _runs(a.children):
         count *= comb(b.size + m - 1, m)
@@ -202,7 +205,10 @@ def _placements(a, b) -> int:
 # (ROADMAP item 5).  Grafting a 9-leaf corolla onto a 12-vertex chain has
 # 167960 placements and takes 3.7 s, an 8-leaf one 75582 and 1.9 s; the
 # root fertility alone would pass a 12-leaf corolla on that chain, 30 s and
-# 112 MB of output.
+# 112 MB of output.  ``mop`` is that product with the two-vertex chain on the
+# right: a root over the 16 smallest distinct trees (65536 placements) takes
+# 2.0 s and prints 10.7 MB, over 17 (131072) 5.2 s and 22.7 MB, and over
+# 20 it ran past 30 s.
 _STEEP = "about 3x per step"
 _CEILINGS = {"xk": ("k", 14, _STEEP), "delta": ("k", 15, _STEEP),
              "enum": ("--size", 15, _STEEP),
@@ -211,6 +217,7 @@ _CEILINGS = {"xk": ("k", 14, _STEEP), "delta": ("k", 15, _STEEP),
              "coprod --algebra gl": (_fertility, 18, "2x per step"),
              "antipode --algebra gl": (_fertility, 12, _STEEP),
              "prod --algebra gl": (_placements, 100_000, "with their number"),
+             "mop --algebra gl": (_placements, 100_000, "with their number"),
              "coprod --algebra hr": (_cuts, 65535, "with their number"),
              "antipode --algebra hr": (_cuts, 65535, "with their number")}
 

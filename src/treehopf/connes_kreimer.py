@@ -31,7 +31,6 @@ not attachment sites; double counting isomorphisms of the cut pair gives
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from . import operators as ops
@@ -95,6 +94,7 @@ def star_by_cut_counting(t1: Tree, t2: Tree) -> LinComb:
     Each tree t with ``size(t1) + size(t2)`` vertices gets its raw count from
     the cut coproduct, rescaled by ``|Aut(t1)| * |Aut(t2)| / |Aut(t)|``.
     """
+    from fractions import Fraction
     key = (Forest((t1,)), Forest((t2,)))
     scale = Fraction(aut_order(t1) * aut_order(t2))
     out: dict = {}

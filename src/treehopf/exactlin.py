@@ -7,7 +7,13 @@ and a ``fractions.Fraction`` (denominator above 1) otherwise, and a
 integer structure constants, so they stay on plain ``int`` arithmetic; a
 ``Fraction`` appears only where a division happens: the one exact division
 per coordinate that ends ``solve_membership``, the cut-count oracle's
-symmetry rescaling, and rational inputs.
+symmetry rescaling (``connes_kreimer.star_by_cut_counting``), the weights
+of the ``dual.product_pairing`` law, and rational inputs
+(``serialize.lincomb_from_obj``).  Each of these imports ``fractions``
+inside the function that makes the ``Fraction``, and ``exact`` imports it
+only for a coefficient that is not an ``int``, so a call that makes none
+(``enum``, the ``trees``, ``gl`` and ``operators`` suites, a product of
+literals) never loads ``fractions`` or the ``decimal`` module it imports.
 
 Keys are trees, forests, or tensor keys: a tensor key is the plain tuple
 ``(left, right)`` of two of them, equal and hashed by value, so a lookup
@@ -33,7 +39,6 @@ every check stays bit-exact without dense or ``Fraction`` rows.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -45,10 +50,11 @@ def exact(c):
     """
     if type(c) is int:
         return c
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):  # bool and other int subclasses
         return int(c)
+    from fractions import Fraction
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError(f"coefficient must be an int or a Fraction, "
                     f"not {type(c).__name__}: {c!r}")
 
@@ -284,6 +290,7 @@ def solve_membership(target: LinComb, generators) -> list | None:
     pivots = _echelon(_integral(row) for row in rows.values())
     if n in pivots:
         return None
+    from fractions import Fraction
     coords = [0] * n
     for col in sorted(pivots, reverse=True):
         row = pivots[col]

@@ -18,8 +18,8 @@ keys, which a plain ``(left, right)`` tuple looks up.
 ``support_index`` is the one inversion behind all three.  Each dual map is
 the lift, through ``extend_linear`` or ``extend_bilinear``, of the basis
 map that sends a coordinate (or a pair of coordinates) to the combination
-its index lists, so no dual map accumulates by hand.  The ``dual`` rows
-of ``verify`` read the same indexes.  The chain multiplication is read as
+its index lists, so no dual map accumulates by hand.  The rows of the
+``dual`` suite (``laws.dual``) read the same indexes.  The chain multiplication is read as
 ``operators.m_tree`` at call time, so a kernel rebound there is the one
 every dual-side map transposes.
 """

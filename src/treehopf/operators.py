@@ -11,7 +11,9 @@ shared combinations are never mutated.
 ``m_apply`` multiplies every non-unit basis tree by the two-vertex chain on
 the right and kills the unit; it is a derivation into the bimodule whose
 right action factors through the counit, and its transpose is studied in
-``graded_dual``.
+``graded_dual``.  Only ``m_tree`` grafts, so it alone imports
+``grossman_larson``, when called: the growth chain and the cut algebra,
+which reads ``x_k``, load no grafting kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from functools import lru_cache
 
 from .exactlin import LinComb, extend_linear
 from .trees import LEAF, Tree, leaf_growth
-from . import grossman_larson as gl
 
 CHAIN2 = Tree((LEAF,))
 
@@ -43,6 +44,7 @@ def x_k(k: int) -> LinComb:
 
 
 def m_tree(t: Tree) -> LinComb:
+    from . import grossman_larson as gl
     if t is LEAF:
         return LinComb.zero()
     return gl.tree_product(t, CHAIN2)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 
 from .exactlin import LinComb, encoding, tensor_key
 from .trees import parse_tree
@@ -58,6 +57,7 @@ _COEFF = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def lincomb_from_obj(obj, parse_key) -> LinComb:
+    from fractions import Fraction
     if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise ValueError("expected an object with a 'terms' list")
     pairs = []

@@ -15,6 +15,7 @@ from treehopf import graded_dual as gd
 from treehopf import grossman_larson as gl
 from treehopf import operators as ops
 from treehopf import verify
+from treehopf.laws.dual import hochschild_cases
 from treehopf.exactlin import LinComb, add_to, encoding, exact, tensor_key
 from treehopf.serialize import (encode_z_key, lincomb_from_obj, lincomb_to_json,
                                 parse_tensor_key, parse_z_key)
@@ -264,7 +265,7 @@ def dual_coproduct(f: LinComb, degree_bound: int) -> LinComb:
 def hochschild_check(degree_bound: int, m_tree_func=None) -> dict:
     """The report of the transpose cocycle row alone, as ``verify`` counts it."""
     return verify.check([("dual.hochschild",
-                          verify.hochschild_cases(degree_bound, m_tree_func))])
+                          hochschild_cases(degree_bound, m_tree_func))])
 
 
 # The dense dual-side maps and rows, as they ran before the sparse supports:

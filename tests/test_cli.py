@@ -195,6 +195,11 @@ ABOVE_CEILINGS = [
      "antipode --algebra gl fertility=13", 12),
     (["prod", "--algebra", "gl", "[[][[]]]", "[" + "[]" * 316 + "]"],
      "prod --algebra gl placements=100489", 100000),
+    # a root over the 17 smallest distinct trees, each placed on one of the
+    # chain's two vertices
+    (["mop", "[" + "".join(t.encoding for n in range(1, 6)
+                           for t in enumerate_trees(n)) + "]"],
+     "mop --algebra gl placements=131072", 100000),
     # a chain over a 16-leaf corolla: (2 ** 16 - 1) + 2 - 1 cuts
     (["coprod", "--algebra", "hr", "[[" + "[]" * 16 + "]]"],
      "coprod --algebra hr cuts=65536", 65535),
@@ -213,7 +218,7 @@ def test_work_above_a_ceiling_is_refused(argv, named, limit, monkeypatch):
     for module, attr in [(cli, "enumerate_trees"), (cli, "count_trees_recurrence"),
                          (verify, "run_suite"), (ops, "x_k"), (ck, "delta"),
                          (gl, "coproduct"), (gl, "antipode"), (gl, "product"),
-                         (ck, "coproduct"), (ck, "antipode")]:
+                         (ck, "coproduct"), (ck, "antipode"), (ops, "m_apply")]:
         monkeypatch.setattr(module, attr, never)
     result = run(argv)
     assert result.exit_code == 2
@@ -476,13 +481,15 @@ def test_unexpected_exception_exits_two_with_one_line(monkeypatch):
 
 _CORE = {"treehopf", "treehopf.cli", "treehopf.exactlin", "treehopf.trees"}
 _GL = _CORE | {"treehopf.grossman_larson"}
-_OPS = _GL | {"treehopf.operators"}
+_OPS = _CORE | {"treehopf.operators"}
 _CK = _OPS | {"treehopf.connes_kreimer"}
 _SER = {"treehopf.serialize"}
 _LIE = _GL | _SER | {"treehopf.tree_lie"}
-_VERIFY = _CORE | {"treehopf.verify"}
+_VERIFY = _CORE | {"treehopf.verify", "treehopf.laws"}
+# the standard library's rationals, loaded only where a Fraction is made
+_FRACTIONS = {"fractions", "decimal"}
 
-# one call per command: its exit code and the treehopf modules loaded after it
+# one call per command: its exit code and the modules loaded after it
 MODULES_LOADED = [
     (["enum", "--size", "4"], 0, _CORE),
     (["enum", "--size", "30", "--count-only"], 0, _CORE),
@@ -494,39 +501,53 @@ MODULES_LOADED = [
     (["grow", "--algebra", "gl", "[[]]"], 0, _OPS | _SER),
     (["xk", "3"], 0, _OPS | _SER),
     (["delta", "3"], 0, _CK | _SER),
-    (["mop", "[[]]"], 0, _OPS | _SER),
+    # the chain multiplication alone among the operators grafts
+    (["mop", "[[]]"], 0, _OPS | _GL | _SER),
     (["lop", "[[]]"], 0, _CK | _SER),
     (["bracket", "[]", "[[]]"], 0, _LIE),
     (["star", "[]", "[[]]"], 0, _LIE),
     (["--format", "text", "phi", "[[]]"], 0, _LIE),
     (["psi", "[[]]"], 0, _LIE),
     (["prod", "--algebra", "gl", "[[", "[]"], 2, _CORE),
-    # a suite loads the kernels its laws read, and a clean report no serialize
-    *[(["verify", "--suite", suite, "--max-degree", "1"], 0, loaded | _VERIFY)
+    # a suite loads its own laws and the kernels they read, and a clean
+    # report no serialize; ``all`` loads every suite's laws
+    *[(["verify", "--suite", suite, "--max-degree", "1"], 0,
+       loaded | _VERIFY | {f"treehopf.laws.{s}" for s in verify.SUITES
+                           if suite in (s, "all")})
       for suite, loaded in [
-          ("trees", _CORE), ("gl", _GL), ("operators", _OPS), ("hr", _CK),
-          ("lie", _CK | {"treehopf.tree_lie"}),
-          ("dual", _CK | {"treehopf.graded_dual"}),
-          ("all", _CK | {"treehopf.tree_lie", "treehopf.graded_dual"})]],
+          ("trees", _CORE), ("gl", _GL), ("operators", _OPS | _GL),
+          ("hr", _CK | _FRACTIONS),
+          ("lie", _CK | _GL | _FRACTIONS | {"treehopf.tree_lie"}),
+          ("dual", _CK | _GL | _FRACTIONS | {"treehopf.graded_dual"}),
+          ("all", _CK | _GL | _FRACTIONS
+           | {"treehopf.tree_lie", "treehopf.graded_dual"})]],
     # a call above its ceiling is refused before any kernel module loads
     *[(argv, 2, _CORE) for argv, _, _ in ABOVE_CEILINGS],
 ]
 
 
-def test_each_command_loads_only_its_modules():
+def test_each_command_loads_only_its_modules(tmp_path):
     """A fresh process compiles every module it imports when no bytecode is
-    cached, so a command loads only what it runs; a ``verify`` suite loads
-    only the kernels its laws read, and ``serialize`` only for a violation."""
+    cached, so a command loads only what it runs: a ``verify`` suite loads
+    only its own laws and the kernels they read, ``serialize`` only for an
+    input file or an output, and ``fractions`` only where a Fraction is
+    made, such as a rational coefficient read from a file."""
+    half = tmp_path / "half.json"
+    half.write_text('{"terms": [{"basis": "[[]]", "coeff": "1/2"}]}')
+    rows = MODULES_LOADED + [
+        (["prod", "--algebra", "gl", f"@{half}", "[]"], 0, _GL | _SER | _FRACTIONS)]
     probe = ("import sys, json, treehopf.cli; "
              "code = treehopf.cli.run(json.loads(sys.argv[1])).exit_code; "
-             "print(code, *sorted(m for m in sys.modules if m.startswith('treehopf')))")
-    for argv, exit_code, expected in MODULES_LOADED:
+             "print(code, *sorted(m for m in sys.modules if m.startswith('treehopf') "
+             "or m in ('fractions', 'decimal')))")
+    for argv, exit_code, expected in rows:
         proc = run_python("-c", probe, json.dumps(argv))
         assert proc.returncode == 0, proc.stderr
         code, *loaded = proc.stdout.split()
         assert int(code) == exit_code, argv
         assert set(loaded) == expected, argv
         if argv[0] != "verify":
-            assert not {"treehopf.verify", "treehopf.graded_dual"} & set(loaded)
+            assert not {"treehopf.verify", "treehopf.laws",
+                        "treehopf.graded_dual"} & set(loaded)
         if expected == _LIE:  # the Lie algebra needs no cut algebra
             assert not {"treehopf.connes_kreimer", "treehopf.operators"} & set(loaded)

@@ -17,6 +17,8 @@ from treehopf import grossman_larson as gl
 from treehopf import operators as ops
 from treehopf import verify
 from treehopf.exactlin import LinComb, tensor_key
+from treehopf.laws import sparse_cases
+from treehopf.laws.dual import hochschild_cases
 from treehopf.trees import LEAF, parse_tree, trees_up_to_degree
 
 E = LEAF
@@ -132,7 +134,7 @@ def test_hochschild_check_catches_mutations(replacement):
     assert len(report["violations"]) >= 1
     # the cases skipped on the mutated supports are those the dense loop
     # finds 0 on both sides
-    sparse = list(verify.hochschild_cases(4, action))
+    sparse = list(hochschild_cases(4, action))
     dense = list(dense_hochschild_cases(4, action))
     assert nonzero_cases(sparse) == nonzero_cases(dense)
     assert count_cases(sparse) == len(dense) == report["checked"]
@@ -204,16 +206,16 @@ def test_sparse_cases():
     position = {(k,): i for i, k in enumerate("abcdef")}
     # the gaps are counted in order, the trailing one too, and a key
     # outside the position numbering is dropped
-    assert list(verify.sparse_cases(position, ("t",), {("b",): 1, ("z",): 5},
-                                    {("d",): 2, ("b",): 3})) == \
+    assert list(sparse_cases(position, ("t",), {("b",): 1, ("z",): 5},
+                             {("d",): 2, ("b",): 3})) == \
         [1, (("t", "b"), 1, 3), 1, (("t", "d"), 0, 2), 2]
-    assert list(verify.sparse_cases(position, (), {("f",): 1}, {})) == \
+    assert list(sparse_cases(position, (), {("f",): 1}, {})) == \
         [5, (("f",), 1, 0)]
     # a key whose side cancelled to 0 is still one case
-    assert list(verify.sparse_cases(position, (), {("a",): 0}, {})) == \
+    assert list(sparse_cases(position, (), {("a",): 0}, {})) == \
         [(("a",), 0, 0), 5]
-    assert list(verify.sparse_cases(position, (), {}, {})) == [6]
-    assert list(verify.sparse_cases({}, (), {("a",): 1}, {})) == []
+    assert list(sparse_cases(position, (), {}, {})) == [6]
+    assert list(sparse_cases({}, (), {("a",): 1}, {})) == []
 
 
 def test_sparse_maps_match_dense_on_coordinates():
