@@ -21,8 +21,12 @@ from .trees import (EMPTY_FOREST, LEAF, Cut, Forest, Tree, TreeParseError,
 
 __version__ = "0.1.0"
 
+# The verification suites in run order: ``verify`` runs them and ``cli``
+# offers them, read from here so that building the parser imports no suite.
+SUITES = ("trees", "hr", "gl", "lie", "operators", "dual")
+
 __all__ = [
-    "Cut", "EMPTY_FOREST", "Forest", "LEAF", "LinComb", "Tree",
+    "Cut", "EMPTY_FOREST", "Forest", "LEAF", "LinComb", "SUITES", "Tree",
     "TreeParseError", "admissible_cuts", "aut_order", "b_minus", "b_plus",
     "canonicalize", "clear_caches", "combine", "count_trees_recurrence",
     "encoding", "enumerate_forests", "enumerate_trees", "exact",

@@ -38,9 +38,15 @@ Each call imports only the modules its command runs: ``serialize`` when an
 ``@file`` is read or a combination rendered, ``verify`` only for
 ``verify``, which imports the laws and kernels of the suites it runs and
 nothing more, and the standard library's ``fractions`` only where a
-``Fraction`` is made (see ``exactlin``).  A one-shot call that is not
-cached as bytecode compiles every module it imports, so this keeps a
-call's start-up cost to its own command.
+``Fraction`` is made: a computed ``Fraction`` comes only from
+``exactlin.ratio``.  A one-shot call that is not cached as bytecode
+compiles every module it imports, so this keeps a call's start-up cost to
+its own command.
+
+Python caps the digits ``int`` and ``str`` convert between.  Parsing input
+keeps the cap, which bounds the quadratic parse of a hostile file, and
+rendering a result lifts it, since an accepted input can have a result
+longer than the cap: the square of a 4000-digit coefficient.
 """
 
 from __future__ import annotations
@@ -54,13 +60,10 @@ from collections import namedtuple
 from importlib import import_module
 from math import comb
 
+from . import SUITES
 from .exactlin import LinComb
 from .trees import (LEAF, Tree, count_trees_recurrence, enumerate_trees,
-                    parse_forest, parse_tree)
-
-# ``verify.SUITES``, kept here so that building the parser does not import
-# ``verify``; a test pins the two equal.
-SUITES = ("trees", "hr", "gl", "lie", "operators", "dual")
+                    parse_forest, parse_tree, runs)
 
 
 # What one CLI call produced; exit_code is 0 ok, 1 verification failure, 2
@@ -130,17 +133,12 @@ _COMMANDS = {
 }
 
 
-def _runs(items):
-    """Each distinct item of a sorted tuple, with how often it occurs."""
-    return ((item, sum(1 for _ in run)) for item, run in itertools.groupby(items))
-
-
 def _tree_cuts(children) -> int:
     """Admissible cuts of a tree with these children, by the recurrence on
     them: each is severed, kept or cut in one of its own ways, and keeping
     all of them is no cut.  No cut is enumerated."""
     count = 1
-    for child, m in _runs(children):
+    for child, m in runs(children):
         count *= (_tree_cuts(child.children) + 2) ** m
     return count - 1
 
@@ -150,7 +148,7 @@ def _cut_terms(t) -> int:
     its children: each run of m equal children takes a multiset of m of the
     child's own terms, and ``t | 1`` is one more."""
     count = 1
-    for child, m in _runs(t.children):
+    for child, m in runs(t.children):
         count *= comb(_cut_terms(child) + m - 1, m)
     return count + 1
 
@@ -170,7 +168,7 @@ def _cuts(f) -> int:
     so the bound is the product of theirs, a run of m equal trees taking a
     multiset of m terms.  A one-tree forest measures its admissible cuts."""
     terms, widest = 1, 0
-    for tree, m in _runs(f.items):
+    for tree, m in runs(f.items):
         terms *= comb(_cut_terms(tree) + m - 1, m)
         widest = max(widest, _tree_cuts(tree.children))
     return max(widest, terms - 2)
@@ -181,7 +179,7 @@ def _placements(a, b=Tree((LEAF,))) -> int:
     ``b``: a run of m equal subtrees lands as a multiset.  ``b`` defaults to
     the two-vertex chain, the right factor of ``mop``."""
     count = 1
-    for _, m in _runs(a.children):
+    for _, m in runs(a.children):
         count *= comb(b.size + m - 1, m)
     return count
 
@@ -261,7 +259,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.add_argument("--max-degree", type=int, default=5)
-    p.add_argument("--report", choices=("json", "text"), default=None)
     return parser
 
 
@@ -287,8 +284,7 @@ def _cmd_enum(args) -> CommandResult:
 def _cmd_verify(args) -> CommandResult:
     from . import verify
     report = verify.run_suite(args.suite, args.max_degree)
-    fmt = args.report or args.format
-    if fmt == "json":
+    if args.format == "json":
         payload = json.dumps(report, sort_keys=True)
     else:
         payload = _report_text(report)
@@ -305,12 +301,20 @@ def _compute(args) -> CommandResult:
         inputs = [_load_element(arg, family) for arg in inputs]
         _check_ceiling(f"{args.command} --algebra {family}", args, inputs)
     result = getattr(import_module(f".{module}", __package__), attr)(*inputs)
-    if encode is None:
-        return CommandResult(str(result), 0)
-    from . import serialize
-    render = (serialize.lincomb_to_text if args.format == "text"
-              else serialize.lincomb_to_json)
-    return CommandResult(render(result, getattr(serialize, encode)), 0)
+    # the digit cap lifted while the result renders (Python 3.10.0 to 3.10.6
+    # have none)
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_cap = getattr(sys, "set_int_max_str_digits", lambda cap: None)
+    set_cap(0)
+    try:
+        if encode is None:
+            return CommandResult(str(result), 0)
+        from . import serialize
+        render = (serialize.lincomb_to_text if args.format == "text"
+                  else serialize.lincomb_to_json)
+        return CommandResult(render(result, getattr(serialize, encode)), 0)
+    finally:
+        set_cap(cap)
 
 
 _HANDLERS = {"enum": _cmd_enum, "verify": _cmd_verify}

@@ -9,8 +9,9 @@ product of its trees and the empty forest is the unit 1.  On a single tree
 and on a monomial the coproduct acts factor by factor, since it is an
 algebra map.  A second, recursive form of the tree coproduct (peel the
 root, coproduct the child forest, regrow the root on the right leg) is kept
-as an independent cross-check.  The antipode follows the cut recursion and
-extends multiplicatively over forest factors.
+as an independent cross-check.  The antipode follows the cut recursion,
+read from the terms of the cut coproduct, and extends multiplicatively over
+forest factors.
 
 Leaf growth at every vertex is a weight +1 derivation; its iterates starting
 from the one-vertex tree give the chain ``delta(1), delta(2), ...`` whose
@@ -34,8 +35,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import operators as ops
-from .exactlin import (LinComb, add_to, extend_linear, solve_membership, tensor,
-                       tensor_key)
+from .exactlin import (LinComb, add_to, extend_linear, ratio, solve_membership,
+                       tensor, tensor_key)
 from .trees import (EMPTY_FOREST, Forest, Tree, admissible_cuts, aut_order,
                     b_plus, enumerate_trees, leaf_growth)
 
@@ -94,15 +95,14 @@ def star_by_cut_counting(t1: Tree, t2: Tree) -> LinComb:
     Each tree t with ``size(t1) + size(t2)`` vertices gets its raw count from
     the cut coproduct, rescaled by ``|Aut(t1)| * |Aut(t2)| / |Aut(t)|``.
     """
-    from fractions import Fraction
     key = (Forest((t1,)), Forest((t2,)))
-    scale = Fraction(aut_order(t1) * aut_order(t2))
+    scale = aut_order(t1) * aut_order(t2)
     out: dict = {}
     for t in enumerate_trees(t1.size + t2.size):
         # a module global read at call time: a replaced kernel is the one read
         raw = tree_coproduct_by_cuts(t).coeff(key)
         if raw:
-            out[t] = scale * raw / aut_order(t)
+            out[t] = ratio(scale * raw, aut_order(t))
     return LinComb(out)
 
 
@@ -134,13 +134,15 @@ def counit(x: LinComb):
 
 @lru_cache(maxsize=None)
 def tree_antipode(t: Tree) -> LinComb:
-    """``S(t) = -t - sum over admissible cuts of S(branch) trunk``."""
+    """``S(t) = -t - sum of c S(branch) trunk`` over the terms
+    ``c branch (x) trunk`` of the cut coproduct with neither leg 1."""
     out: dict = {Forest((t,)): -1}
-    for cut in admissible_cuts(t):
-        trunk = Forest((cut.trunk,))
-        for f, c in forest_antipode(cut.branch).terms.items():
+    for (branch, trunk), c in tree_coproduct_by_cuts(t).terms.items():
+        if branch is EMPTY_FOREST or trunk is EMPTY_FOREST:
+            continue
+        for f, d in forest_antipode(branch).terms.items():
             key = f.union(trunk)
-            out[key] = out.get(key, 0) - c
+            out[key] = out.get(key, 0) - c * d
     return LinComb(out)
 
 

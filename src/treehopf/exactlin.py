@@ -4,16 +4,11 @@
 stored coefficient goes through ``exact``: it is an ``int`` when integral
 and a ``fractions.Fraction`` (denominator above 1) otherwise, and a
 ``float`` is rejected.  Products, coproducts, growth and antipodes have
-integer structure constants, so they stay on plain ``int`` arithmetic; a
-``Fraction`` appears only where a division happens: the one exact division
-per coordinate that ends ``solve_membership``, the cut-count oracle's
-symmetry rescaling (``connes_kreimer.star_by_cut_counting``), the weights
-of the ``dual.product_pairing`` law, and rational inputs
-(``serialize.lincomb_from_obj``).  Each of these imports ``fractions``
-inside the function that makes the ``Fraction``, and ``exact`` imports it
-only for a coefficient that is not an ``int``, so a call that makes none
-(``enum``, the ``trees``, ``gl`` and ``operators`` suites, a product of
-literals) never loads ``fractions`` or the ``decimal`` module it imports.
+integer structure constants, so they stay on plain ``int`` arithmetic.  A
+computed ``Fraction`` comes only from ``ratio``, which imports ``fractions``
+only for a quotient that is not integral, and ``exact`` imports it only for
+a coefficient that is not an ``int``; so a call whose every quotient is
+integral never loads ``fractions`` or the ``decimal`` module it imports.
 
 Keys are trees, forests, or tensor keys: a tensor key is the plain tuple
 ``(left, right)`` of two of them, equal and hashed by value, so a lookup
@@ -48,15 +43,23 @@ def exact(c):
     Raises ``TypeError`` for anything that is not an ``int`` or a
     ``Fraction``, a ``float`` in particular.
     """
-    if type(c) is int:
-        return c
-    if isinstance(c, int):  # bool and other int subclasses
+    if isinstance(c, int):  # an int subclass, such as bool, becomes an int
         return int(c)
     from fractions import Fraction
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     raise TypeError(f"coefficient must be an int or a Fraction, "
                     f"not {type(c).__name__}: {c!r}")
+
+
+def ratio(numerator, denominator=1):
+    """The exact quotient of two rationals: an ``int`` when the division is
+    exact, with no import, else the reduced ``Fraction``."""
+    quotient, remainder = divmod(numerator, denominator)
+    if not remainder:
+        return quotient
+    from fractions import Fraction
+    return Fraction(numerator, denominator)
 
 
 def add_to(acc: dict, key, coeff) -> None:
@@ -290,12 +293,11 @@ def solve_membership(target: LinComb, generators) -> list | None:
     pivots = _echelon(_integral(row) for row in rows.values())
     if n in pivots:
         return None
-    from fractions import Fraction
     coords = [0] * n
     for col in sorted(pivots, reverse=True):
         row = pivots[col]
         rest = row.get(n, 0) - sum(c * coords[k] for k, c in row.items() if col < k < n)
-        coords[col] = exact(Fraction(rest) / row[col])
+        coords[col] = ratio(rest, row[col])
     return coords
 
 

@@ -27,7 +27,7 @@ from math import comb
 
 from .exactlin import (LinComb, add_to, extend_bilinear, extend_linear, rank,
                        tensor, tensor_key)
-from .trees import LEAF, Tree, _tree, enumerate_trees, with_child
+from .trees import LEAF, Tree, _tree, enumerate_trees, runs, with_child
 
 UNIT = LinComb.term(LEAF)
 
@@ -61,13 +61,12 @@ def graft_forest(scions: tuple, host: Tree) -> LinComb:
     if host.size == 1:
         return LinComb.term(Tree(scions))
     first, rest = host.children[0], _tree(host.children[1:])
-    runs = [(scion, len(list(group)))
-            for scion, group in itertools.groupby(scions)]
+    split = list(runs(scions))
     out: dict = {}
-    for taken in itertools.product(*(range(n + 1) for _, n in runs)):
+    for taken in itertools.product(*(range(n + 1) for _, n in split)):
         # the split's weight and its scions for c1 and for the rest, in order
         weight, down, up = 1, (), ()
-        for (scion, n), k in zip(runs, taken):
+        for (scion, n), k in zip(split, taken):
             weight *= comb(n, k)
             down += (scion,) * k
             up += (scion,) * (n - k)
@@ -151,9 +150,8 @@ def primitive_space_dimension(n: int) -> int:
     if n < 1:
         raise ValueError("degree must be >= 1")
     basis = enumerate_trees(n + 1)
-    unit = LinComb.term(LEAF)
     columns = []
     for t in basis:
         elem = LinComb.term(t)
-        columns.append(tree_coproduct(t) - tensor(unit, elem) - tensor(elem, unit))
+        columns.append(tree_coproduct(t) - tensor(UNIT, elem) - tensor(elem, UNIT))
     return len(basis) - rank(columns)

@@ -9,7 +9,7 @@ import itertools
 from .. import connes_kreimer as ck
 from .. import graded_dual as gd
 from .. import operators as ops
-from ..exactlin import LinComb, add_to
+from ..exactlin import LinComb, add_to, ratio
 from ..trees import LEAF, Forest, aut_order, b_minus, trees_up_to_degree
 from . import _law, sparse_cases
 
@@ -76,7 +76,6 @@ def laws(D: int) -> list:
     def product_pairing():
         # coeff_t(a b) = s(a) s(b) / s(t) * [B-(a) (x) b] cut-coproduct(t),
         # with s the automorphism order: grafting against cutting
-        from fractions import Fraction
         position = {p: i for i, p in enumerate(pairs)}
         legs = {(b_minus(a), Forest((b,))): ((a, b), aut_order(a) * aut_order(b))
                 for a, b in pairs}
@@ -87,7 +86,7 @@ def laws(D: int) -> list:
             for key, c in ck.tree_coproduct_by_cuts(t).terms.items():
                 if key in legs:
                     p, weight = legs[key]
-                    rhs[p] = Fraction(c * weight, sigma)
+                    rhs[p] = ratio(c * weight, sigma)
             yield from sparse_cases(position, (t,), dict(products.get(t, ())), rhs)
 
     def perturbed_m(t):

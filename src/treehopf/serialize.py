@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import re
 
-from .exactlin import LinComb, encoding, tensor_key
+from .exactlin import LinComb, encoding, ratio, tensor_key
 from .trees import parse_tree
 
 
@@ -57,7 +57,6 @@ _COEFF = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def lincomb_from_obj(obj, parse_key) -> LinComb:
-    from fractions import Fraction
     if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise ValueError("expected an object with a 'terms' list")
     pairs = []
@@ -70,7 +69,7 @@ def lincomb_from_obj(obj, parse_key) -> LinComb:
         if not isinstance(coeff, str) or not _COEFF.fullmatch(coeff):
             raise ValueError("coefficient must be a string 'p' or 'p/q' with "
                              f"q != 0: {entry!r}")
-        pairs.append((parse_key(entry["basis"]), Fraction(coeff)))
+        pairs.append((parse_key(entry["basis"]), ratio(*map(int, coeff.split("/")))))
     return LinComb(pairs)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from functools import lru_cache
+from math import factorial
 from operator import attrgetter
 
 from .exactlin import LinComb
@@ -51,6 +52,8 @@ class Tree:
     def __new__(cls, children=()):
         return _tree(tuple(sorted(children, key=_by_encoding)))
 
+    # kept: perfbench's tracer wraps ``__init__`` and passes it the
+    # constructor's arguments, which ``object.__init__`` would then reject
     def __init__(self, children=()):
         """Nothing to do: ``__new__`` returns a finished, shared tree."""
 
@@ -78,7 +81,7 @@ class Forest:
     def __new__(cls, items=()):
         return _forest(tuple(sorted(items, key=_by_encoding)))
 
-    def __init__(self, items=()):
+    def __init__(self, items=()):  # kept, as for ``Tree``
         """Nothing to do: ``__new__`` returns a finished, shared forest."""
 
     def __reduce__(self):
@@ -318,8 +321,7 @@ def leaf_growth(t: Tree) -> LinComb:
     kids = t.children
     out = {with_child(kids, LEAF): 1}
     start = 0
-    for child, group in itertools.groupby(kids):
-        m = len(list(group))
+    for child, m in runs(kids):
         others = kids[:start] + kids[start + 1:]
         for grown, k in leaf_growth(child).terms.items():
             tree = with_child(others, grown)
@@ -384,15 +386,16 @@ def count_trees_recurrence(n: int) -> int:
     return counts[n]
 
 
+def runs(items):
+    """Each distinct item of a sorted tuple, with how often it occurs."""
+    return ((item, len(list(run))) for item, run in itertools.groupby(items))
+
+
 @lru_cache(maxsize=None)
 def aut_order(t: Tree) -> int:
-    """Order of the automorphism group: equal child subtrees may permute."""
+    """Order of the automorphism group: a run of m equal child subtrees c
+    gives ``aut_order(c) ** m * m!``, since the copies may permute."""
     result = 1
-    run = 0
-    previous = None
-    for child in t.children:
-        result *= aut_order(child)
-        run = run + 1 if child is previous else 1
-        previous = child
-        result *= run
+    for child, m in runs(t.children):
+        result *= aut_order(child) ** m * factorial(m)
     return result

@@ -10,7 +10,8 @@ module per suite.  Each ``_LAWS`` entry imports its suite's module only
 when called, and ``_render`` imports ``serialize`` only for a violation,
 so a ``verify`` call compiles the laws and kernels of the suites it runs
 and nothing more; at module level this module imports only the standard
-library and ``exactlin``.  No module but ``cli`` imports this one.  To add
+library, ``exactlin`` and the package's ``SUITES``.  No module but ``cli``
+imports this one.  To add
 a law, see ``laws``.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from importlib import import_module
 
+from . import SUITES
 from .exactlin import LinComb
 
 
@@ -53,9 +55,6 @@ def check(rows) -> dict:
             if lhs != rhs:
                 violations.append(_violation(law, args, lhs, rhs))
     return {"checked": checked, "violations": violations}
-
-
-SUITES = ("trees", "hr", "gl", "lie", "operators", "dual")
 
 
 def _suite_laws(name: str):

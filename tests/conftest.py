@@ -410,7 +410,7 @@ def cli_corpus(tmp_path_factory):
         (["verify", "--suite", "trees", "--max-degree", "3"], None),
         (["verify", "--suite", "lie", "--max-degree", "3"], None),
         (["verify", "--suite", "dual", "--max-degree", "2"], None),
-        (["verify", "--suite", "hr", "--max-degree", "2", "--report", "text"], None),
+        (["--format", "text", "verify", "--suite", "hr", "--max-degree", "2"], None),
         (["verify", "--suite", "gl", "--max-degree", "2"], None),
         (["prod", "--algebra", "gl", at_file, "[[]]"], "tree"),
     ]

@@ -252,6 +252,24 @@ def test_runtime_imports_are_stdlib_only():
           "standard library): PASS")
 
 
+def test_only_exactlin_imports_fractions():
+    """A computed ``Fraction`` comes only from ``exactlin.ratio``: no other
+    module imports ``fractions``, at top level or inside a function."""
+    package = Path(__file__).parents[1] / "src" / "treehopf"
+    importers = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if "fractions" in names:
+                importers.add(path.relative_to(package).as_posix())
+    assert importers == {"exactlin.py"}
+
+
 def test_module_imports_are_acyclic():
     package = Path(__file__).parents[1] / "src" / "treehopf"
 

@@ -10,7 +10,7 @@ from math import comb
 import pytest
 
 from conftest import child_env, roundtrip_ok, run_python
-from treehopf import cli, verify
+from treehopf import SUITES, cli, verify
 from treehopf import connes_kreimer as ck
 from treehopf import grossman_larson as gl
 from treehopf import operators as ops
@@ -171,6 +171,30 @@ def test_non_string_basis_exits_two_without_traceback(tmp_path, basis):
     assert stderr.startswith("error: basis")
 
 
+def test_a_result_past_the_digit_cap_prints_exactly(tmp_path):
+    """A 4000-digit coefficient is accepted, and its square, longer than the
+    4300 digits Python converts by default, prints in full; rendering lifts
+    the cap and restores it, so a longer input is still refused."""
+    def element(name, coeff):
+        return _write(tmp_path, name, json.dumps(
+            {"terms": [{"basis": "[[]]", "coeff": coeff}]}))
+
+    big = element("big.json", "7" * 4000)
+    proc = run_python("-X", "int_max_str_digits=0", "-c", "print(int('7' * 4000) ** 2)")
+    square = proc.stdout.strip()
+    assert len(square) == 8000
+    assert json.loads(ok(["prod", "--algebra", "hr", big, big])) == {
+        "terms": [{"basis": "[[]] [[]]", "coeff": square}]}
+    assert ok(["--format", "text", "prod", "--algebra", "gl", big, big]) == \
+        f"{square}*[[[]]] + {square}*[[][]]"
+    # Python caps conversions at 4300 digits by default from 3.10.7 on
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+        result = run(["prod", "--algebra", "hr", element("huge.json", "7" * 5000), "[]"])
+        assert result.exit_code == 2
+        assert result.payload.startswith("error: ")
+        assert "\n" not in result.payload
+
+
 def test_xk_past_the_recursion_limit_exits_two():
     # x_k recurses on k, but a k this large is refused by its ceiling first
     result = run(["xk", "3000"])
@@ -295,7 +319,7 @@ def test_verify_small_suites():
     assert report["violations"] == []
     assert report["checked"] > 0
 
-    text = run(["verify", "--suite", "lie", "--max-degree", "2", "--report", "text"])
+    text = run(["--format", "text", "verify", "--suite", "lie", "--max-degree", "2"])
     assert text.exit_code == 0
     assert text.payload.startswith("suite=lie maxDegree=2 ")
     assert text.payload.endswith("violations=0")
@@ -464,11 +488,6 @@ def test_cli_calls_kernels_through_module_attributes(monkeypatch):
         '{"terms": [{"basis": "[[]] []", "coeff": "1"}]}'
 
 
-def test_cli_suite_names_match_verify():
-    # the parser lists the suites without importing verify
-    assert cli.SUITES == verify.SUITES
-
-
 def test_unexpected_exception_exits_two_with_one_line(monkeypatch):
     def raising(a, b):
         raise RuntimeError("kernel failed\non two lines")
@@ -510,17 +529,16 @@ MODULES_LOADED = [
     (["psi", "[[]]"], 0, _LIE),
     (["prod", "--algebra", "gl", "[[", "[]"], 2, _CORE),
     # a suite loads its own laws and the kernels they read, and a clean
-    # report no serialize; ``all`` loads every suite's laws
+    # report no serialize; ``all`` loads every suite's laws.  Every quotient
+    # of a suite is integral, so none loads ``fractions``
     *[(["verify", "--suite", suite, "--max-degree", "1"], 0,
-       loaded | _VERIFY | {f"treehopf.laws.{s}" for s in verify.SUITES
+       loaded | _VERIFY | {f"treehopf.laws.{s}" for s in SUITES
                            if suite in (s, "all")})
       for suite, loaded in [
           ("trees", _CORE), ("gl", _GL), ("operators", _OPS | _GL),
-          ("hr", _CK | _FRACTIONS),
-          ("lie", _CK | _GL | _FRACTIONS | {"treehopf.tree_lie"}),
-          ("dual", _CK | _GL | _FRACTIONS | {"treehopf.graded_dual"}),
-          ("all", _CK | _GL | _FRACTIONS
-           | {"treehopf.tree_lie", "treehopf.graded_dual"})]],
+          ("hr", _CK), ("lie", _CK | _GL | {"treehopf.tree_lie"}),
+          ("dual", _CK | _GL | {"treehopf.graded_dual"}),
+          ("all", _CK | _GL | {"treehopf.tree_lie", "treehopf.graded_dual"})]],
     # a call above its ceiling is refused before any kernel module loads
     *[(argv, 2, _CORE) for argv, _, _ in ABOVE_CEILINGS],
 ]

@@ -4,9 +4,9 @@ import pytest
 
 from treehopf import connes_kreimer as ck
 from treehopf.exactlin import LinComb, combine, swap_legs, tensor, tensor_key
-from treehopf.trees import (EMPTY_FOREST, LEAF, Forest, enumerate_forests,
-                            enumerate_trees, graft_many, parse_forest,
-                            parse_tree)
+from treehopf.trees import (EMPTY_FOREST, LEAF, Forest, admissible_cuts,
+                            enumerate_forests, enumerate_trees, graft_many,
+                            parse_forest, parse_tree)
 
 E = parse_tree("[]")
 L2 = parse_tree("[[]]")
@@ -105,6 +105,18 @@ def test_antipode_axiom_small():
                 acc = combine(acc, ck.product(ck.forest_antipode(left),
                                               LinComb.term(right)), c)
             assert acc == expected
+
+
+def test_antipode_matches_a_sum_over_cuts():
+    # the tree antipode reads the merged cut coproduct; summed cut by cut
+    # the recursion gives the same element
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            expected = -LinComb.term(Forest((t,)))
+            for cut in admissible_cuts(t):
+                expected -= ck.product(ck.forest_antipode(cut.branch),
+                                       LinComb.term(Forest((cut.trunk,))))
+            assert ck.tree_antipode(t) == expected, t
 
 
 def test_antipode_multiplicative():

@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dense_rank, dense_solve_membership, is_normalised
+from conftest import dense_rank, dense_solve_membership, is_normalised, run_python
 from treehopf import connes_kreimer as ck
 from treehopf import grossman_larson as gl
 from treehopf import operators as ops
 from treehopf import tree_lie
 from treehopf.exactlin import (LinComb, combine, encoding, exact, extend_bilinear,
-                               extend_linear, map_left, map_right, rank,
+                               extend_linear, map_left, map_right, rank, ratio,
                                solve_membership, swap_legs, tensor, tensor_key)
 from treehopf.serialize import lincomb_from_obj
 from treehopf.trees import Forest, LEAF, enumerate_trees, parse_tree
@@ -183,6 +183,27 @@ def test_exact_normalises_coefficients():
     for value in (0.5, 2.0, "1/2", None):
         with pytest.raises(TypeError):
             exact(value)
+
+
+def test_ratio_is_an_int_when_the_division_is_exact():
+    assert type(ratio(6, 3)) is int and ratio(6, 3) == 2
+    assert type(ratio(0, 5)) is int and ratio(0, 5) == 0
+    assert type(ratio(7)) is int and ratio(7) == 7
+    for (p, q), reduced in [((1, 2), (1, 2)), ((-4, 6), (-2, 3)), ((4, -6), (-2, 3))]:
+        value = ratio(p, q)
+        assert type(value) is Fraction and is_normalised(value)
+        assert (value.numerator, value.denominator) == reduced
+    # a rational numerator, as the back-substitution of a solve passes
+    assert ratio(Fraction(3, 2), 3) == Fraction(1, 2)
+    assert type(ratio(Fraction(9, 2), Fraction(3, 2))) is int
+
+
+def test_ratio_loads_fractions_only_for_a_fraction():
+    probe = ("import sys; from treehopf.exactlin import ratio; "
+             "print(ratio(6, 3), 'fractions' in sys.modules)")
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2 False\n"
 
 
 def test_integral_results_fall_back_to_int():

@@ -1,5 +1,7 @@
 """Tree and forest primitives: parsing, surgery, and enumeration."""
 
+from math import factorial
+
 import pytest
 
 from conftest import antichain_filter_cuts, cut_signature, graft_per_vertex_growth
@@ -8,7 +10,8 @@ from treehopf.trees import (EMPTY_FOREST, LEAF, Forest, Tree, TreeParseError,
                             canonicalize, count_trees_recurrence,
                             enumerate_forests, enumerate_trees, graft_many,
                             leaf_growth, parse_forest, parse_tree,
-                            preorder_subtrees, trees_up_to_degree, with_child)
+                            preorder_subtrees, runs, trees_up_to_degree,
+                            with_child)
 
 E = parse_tree("[]")
 L2 = parse_tree("[[]]")
@@ -252,6 +255,17 @@ def test_aut_order():
     assert aut_order(parse_tree("[[][][]]")) == 6
     assert aut_order(parse_tree("[[[]][]]")) == 1
     assert aut_order(parse_tree("[[[][]]]")) == 2
+    assert list(runs(parse_tree("[[][][[]][[]][[][]]]").children)) == [
+        (CHERRY, 1), (L2, 2), (E, 2)]
+    assert list(runs(())) == []
+
+
+def test_aut_order_counts_labelled_trees():
+    # Cayley: the n^(n - 1) rooted trees on n labelled vertices fall into
+    # isomorphism classes t of n! / |Aut(t)| labellings each
+    for n in range(1, 10):
+        assert sum(factorial(n) // aut_order(t)
+                   for t in enumerate_trees(n)) == n ** (n - 1), n
 
 
 def test_preorder_indexing():
