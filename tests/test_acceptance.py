@@ -270,6 +270,27 @@ def test_only_exactlin_imports_fractions():
     assert importers == {"exactlin.py"}
 
 
+def test_only_cli_main_ends_the_process():
+    """``os._exit`` skips teardown, and with it the flush of every stream, so
+    it has one home: ``cli.main``, which flushes both streams first.  No
+    other function, in ``cli`` or any other module, calls it."""
+    package = Path(__file__).parents[1] / "src" / "treehopf"
+    callers = set()
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
+            if getattr(func, "attr", getattr(func, "id", None)) == "_exit":
+                callers.add((path, scope))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, path, getattr(child, "name", "<lambda>") if named else scope)
+
+    for path in package.rglob("*.py"):
+        visit(ast.parse(path.read_text(), str(path)),
+              path.relative_to(package).as_posix(), "<module>")
+    assert callers == {("cli.py", "main")}
+
+
 def test_module_imports_are_acyclic():
     package = Path(__file__).parents[1] / "src" / "treehopf"
 

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from math import comb
@@ -355,6 +356,104 @@ def test_closed_pipe_ends_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert stderr == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["prod", "--algebra", "gl", "[[]]", "[[]]"],
+    ["verify", "--suite", "trees", "--max-degree", "3"],
+    ["prod", "--algebra", "gl", "[[", "[]"],
+])
+def test_fresh_process_matches_run(argv):
+    """``main`` ends the process with ``os._exit`` once both streams are
+    flushed: a fresh process prints what ``run`` returns, on the stream and
+    with the exit code the contract gives it."""
+    result = run(argv)
+    proc = run_python("-m", "treehopf", *argv)
+    line = result.payload + "\n"
+    assert proc.returncode == result.exit_code
+    assert (proc.stdout, proc.stderr) == (("", line) if result.exit_code == 2 else (line, ""))
+
+
+def test_fresh_process_exits_one_on_violation():
+    probe = ("import sys, treehopf.cli, treehopf.verify; "
+             "treehopf.verify.run_suite = lambda name, max_degree: {'suite': name, "
+             "'maxDegree': max_degree, 'checked': 1, 'violations': [{'law': 'fake', "
+             "'inputs': [], 'lhs': '0', 'rhs': '1'}]}; "
+             "treehopf.cli.main()")
+    proc = run_python("-c", probe, "verify", "--suite", "trees", "--max-degree", "2")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["violations"][0]["law"] == "fake"
+
+
+@pytest.mark.parametrize("tracer, teardown", [("", False),
+                                              ("sys.settrace(lambda *a: None); ", True)])
+def test_teardown_runs_only_under_a_tracer(tracer, teardown):
+    """An ``atexit`` callback shows whether the interpreter tore down: not
+    after a plain call, but after one with a tracer attached, which writes
+    its output at exit."""
+    probe = ("import atexit, sys, treehopf.cli; "
+             "atexit.register(lambda: print('teardown', file=sys.stderr)); "
+             f"{tracer}treehopf.cli.main()")
+    proc = run_python("-c", probe, "enum", "--size", "3")
+    assert proc.returncode == 0
+    assert proc.stdout == '["[[[]]]", "[[][]]"]\n'
+    assert proc.stderr == ("teardown\n" if teardown else "")
+
+
+def test_profiled_call_prints_its_profile():
+    proc = run_python("-m", "cProfile", "-m", "treehopf", "enum", "--size", "3")
+    assert proc.returncode == 0, proc.stderr
+    payload, profile = proc.stdout.split("\n", 1)
+    assert payload == '["[[[]]]", "[[][]]"]'
+    assert "function calls" in profile
+
+
+def test_run_never_ends_the_process(cli_corpus, monkeypatch):
+    def refuse(code):
+        raise AssertionError(f"os._exit({code}) called from run()")
+
+    monkeypatch.setattr(os, "_exit", refuse)
+    codes = [run(argv).exit_code for argv, _ in cli_corpus]
+    codes.append(run(["prod", "--algebra", "gl", "[[", "[]"]).exit_code)
+    assert codes == [0] * len(cli_corpus) + [2]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("size", ["3", "12"])
+def test_a_full_device_exits_two_with_one_line(size):
+    """A failed write is not a violation (exit 1): it gives one ``error:``
+    line and exit 2.  A listing of 12 outgrows the stream's buffer and
+    fails in the write; one of 3 fails in the flush when stdout is
+    buffered."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "treehopf", "enum", "--size", size],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=child_env())
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+def test_a_closed_stdout_exits_two_with_one_line():
+    proc = subprocess.run([sys.executable, "-m", "treehopf", "enum", "--size", "3"],
+                          stderr=subprocess.PIPE, text=True, env=child_env(),
+                          preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write output: stdout is closed\n"
+
+
+@pytest.mark.parametrize("argv, exit_code, stdout", [
+    (["prod", "--algebra", "gl", "[[", "[]"], 2, ""),
+    (["enum", "--size", "3"], 0, '["[[[]]]", "[[][]]"]\n'),
+])
+def test_a_closed_stderr_keeps_the_exit_code(argv, exit_code, stdout):
+    """A closed stderr is never written to: an ``error:`` line is lost, but
+    the call keeps its own exit code and never writes it to stdout."""
+    proc = subprocess.run([sys.executable, "-m", "treehopf", *argv],
+                          stdout=subprocess.PIPE, text=True, env=child_env(),
+                          preexec_fn=lambda: os.close(2))
+    assert proc.returncode == exit_code
+    assert proc.stdout == stdout
 
 
 def test_cross_process_determinism():
