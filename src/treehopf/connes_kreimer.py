@@ -9,9 +9,10 @@ product of its trees and the empty forest is the unit 1.  On a single tree
 and on a monomial the coproduct acts factor by factor, since it is an
 algebra map.  A second, recursive form of the tree coproduct (peel the
 root, coproduct the child forest, regrow the root on the right leg) is kept
-as an independent cross-check.  The antipode follows the cut recursion,
-read from the terms of the cut coproduct, and extends multiplicatively over
-forest factors.
+as an independent cross-check.  The cut coproduct is the one reader of
+``trees.admissible_cuts``, which caches nothing, so its memo is the only
+cache of cuts.  The antipode follows the cut recursion, read from the terms
+of the cut coproduct, and extends multiplicatively over forest factors.
 
 Leaf growth at every vertex is a weight +1 derivation; its iterates starting
 from the one-vertex tree give the chain ``delta(1), delta(2), ...`` whose
@@ -70,11 +71,16 @@ def multiply_tensors(x: LinComb, y: LinComb) -> LinComb:
 
 @lru_cache(maxsize=None)
 def tree_coproduct_by_cuts(t: Tree) -> LinComb:
-    """All-cuts coproduct of a single tree; tensor legs are forests."""
+    """All-cuts coproduct of a single tree; tensor legs are forests.
+
+    Equal cuts merge into one counted ``branch (x) trunk`` term.  This memo
+    is the only cache of cuts, since ``admissible_cuts`` keeps none; the
+    returned combination is shared and must not be mutated.
+    """
     single = Forest((t,))
     out = {tensor_key(EMPTY_FOREST, single): 1, tensor_key(single, EMPTY_FOREST): 1}
-    for cut in admissible_cuts(t):
-        add_to(out, tensor_key(cut.branch, Forest((cut.trunk,))), 1)
+    for _, branch, trunk in admissible_cuts(t):
+        add_to(out, tensor_key(branch, Forest((trunk,))), 1)
     return LinComb(out)
 
 

@@ -59,7 +59,7 @@ def graft_forest(scions: tuple, host: Tree) -> LinComb:
     if not scions:
         return LinComb.term(host)
     if host.size == 1:
-        return LinComb.term(Tree(scions))
+        return LinComb.term(_tree(scions))
     first, rest = host.children[0], _tree(host.children[1:])
     split = list(runs(scions))
     out: dict = {}
@@ -100,8 +100,9 @@ def tree_coproduct(t: Tree) -> LinComb:
     r = len(subtrees)
     out: dict = {}
     for mask in range(1 << r):
-        left = Tree(subtrees[i] for i in range(r) if mask >> i & 1)
-        right = Tree(subtrees[i] for i in range(r) if not mask >> i & 1)
+        # each leg is a subsequence of a canonical tuple, so already sorted
+        left = _tree(tuple(subtrees[i] for i in range(r) if mask >> i & 1))
+        right = _tree(tuple(subtrees[i] for i in range(r) if not mask >> i & 1))
         add_to(out, tensor_key(left, right), 1)
     return LinComb(out)
 

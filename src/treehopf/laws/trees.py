@@ -1,5 +1,7 @@
 """The ``trees`` suite: enumeration, root surgery, cuts, growth and the
-canonical form, on the tree kernels alone."""
+canonical form, on the tree kernels alone.  The three cut rows read each
+tree's cuts from one table that ``laws(D)`` builds and that ends with the
+suite, since ``admissible_cuts`` caches nothing."""
 
 from __future__ import annotations
 
@@ -15,10 +17,14 @@ def _scrambled_nested(t: Tree, mode: int):
 
 
 def laws(D: int) -> list:
+    # each tree's cuts, enumerated once for the three cut rows
+    domain = _trees(D + 1)
+    cuts_of = {t: admissible_cuts(t) for (t,) in domain}
+
     def cuts():
-        for (t,) in _trees(D + 1):
+        for t, tree_cuts in cuts_of.items():
             subs = preorder_subtrees(t)
-            for cut in admissible_cuts(t):
+            for cut in tree_cuts:
                 yield (t, list(cut.edges)), subs, cut
 
     def antichain(subs, edges):
@@ -38,8 +44,8 @@ def laws(D: int) -> list:
                               for args, _, cut in cuts())),
         ("trees.cut_antichain", ((args, antichain(subs, cut.edges), True)
                                  for args, subs, cut in cuts())),
-        _law("trees.single_cut_count", _trees(D + 1),
-             lambda t: (sum(len(c.edges) == 1 for c in admissible_cuts(t)), t.size - 1)),
+        _law("trees.single_cut_count", domain,
+             lambda t: (sum(len(c.edges) == 1 for c in cuts_of[t]), t.size - 1)),
         _law("trees.growth_count", _trees(D + 1),
              lambda t: (leaf_growth(t).mass(), t.size)),
         _law("trees.canonical_invariance",

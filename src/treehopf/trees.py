@@ -16,13 +16,16 @@ sorted by inserting it in place, and looks up the same table.
 
 Vertices are addressed by preorder index on the canonical form: the root is
 0 and children are visited in canonical order.  All values are immutable
-after construction and every operation is pure.
+after construction and every operation is pure.  Admissible cuts are
+enumerated afresh on each call; the cut coproduct's memo in
+``connes_kreimer`` is the only cache of cuts.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 from operator import attrgetter
@@ -153,25 +156,16 @@ LEAF = Tree()
 EMPTY_FOREST = Forest()
 
 
-class Cut:
-    """An admissible cut of a tree.
+Cut = namedtuple("Cut", "edges branch trunk")
+Cut.__doc__ = """An admissible cut of a tree, as a named tuple.
 
-    ``edges`` names each severed edge by the preorder index of its lower
-    vertex, in an ascending tuple; ``branch`` collects the severed subtrees
-    and ``trunk`` is the part still containing the root.  Admissibility
-    means no severed vertex is an ancestor of another.
-    """
-
-    __slots__ = ("edges", "branch", "trunk")
-
-    def __init__(self, edges, branch: Forest, trunk: Tree):
-        self.edges = tuple(edges)
-        self.branch = branch
-        self.trunk = trunk
-
-    def __repr__(self):
-        return (f"Cut({list(self.edges)}, branch={self.branch.encoding!r}, "
-                f"trunk={self.trunk.encoding!r})")
+``edges`` names each severed edge by the preorder index of its lower
+vertex, in an ascending tuple; ``branch`` collects the severed subtrees
+(a ``Forest``) and ``trunk`` is the part still containing the root (a
+``Tree``).  Admissibility means no severed vertex is an ancestor of
+another.  Cuts are not cached: ``admissible_cuts`` builds them afresh, and
+the cut coproduct's memo is the only cache of what they hold.
+"""
 
 
 def _parse_tree_at(text: str, pos: int) -> tuple[Tree, int]:
@@ -223,12 +217,12 @@ def canonicalize(nested) -> Tree:
 
 def b_minus(t: Tree) -> Forest:
     """Delete the root, leaving the forest of its child subtrees."""
-    return Forest(t.children)
+    return _forest(t.children)
 
 
 def b_plus(f: Forest) -> Tree:
     """Attach a new root over every tree of the forest; inverse of b_minus."""
-    return Tree(f.items)
+    return _tree(f.items)
 
 
 def graft_many(host: Tree, placements) -> Tree:
@@ -271,40 +265,46 @@ def preorder_subtrees(t: Tree) -> list[Tree]:
     return out
 
 
-@lru_cache(maxsize=None)
 def admissible_cuts(t: Tree) -> tuple[Cut, ...]:
     """Every admissible cut with at least one severed edge.
 
     A cut is a set of non-root preorder indices that is an antichain in the
     ancestor order (vertex v covers the preorder interval [v, v + size_v),
     so w is a descendant of v iff v < w < v + size_v).  Built recursively
-    over the root's children: each child, at preorder offset o, is either
-    severed whole (edge o), kept whole, or cut by one of its own admissible
-    cuts with every edge shifted by o.  Every combination but the all-keep
-    one is a cut of t, and each cut arises exactly once.  Deterministic
-    order: by cut order, then lexicographically by sorted index tuple.
+    over the root's children by ``_cut_parts``; only the cuts of t itself
+    are sorted and get a branch ``Forest``.  Deterministic order: by cut
+    order, then lexicographically by sorted index tuple.  Nothing is
+    memoized: each call enumerates afresh, its children's cuts included,
+    and the memo of ``connes_kreimer.tree_coproduct_by_cuts``, which merges
+    equal cuts into counted terms, is the only cache of cuts.
     """
-    choices = []
+    # edge tuples are distinct, so the branch trees are never compared
+    return tuple(Cut(edges, Forest(branch), trunk) for _, edges, branch, trunk
+                 in sorted((len(cut[0]),) + cut for cut in _cut_parts(t)))
+
+
+def _cut_parts(t: Tree) -> list:
+    """``(edges, branch trees, trunk)`` of each cut of t, in no set order,
+    the branch trees unsorted.
+
+    Each child, at preorder offset o, is either severed whole (edge o), kept
+    whole, or cut by one of its own cuts with every edge shifted by o; the
+    choices are joined child by child, by tuple concatenation.  Every
+    combination but the all-keep one is a cut of t, and each cut arises
+    exactly once.  Only the trunks are interned on the way, since each
+    becomes a child of its parent's trunk.
+    """
+    parts = [((), (), ())]  # (edges, branch trees, trunk children) so far
     offset = 1
     for child in t.children:
-        # (edges, branch trees, trunk child or None) for this child
-        options = [((offset,), (child,), None), ((), (), child)]
-        for cut in admissible_cuts(child):
-            options.append((tuple(e + offset for e in cut.edges),
-                            cut.branch.items, cut.trunk))
-        choices.append(options)
+        options = [((offset,), (child,), ()), ((), (), (child,))]
+        options += [(tuple(e + offset for e in edges), branch, (trunk,))
+                    for edges, branch, trunk in _cut_parts(child)]
+        parts = [(edges + e, branch + b, kids + k)
+                 for edges, branch, kids in parts for e, b, k in options]
         offset += child.size
-    combos = []
-    for picks in itertools.product(*choices):
-        edges = tuple(e for pick in picks for e in pick[0])
-        if edges:
-            combos.append((len(edges), edges, picks))
-    combos.sort()  # edge tuples are distinct, so picks are never compared
-    return tuple(
-        Cut(edges,
-            Forest(tree for pick in picks for tree in pick[1]),
-            Tree(pick[2] for pick in picks if pick[2] is not None))
-        for _, edges, picks in combos)
+    return [(edges, branch, _tree(tuple(sorted(kids, key=_by_encoding))))
+            for edges, branch, kids in parts if edges]
 
 
 @lru_cache(maxsize=None)

@@ -78,6 +78,15 @@ def test_hr_report_pinned_at_degree_six():
         "6c219d73b3b41bc102f0a5a4794a982221fe2db5d491be7f301e808ae35b1284"
 
 
+def test_hr_report_pinned_at_degree_seven():
+    # digest taken while admissible_cuts still kept a memo of its own
+    report = verify.run_suite("hr", 7)
+    assert report["checked"] == 8066
+    text = json.dumps(report, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "c6647c3938350b1cb1a890ad5aba1c40a709e9d900ef76f1248ca6c6588aa464"
+
+
 def test_operators_report_pinned_at_degree_six():
     # digest taken before the recursive grafting kernel replaced the
     # multiset-of-sites product
@@ -104,6 +113,15 @@ def test_trees_report_pinned_at_degree_six():
     text = json.dumps(report, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "da327d7578b47ef1d2148ae9c25085236a863756a951864fb08ba012aece0f08"
+
+
+def test_trees_report_pinned_at_degree_seven():
+    # digest taken while admissible_cuts still kept a memo of its own
+    report = verify.run_suite("trees", 7)
+    assert report["checked"] == 13051
+    text = json.dumps(report, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "73e367ce875d5ea35726cc13d5f8cd51fe8e3611dd5218369fe65b9cf2973ba4"
 
 
 def test_lie_report_pinned_at_degree_six():

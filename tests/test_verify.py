@@ -167,6 +167,8 @@ def test_each_value_has_one_memo():
     # the basis maps over a kernel's memo return its value, not a copy
     for kernel in (gl.tree_product, ops.n_tree, ck.delta):
         assert not hasattr(kernel, "cache_info"), kernel
+    # cuts are remembered only as the cut coproduct's terms
+    assert not hasattr(trees.admissible_cuts, "cache_info")
     for a in trees.enumerate_trees(4):
         for b in trees.enumerate_trees(3):
             assert gl.tree_product(a, b) is gl.graft_forest(a.children, b)
@@ -206,3 +208,17 @@ def test_dual_suite_reads_each_kernel_image_once(monkeypatch, fresh_caches):
     assert verify.run_suite("dual", D)["violations"] == []
     per_tree = Counter(calls["m_tree"])
     assert max(per_tree.values()) <= D + 3, per_tree.most_common(1)
+
+
+def test_trees_suite_enumerates_each_tree_cuts_once(monkeypatch):
+    # the three cut rows share one table of cuts, built once per tree
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return trees.admissible_cuts(t)
+
+    monkeypatch.setattr(trees_laws, "admissible_cuts", counted)
+    D = 4
+    assert verify.run_suite("trees", D)["violations"] == []
+    assert Counter(calls) == Counter(trees.trees_up_to_degree(D))
