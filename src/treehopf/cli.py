@@ -39,9 +39,10 @@ before any kernel module is imported, rather than run for minutes.  ``enum
 --count-only`` has a row of its own: it counts by a recurrence that is
 cubic in ``--size``, so its ceiling is far above the listing's.  A command
 whose work grows with the shape of its input (the root fertility, the
-admissible cuts, the placements of a product's scions) has a row too, for
-the command and its ``--algebra``, whose measure is a function of the
-parsed inputs, again checked before any kernel module is imported.
+admissible cuts, the coproduct's products, the placements of a product's
+scions) has a row too, for the command and its ``--algebra``, whose
+measure is a function of the parsed inputs, again checked before any
+kernel module is imported.
 
 Each call imports only the modules its command runs: ``serialize`` when an
 ``@file`` is read or a combination rendered, ``verify`` only for
@@ -152,14 +153,21 @@ def _tree_cuts(children) -> int:
     return count - 1
 
 
-def _cut_terms(t) -> int:
-    """Distinct terms of a tree's cut coproduct, bounded by the recurrence on
-    its children: each run of m equal children takes a multiset of m of the
-    child's own terms, and ``t | 1`` is one more."""
-    count = 1
-    for child, m in runs(t.children):
-        count *= comb(_cut_terms(child) + m - 1, m)
-    return count + 1
+def _coproduct_work(trees) -> tuple:
+    """``(terms, pairs)`` of the product of these trees' coproducts, as the
+    recursive kernel builds it, one tree after another.  ``terms`` bounds
+    its distinct terms: a run of m equal trees takes a multiset of m of the
+    tree's own terms, which are its children's product, each regrown, and
+    ``t | 1``.  ``pairs`` counts the pairs of terms multiplied on the way
+    and the terms regrown, each tree's own coproduct included."""
+    terms, pairs = 1, 0
+    for tree, m in runs(trees):
+        kids, inner = _coproduct_work(tree.children)
+        # copy k < m of the run multiplies terms * C(kids + k, k) terms by
+        # kids + 1, summed over k by the hockey-stick identity
+        pairs += inner + kids + terms * (kids + 1) * comb(kids + m, m - 1)
+        terms *= comb(kids + m, m)
+    return terms, pairs
 
 
 # The shape measures, each of one basis element of every input; a row takes
@@ -171,16 +179,22 @@ def _fertility(t) -> int:
 
 
 def _cuts(f) -> int:
-    """What a forest's cut coproduct costs: the most admissible cuts one of
-    its trees enumerates, or the bound on its distinct non-trivial terms,
-    whichever is more.  The forest's coproduct is the product of its trees',
-    so the bound is the product of theirs, a run of m equal trees taking a
-    multiset of m terms.  A one-tree forest measures its admissible cuts."""
-    terms, widest = 1, 0
-    for tree, m in runs(f.items):
-        terms *= comb(_cut_terms(tree) + m - 1, m)
-        widest = max(widest, _tree_cuts(tree.children))
-    return max(widest, terms - 2)
+    """The cut antipode's measure: the most admissible cuts of one of the
+    forest's trees, or the bound on its coproduct's distinct non-trivial
+    terms, whichever is more.  A one-tree forest measures its admissible
+    cuts.  It does not bound the antipode's own terms (ROADMAP item 5)."""
+    widest = max((_tree_cuts(t.children) for t in f.items), default=0)
+    return max(widest, _coproduct_work(f.items)[0] - 2)
+
+
+def _products(f) -> int:
+    """What the recursive coproduct of a forest costs: the pairs of terms it
+    multiplies, or ``_cuts``, whichever is less, so that every input the
+    cut measure passed still passes.  A root over many equal subtrees has
+    few terms but many pairs: a 1600-leaf corolla has 1602 terms and took
+    35 s.  The forest kernel peels its first tree, so its products run from
+    the last tree back."""
+    return min(_coproduct_work(f.items[::-1])[1], _cuts(f))
 
 
 def _placements(a, b=Tree((LEAF,))) -> int:
@@ -202,14 +216,18 @@ def _placements(a, b=Tree((LEAF,))) -> int:
 # The measure of a command and its ``--algebra`` is a shape measure above,
 # from measured times on corollas: ``coprod --algebra gl`` on 18 leaves
 # 2.0 s (19 leaves: 4.1 s), ``antipode --algebra gl`` on 12 leaves 0.8 s
-# (13: 1.7 s), and ``coprod`` and ``antipode --algebra hr`` on 16 leaves,
-# 65535 cuts, 1.2 and 0.9 s (17: 2.3 s); a complete binary tree of 15
-# vertices has 675 cuts, so the size is the wrong measure.  A forest's terms
-# cost less than a tree's cuts: seven distinct trees whose coproduct has at
-# most 62998 terms take 0.55 s, eight with 94498 0.83 s.  The cuts bound the
-# cut coproduct, but not the antipode: that of a chain has a term per
-# partition of its size, and one of 40 vertices, with 39 cuts, takes 4.3 s
-# (ROADMAP item 5).  Grafting a 9-leaf corolla onto a 12-vertex chain has
+# (13: 1.7 s), and ``antipode --algebra hr`` on 16 leaves, 65535 cuts,
+# 0.9 s; a complete binary tree of 15 vertices has 675 cuts, so the size is
+# the wrong measure.  The cuts do not bound the antipode: that of a chain
+# has a term per partition of its size, and one of 40 vertices, with 39
+# cuts, takes 4.3 s (ROADMAP item 5).  ``coprod --algebra hr`` enumerates no
+# cut; its products take about 5 us each with the JSON output: a 630-leaf
+# corolla (398794 products, 632 terms) 2.1-2.4 s and 43 MB, and a root over
+# the 31- and the 15-vertex complete binary trees (467669 products, 152694
+# terms at most) 2.6 s and 265 MB.  Eight distinct trees whose coproduct has
+# at most 94498 terms take 0.55 s, nine with 944998 3.2 s and 307 MB.  The
+# 31-vertex complete binary tree, with 458328 cuts and 2279 terms, takes
+# 0.1 s.  Grafting a 9-leaf corolla onto a 12-vertex chain has
 # 167960 placements and takes 3.7 s, an 8-leaf one 75582 and 1.9 s; the
 # root fertility alone would pass a 12-leaf corolla on that chain, 30 s and
 # 112 MB of output.  ``mop`` is that product with the two-vertex chain on the
@@ -225,7 +243,7 @@ _CEILINGS = {"xk": ("k", 14, _STEEP), "delta": ("k", 15, _STEEP),
              "antipode --algebra gl": (_fertility, 12, _STEEP),
              "prod --algebra gl": (_placements, 100_000, "with their number"),
              "mop --algebra gl": (_placements, 100_000, "with their number"),
-             "coprod --algebra hr": (_cuts, 65535, "with their number"),
+             "coprod --algebra hr": (_products, 400_000, "with their number"),
              "antipode --algebra hr": (_cuts, 65535, "with their number")}
 
 

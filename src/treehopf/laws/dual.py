@@ -74,7 +74,7 @@ def laws(D: int) -> list:
             yield from sparse_cases(position, (t,), lhs, rhs)
 
     def product_pairing():
-        # coeff_t(a b) = s(a) s(b) / s(t) * [B-(a) (x) b] cut-coproduct(t),
+        # coeff_t(a b) = s(a) s(b) / s(t) * [B-(a) (x) b] coproduct(t),
         # with s the automorphism order: grafting against cutting
         position = {p: i for i, p in enumerate(pairs)}
         legs = {(b_minus(a), Forest((b,))): ((a, b), aut_order(a) * aut_order(b))
@@ -83,7 +83,7 @@ def laws(D: int) -> list:
         products = gd.product_index(D)
         for t in basis:
             sigma, rhs = aut_order(t), {}
-            for key, c in ck.tree_coproduct_by_cuts(t).terms.items():
+            for key, c in ck.tree_coproduct_recursive(t).terms.items():
                 if key in legs:
                     p, weight = legs[key]
                     rhs[p] = ratio(c * weight, sigma)

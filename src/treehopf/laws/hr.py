@@ -16,6 +16,8 @@ def laws(D: int) -> list:
     ks = _each(range(1, max(2, D - 1) + 1))
     cop, growth, term = ck.forest_coproduct, ck.forest_growth, LinComb.term
 
+    # the paper's cocycle identity; the kernel is built by this recursion,
+    # so the row restates it, and coproduct_forms_agree ties it to the cuts
     def root_cocycle(f):
         grafted = map_right(lambda g: term(Forest((b_plus(g),))), cop(f))
         rooted = ck.add_root(term(f))

@@ -17,8 +17,9 @@ sorted by inserting it in place, and looks up the same table.
 Vertices are addressed by preorder index on the canonical form: the root is
 0 and children are visited in canonical order.  All values are immutable
 after construction and every operation is pure.  Admissible cuts are
-enumerated afresh on each call; the cut coproduct's memo in
-``connes_kreimer`` is the only cache of cuts.
+enumerated afresh on each call and cached nowhere.  They define the cut
+coproduct, but its kernel in ``connes_kreimer`` never enumerates them: only
+its oracle ``tree_coproduct_by_cuts`` and the ``trees`` suite do.
 """
 
 from __future__ import annotations
@@ -163,8 +164,8 @@ Cut.__doc__ = """An admissible cut of a tree, as a named tuple.
 vertex, in an ascending tuple; ``branch`` collects the severed subtrees
 (a ``Forest``) and ``trunk`` is the part still containing the root (a
 ``Tree``).  Admissibility means no severed vertex is an ancestor of
-another.  Cuts are not cached: ``admissible_cuts`` builds them afresh, and
-the cut coproduct's memo is the only cache of what they hold.
+another.  Cuts are cached nowhere: ``admissible_cuts`` builds them afresh
+on each call.
 """
 
 
@@ -274,9 +275,9 @@ def admissible_cuts(t: Tree) -> tuple[Cut, ...]:
     over the root's children by ``_cut_parts``; only the cuts of t itself
     are sorted and get a branch ``Forest``.  Deterministic order: by cut
     order, then lexicographically by sorted index tuple.  Nothing is
-    memoized: each call enumerates afresh, its children's cuts included,
-    and the memo of ``connes_kreimer.tree_coproduct_by_cuts``, which merges
-    equal cuts into counted terms, is the only cache of cuts.
+    memoized: each call enumerates afresh, its children's cuts included.
+    The coproduct kernel never calls it; the coproduct's oracle
+    ``connes_kreimer.tree_coproduct_by_cuts`` and the ``trees`` suite do.
     """
     # edge tuples are distinct, so the branch trees are never compared
     return tuple(Cut(edges, Forest(branch), trunk) for _, edges, branch, trunk

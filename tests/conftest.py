@@ -338,18 +338,22 @@ def dense_product_pairing(D: int):
     legs = [(a, b, (b_minus(a), Forest((b,))), aut_order(a) * aut_order(b))
             for a in basis for b in basis if a.size + b.size <= D + 2]
     for t in basis:
-        cuts, sigma = ck.tree_coproduct_by_cuts(t), aut_order(t)
+        cop, sigma = ck.tree_coproduct_recursive(t), aut_order(t)
         for a, b, key, weight in legs:
-            c = cuts.coeff(key)
+            c = cop.coeff(key)
             yield ((t, a, b), gl.tree_product(a, b).coeff(t),
                    Fraction(c * weight, sigma) if c else 0)
 
 
 @pytest.fixture
-def fresh_caches():
-    """A broken kernel leaves wrong values in the caches of its callers."""
+def fresh_caches(monkeypatch):
+    """A broken kernel leaves wrong values in the caches of its callers, and
+    in its own memo when it recurses through its module global.  Every
+    replacement is undone before the caches are cleared, so that each memo
+    is reachable from its module again."""
     clear_caches()
     yield
+    monkeypatch.undo()
     clear_caches()
 
 

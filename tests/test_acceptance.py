@@ -52,94 +52,60 @@ def test_verify_reports_pinned(reports):
         assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[name], name
 
 
-def test_dual_report_pinned_at_degree_six():
-    report = verify.run_suite("dual", 6)
-    assert report["checked"] == 44575
-    text = json.dumps(report, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        "4c9b33e0ae60212bdf6a2ca9f7d0bfe0b9fa293c9af2c815bb442e00bc959f2b"
+def _pinned_report(suite: str, degree: int, checked: int, digest: str):
+    """A test that ``verify.run_suite(suite, degree)`` checks ``checked``
+    cases and prints, with its newline, as text of sha256 ``digest``."""
+    def test():
+        report = verify.run_suite(suite, degree)
+        assert report["checked"] == checked
+        text = json.dumps(report, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    return test
 
 
-def test_dual_report_pinned_at_degree_seven():
-    # digest taken before the dual rows skipped the cases off the supports
-    report = verify.run_suite("dual", 7)
-    assert report["checked"] == 260690
-    text = json.dumps(report, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        "a47331acf591ef883b250dfc598179d517ae03fdfcdc3a7fcb91da3f3f31db1e"
-
-
-def test_hr_report_pinned_at_degree_six():
-    # digest taken before the recursive cut kernel replaced the subset filter
-    report = verify.run_suite("hr", 6)
-    assert report["checked"] == 3247
-    text = json.dumps(report, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        "6c219d73b3b41bc102f0a5a4794a982221fe2db5d491be7f301e808ae35b1284"
-
-
-def test_hr_report_pinned_at_degree_seven():
-    # digest taken while admissible_cuts still kept a memo of its own
-    report = verify.run_suite("hr", 7)
-    assert report["checked"] == 8066
-    text = json.dumps(report, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        "c6647c3938350b1cb1a890ad5aba1c40a709e9d900ef76f1248ca6c6588aa464"
-
-
-def test_operators_report_pinned_at_degree_six():
-    # digest taken before the recursive grafting kernel replaced the
-    # multiset-of-sites product
-    report = verify.run_suite("operators", 6)
-    assert report["checked"] == 1013
-    text = json.dumps(report, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        "06d1a14fcb7ab05f84f529144d69ede368f955060846d16fdb186da25942021b"
-
-
-def test_gl_report_pinned_at_degree_six():
-    # digest taken before the recursive grafting kernel, as above
-    report = verify.run_suite("gl", 6)
-    assert report["checked"] == 4721
-    text = json.dumps(report, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        "e8fdb2e2a2a0f1b0fbfa4d6c9fdb0f706520d34cc80f6c4a0e160e54bcaecd60"
-
-
-def test_trees_report_pinned_at_degree_six():
-    # digest taken before trees, forests and tensors were interned
-    report = verify.run_suite("trees", 6)
-    assert report["checked"] == 3967
-    text = json.dumps(report, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        "da327d7578b47ef1d2148ae9c25085236a863756a951864fb08ba012aece0f08"
-
-
-def test_trees_report_pinned_at_degree_seven():
-    # digest taken while admissible_cuts still kept a memo of its own
-    report = verify.run_suite("trees", 7)
-    assert report["checked"] == 13051
-    text = json.dumps(report, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        "73e367ce875d5ea35726cc13d5f8cd51fe8e3611dd5218369fe65b9cf2973ba4"
-
-
-def test_lie_report_pinned_at_degree_six():
-    # digest taken before trees, forests and tensors were interned
-    report = verify.run_suite("lie", 6)
-    assert report["checked"] == 681
-    text = json.dumps(report, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        "8ddfdb49a6675226f9dced114324efef9beee7bfe8732a4b9f1153661a0eb603"
-
-
-def test_lie_report_pinned_at_degree_seven():
-    # digest taken before the Lie star became the single-scion grafting kernel
-    report = verify.run_suite("lie", 7)
-    assert report["checked"] == 1704
-    text = json.dumps(report, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        "c092e6ee7611d11a7efcfedc228ae9fc8cfec56755fe5168e50ca6aee647105d"
+# The reports above max_degree 5, one row each: suite, degree, checked
+# count and digest.  Each row keeps its own test name.
+test_dual_report_pinned_at_degree_six = _pinned_report(
+    "dual", 6, 44575,
+    "4c9b33e0ae60212bdf6a2ca9f7d0bfe0b9fa293c9af2c815bb442e00bc959f2b")
+# digest taken before the dual rows skipped the cases off the supports
+test_dual_report_pinned_at_degree_seven = _pinned_report(
+    "dual", 7, 260690,
+    "a47331acf591ef883b250dfc598179d517ae03fdfcdc3a7fcb91da3f3f31db1e")
+# digest taken before the recursive cut kernel replaced the subset filter
+test_hr_report_pinned_at_degree_six = _pinned_report(
+    "hr", 6, 3247,
+    "6c219d73b3b41bc102f0a5a4794a982221fe2db5d491be7f301e808ae35b1284")
+# digest taken while admissible_cuts still kept a memo of its own
+test_hr_report_pinned_at_degree_seven = _pinned_report(
+    "hr", 7, 8066,
+    "c6647c3938350b1cb1a890ad5aba1c40a709e9d900ef76f1248ca6c6588aa464")
+# digest taken before the recursive grafting kernel replaced the
+# multiset-of-sites product
+test_operators_report_pinned_at_degree_six = _pinned_report(
+    "operators", 6, 1013,
+    "06d1a14fcb7ab05f84f529144d69ede368f955060846d16fdb186da25942021b")
+# digest taken before the recursive grafting kernel, as above
+test_gl_report_pinned_at_degree_six = _pinned_report(
+    "gl", 6, 4721,
+    "e8fdb2e2a2a0f1b0fbfa4d6c9fdb0f706520d34cc80f6c4a0e160e54bcaecd60")
+# digest taken before trees, forests and tensors were interned
+test_trees_report_pinned_at_degree_six = _pinned_report(
+    "trees", 6, 3967,
+    "da327d7578b47ef1d2148ae9c25085236a863756a951864fb08ba012aece0f08")
+# digest taken while admissible_cuts still kept a memo of its own
+test_trees_report_pinned_at_degree_seven = _pinned_report(
+    "trees", 7, 13051,
+    "73e367ce875d5ea35726cc13d5f8cd51fe8e3611dd5218369fe65b9cf2973ba4")
+# digest taken before trees, forests and tensors were interned
+test_lie_report_pinned_at_degree_six = _pinned_report(
+    "lie", 6, 681,
+    "8ddfdb49a6675226f9dced114324efef9beee7bfe8732a4b9f1153661a0eb603")
+# digest taken before the Lie star became the single-scion grafting kernel
+test_lie_report_pinned_at_degree_seven = _pinned_report(
+    "lie", 7, 1704,
+    "c092e6ee7611d11a7efcfedc228ae9fc8cfec56755fe5168e50ca6aee647105d")
 
 
 def _laws(report, prefixes):
@@ -288,17 +254,17 @@ def test_only_exactlin_imports_fractions():
     assert importers == {"exactlin.py"}
 
 
-def test_only_cli_main_ends_the_process():
-    """``os._exit`` skips teardown, and with it the flush of every stream, so
-    it has one home: ``cli.main``, which flushes both streams first.  No
-    other function, in ``cli`` or any other module, calls it."""
+def _callers(name: str) -> set:
+    """``(module path, enclosing function)`` of each call of ``name`` in
+    src/treehopf, as a plain name or an attribute; ``<module>`` at top
+    level and ``<lambda>`` inside a lambda."""
     package = Path(__file__).parents[1] / "src" / "treehopf"
     callers = set()
 
     def visit(node, path, scope):
         for child in ast.iter_child_nodes(node):
             func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
-            if getattr(func, "attr", getattr(func, "id", None)) == "_exit":
+            if getattr(func, "attr", getattr(func, "id", None)) == name:
                 callers.add((path, scope))
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
             visit(child, path, getattr(child, "name", "<lambda>") if named else scope)
@@ -306,7 +272,24 @@ def test_only_cli_main_ends_the_process():
     for path in package.rglob("*.py"):
         visit(ast.parse(path.read_text(), str(path)),
               path.relative_to(package).as_posix(), "<module>")
-    assert callers == {("cli.py", "main")}
+    return callers
+
+
+def test_only_cli_main_ends_the_process():
+    """``os._exit`` skips teardown, and with it the flush of every stream, so
+    it has one home: ``cli.main``, which flushes both streams first.  No
+    other function, in ``cli`` or any other module, calls it."""
+    assert _callers("_exit") == {("cli.py", "main")}
+
+
+def test_only_the_oracle_and_the_trees_suite_enumerate_cuts():
+    """The coproduct kernel is the root recursion, so no kernel enumerates
+    admissible cuts: only the oracle ``tree_coproduct_by_cuts`` and the
+    ``trees`` suite's own cut laws call ``admissible_cuts``, and only the
+    ``hr`` rows that hold the kernel to the oracle call the oracle."""
+    assert _callers("admissible_cuts") == {
+        ("connes_kreimer.py", "tree_coproduct_by_cuts"), ("laws/trees.py", "laws")}
+    assert _callers("tree_coproduct_by_cuts") == {("laws/hr.py", "<lambda>")}
 
 
 def test_module_imports_are_acyclic():

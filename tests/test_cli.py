@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 from conftest import child_env, roundtrip_ok, run_python
-from treehopf import SUITES, cli, verify
+from treehopf import SUITES, clear_caches, cli, verify
 from treehopf import connes_kreimer as ck
 from treehopf import grossman_larson as gl
 from treehopf import operators as ops
@@ -225,9 +225,10 @@ ABOVE_CEILINGS = [
     (["mop", "[" + "".join(t.encoding for n in range(1, 6)
                            for t in enumerate_trees(n)) + "]"],
      "mop --algebra gl placements=131072", 100000),
+    # a 631-leaf corolla: 633 terms, but 631 ** 2 + 3 * 631 + 4 products
+    (["coprod", "--algebra", "hr", "[" + "[]" * 631 + "]"],
+     "coprod --algebra hr products=400058", 400_000),
     # a chain over a 16-leaf corolla: (2 ** 16 - 1) + 2 - 1 cuts
-    (["coprod", "--algebra", "hr", "[[" + "[]" * 16 + "]]"],
-     "coprod --algebra hr cuts=65536", 65535),
     (["antipode", "--algebra", "hr", "[[" + "[]" * 16 + "]]"],
      "antipode --algebra hr cuts=65536", 65535),
 ]
@@ -256,7 +257,7 @@ def test_shape_measures_count_without_enumerating():
     for t in (t for n in range(1, 9) for t in enumerate_trees(n)):
         assert cli._tree_cuts(t.children) == len(admissible_cuts(t)), t
         assert cli._cuts(Forest((t,))) == len(admissible_cuts(t)), t
-        assert cli._cut_terms(t) >= len(ck.tree_coproduct_by_cuts(t).terms), t
+        assert cli._coproduct_work((t,))[0] >= len(ck.tree_coproduct_by_cuts(t).terms), t
     for a in (t for n in range(1, 6) for t in enumerate_trees(n)):
         for b in (t for n in range(1, 5) for t in enumerate_trees(n)):
             assert cli._placements(a, b) >= len(gl.tree_product(a, b).terms)
@@ -282,12 +283,47 @@ def test_forests_of_equal_trees_are_answered(command, trees):
 
 
 def test_forests_of_distinct_trees_multiply_their_terms(monkeypatch):
-    # seven distinct trees, a leaf and a chain: 94498 terms at most, where
-    # the widest tree has 15 cuts
-    monkeypatch.setattr(ck, "coproduct", lambda x: pytest.fail("not refused"))
+    # eight distinct trees, a leaf and a chain among them: 94498 terms at
+    # most (52680 in fact), fewer than the pairs multiplied, so the terms
+    # are the measure; a ninth tree takes it to 944998
     forest = "[[][][][]] [[][][]] [[[][]]] [[[]][]] [[[[]]]] [[[[]]]] [[]] []"
-    result = run(["coprod", "--algebra", "hr", forest])
-    assert result.payload.startswith("error: coprod --algebra hr cuts=94498 ")
+    monkeypatch.setattr(ck, "coproduct", lambda x: LinComb.zero())
+    assert run(["coprod", "--algebra", "hr", forest]).exit_code == 0
+    monkeypatch.setattr(ck, "coproduct", lambda x: pytest.fail("not refused"))
+    result = run(["coprod", "--algebra", "hr", forest + " [[[]][][]]"])
+    assert result.payload.startswith("error: coprod --algebra hr products=944998 ")
+
+
+@pytest.mark.parametrize("tree, terms", [
+    ("[" + "[]" * 17 + "]", 19),
+    ("[[[[[][]][[][]]][[[][]][[][]]]][[[[][]][[][]]][[[][]][[][]]]]]", 2279)],
+    ids=["17-leaf-corolla", "31-vertex-binary"])
+def test_wide_trees_with_few_terms_are_answered(tree, terms):
+    # 131071 and 458328 cuts: the kernel enumerates none of them
+    assert len(json.loads(ok(["coprod", "--algebra", "hr", tree]))["terms"]) == terms
+
+
+def test_products_bound_the_kernel_work(monkeypatch, fresh_caches):
+    # the pairs of terms the coproduct kernel multiplies, and the terms it
+    # regrows, counted on a cold memo for every forest up to weight 7
+    work = [0]
+    multiply, regrow = ck.multiply_tensors, LinComb.map_keys
+
+    def counted_multiply(x, y):
+        work[0] += len(x.terms) * len(y.terms)
+        return multiply(x, y)
+
+    def counted_regrow(x, f):
+        work[0] += len(x.terms)
+        return regrow(x, f)
+
+    monkeypatch.setattr(ck, "multiply_tensors", counted_multiply)
+    monkeypatch.setattr(LinComb, "map_keys", counted_regrow)
+    for f in (f for w in range(1, 8) for f in enumerate_forests(w)):
+        clear_caches()
+        work[0] = 0
+        ck.forest_coproduct(f)
+        assert cli._coproduct_work(f.items[::-1])[1] >= work[0], f
 
 
 @pytest.mark.parametrize("command", ["coprod", "grow"])

@@ -3,6 +3,7 @@
 import pytest
 
 from treehopf import connes_kreimer as ck
+from treehopf import tree_lie, verify
 from treehopf.exactlin import LinComb, combine, swap_legs, tensor, tensor_key
 from treehopf.trees import (EMPTY_FOREST, LEAF, Forest, admissible_cuts,
                             enumerate_forests, enumerate_trees, graft_many,
@@ -107,9 +108,25 @@ def test_antipode_axiom_small():
             assert acc == expected
 
 
+def test_kernel_path_enumerates_no_cut(monkeypatch, fresh_caches):
+    # the coproduct kernel, and everything that reads it, works by the root
+    # recursion; only the oracle tree_coproduct_by_cuts enumerates cuts
+    def refused(t):
+        raise AssertionError(f"the cuts of {t} enumerated")
+
+    monkeypatch.setattr(ck, "admissible_cuts", refused)
+    # the 31-vertex complete binary tree: 458328 cuts, 2279 terms
+    wide = elem("[[[[[][]][[][]]][[[][]][[][]]]][[[[][]][[][]]][[[][]][[][]]]]]")
+    assert len(ck.coproduct(wide).terms) == 2279
+    assert len(ck.antipode(wide).terms) == 201167
+    assert ck.star_by_cut_counting(L2, CHERRY) == tree_lie.star_trees(L2, CHERRY)
+    for suite in ("lie", "dual"):
+        assert verify.run_suite(suite, 4)["violations"] == []
+
+
 def test_antipode_matches_a_sum_over_cuts():
-    # the tree antipode reads the merged cut coproduct; summed cut by cut
-    # the recursion gives the same element
+    # the tree antipode reads the merged terms of the coproduct kernel;
+    # summed cut by cut the recursion gives the same element
     for n in range(1, 10):
         for t in enumerate_trees(n):
             expected = -LinComb.term(Forest((t,)))

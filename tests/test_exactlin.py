@@ -118,7 +118,7 @@ def test_tensor_key_is_one_shared_pair():
 def test_plain_pair_reads_a_memoized_coproduct():
     # a lookup needs no shared key: a plain tuple reads the stored one
     for t in enumerate_trees(5):
-        for cop in (gl.tree_coproduct(t), ck.tree_coproduct_by_cuts(t)):
+        for cop in (gl.tree_coproduct(t), ck.tree_coproduct_recursive(t)):
             for key, c in cop.terms.items():
                 left, right = key
                 assert key is tensor_key(left, right)

@@ -178,7 +178,8 @@ BROKEN_KERNELS = {
     "tree_product_off_grade": (gl, "tree_product",
                                lambda k: lambda a, b: k(a, b) + LinComb.term(LEAF)),
     "m_tree": (ops, "m_tree", lambda k: lambda t: k(t) + LinComb.term(LEAF)),
-    "tree_coproduct_by_cuts": (ck, "tree_coproduct_by_cuts", lambda k: lambda t: 2 * k(t)),
+    "tree_coproduct_recursive": (ck, "tree_coproduct_recursive",
+                                 lambda k: lambda t: 2 * k(t)),
 }
 
 

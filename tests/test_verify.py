@@ -18,7 +18,7 @@ from treehopf import tree_lie, trees, verify
 from treehopf.exactlin import LinComb
 from treehopf.laws import trees as trees_laws
 from treehopf.laws.dual import hochschild_cases
-from treehopf.trees import LEAF, parse_forest
+from treehopf.trees import LEAF, Forest, parse_forest
 
 PREFIXES = {"trees": "trees.", "hr": "hr.", "gl": "gl.", "lie": "lie.",
             "operators": "op.", "dual": "dual."}
@@ -62,6 +62,9 @@ BREAKS = [
      "trees.growth_count"),
     ("hr", ck, "forest_antipode", lambda k: lambda f: -k(f),
      "hr.antipode_left"),
+    # the oracle: only the cut sum against the kernel can see it
+    ("hr", ck, "tree_coproduct_by_cuts", lambda k: lambda t: 2 * k(t),
+     "hr.coproduct_forms_agree"),
     ("gl", gl, "tree_product", lambda k: lambda a, b: _drop_first(k(a, b)),
      "gl.product_mass"),
     # a tuple of combinations on each side
@@ -74,8 +77,8 @@ BREAKS = [
      "gl.product_mass"),
     ("lie", tree_lie, "star_trees", lambda k: lambda a, b: _extra_term(k(a, b)),
      "lie.star_oracle"),
-    # the oracle reads its cut counts from the cut coproduct
-    ("lie", ck, "tree_coproduct_by_cuts", lambda k: lambda t: 2 * k(t),
+    # the oracle reads its cut counts from the coproduct kernel
+    ("lie", ck, "tree_coproduct_recursive", lambda k: lambda t: 2 * k(t),
      "lie.star_oracle"),
     ("operators", ops, "n_tree", lambda k: lambda t: _extra_term(k(t)),
      "op.growth_is_left_chain_mult"),
@@ -93,8 +96,8 @@ BREAKS = [
     # kernel under test, not from the grading
     ("dual", ops, "m_tree", lambda k: lambda t: k(t) + LinComb.term(LEAF),
      "dual.hochschild"),
-    # the cut coproduct gives the right side of the pairing
-    ("dual", ck, "tree_coproduct_by_cuts", lambda k: lambda t: 2 * k(t),
+    # the coproduct kernel gives the right side of the pairing
+    ("dual", ck, "tree_coproduct_recursive", lambda k: lambda t: 2 * k(t),
      "dual.product_pairing"),
     # reaches the inverted coproduct behind dual_product
     ("dual", gl, "tree_coproduct",
@@ -167,12 +170,15 @@ def test_each_value_has_one_memo():
     # the basis maps over a kernel's memo return its value, not a copy
     for kernel in (gl.tree_product, ops.n_tree, ck.delta):
         assert not hasattr(kernel, "cache_info"), kernel
-    # cuts are remembered only as the cut coproduct's terms
+    # no cut is remembered, and a tree's coproduct only by the kernel: the
+    # cut sum is its memo-less oracle
     assert not hasattr(trees.admissible_cuts, "cache_info")
+    assert not hasattr(ck.tree_coproduct_by_cuts, "cache_info")
     for a in trees.enumerate_trees(4):
         for b in trees.enumerate_trees(3):
             assert gl.tree_product(a, b) is gl.graft_forest(a.children, b)
         assert ops.n_tree(a) is trees.leaf_growth(a)
+        assert ck.forest_coproduct(Forest((a,))) is ck.tree_coproduct_recursive(a)
 
 
 def test_hochschild_check_reports_through_the_runner():
