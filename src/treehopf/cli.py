@@ -68,7 +68,7 @@ import os
 import sys
 from collections import namedtuple
 from importlib import import_module
-from math import comb
+from math import comb, prod
 
 from . import SUITES
 from .exactlin import LinComb
@@ -147,10 +147,7 @@ def _tree_cuts(children) -> int:
     """Admissible cuts of a tree with these children, by the recurrence on
     them: each is severed, kept or cut in one of its own ways, and keeping
     all of them is no cut.  No cut is enumerated."""
-    count = 1
-    for child, m in runs(children):
-        count *= (_tree_cuts(child.children) + 2) ** m
-    return count - 1
+    return prod((_tree_cuts(c.children) + 2) ** m for c, m in runs(children)) - 1
 
 
 def _coproduct_work(trees) -> tuple:
@@ -178,33 +175,34 @@ def _fertility(t) -> int:
     return t.fertility
 
 
-def _cuts(f) -> int:
+def _cuts(f, work=None) -> int:
     """The cut antipode's measure: the most admissible cuts of one of the
     forest's trees, or the bound on its coproduct's distinct non-trivial
     terms, whichever is more.  A one-tree forest measures its admissible
-    cuts.  It does not bound the antipode's own terms (ROADMAP item 5)."""
+    cuts.  It does not bound the antipode's own terms (ROADMAP item 5).
+    ``work`` is the ``_coproduct_work`` of the trees, when already counted."""
     widest = max((_tree_cuts(t.children) for t in f.items), default=0)
-    return max(widest, _coproduct_work(f.items)[0] - 2)
+    return max(widest, (work or _coproduct_work(f.items))[0] - 2)
 
 
 def _products(f) -> int:
     """What the recursive coproduct of a forest costs: the pairs of terms it
-    multiplies, or ``_cuts``, whichever is less, so that every input the
-    cut measure passed still passes.  A root over many equal subtrees has
-    few terms but many pairs: a 1600-leaf corolla has 1602 terms and took
-    35 s.  The forest kernel peels its first tree, so its products run from
-    the last tree back."""
-    return min(_coproduct_work(f.items[::-1])[1], _cuts(f))
+    multiplies and the terms it regrows.  A forest within the cut ceiling
+    measures at most its ``_cuts``, so every input the cut measure passed
+    still passes; one above it passes only on few products.  A root over
+    many equal subtrees has few terms but many pairs: a 1600-leaf corolla
+    has 1602 terms and took 35 s.  The forest kernel peels its first tree,
+    so its products run from the last tree back."""
+    work = _coproduct_work(f.items[::-1])
+    cuts = _cuts(f, work)
+    return work[1] if cuts > _CUT_CEILING else min(work[1], cuts)
 
 
 def _placements(a, b=Tree((LEAF,))) -> int:
     """Distinct ways to attach the root subtrees of ``a`` to the vertices of
     ``b``: a run of m equal subtrees lands as a multiset.  ``b`` defaults to
     the two-vertex chain, the right factor of ``mop``."""
-    count = 1
-    for _, m in runs(a.children):
-        count *= comb(b.size + m - 1, m)
-    return count
+    return prod(comb(b.size + m - 1, m) for _, m in runs(a.children))
 
 
 # row: (measure, largest accepted value, how the work grows).  The measure
@@ -221,12 +219,13 @@ def _placements(a, b=Tree((LEAF,))) -> int:
 # the wrong measure.  The cuts do not bound the antipode: that of a chain
 # has a term per partition of its size, and one of 40 vertices, with 39
 # cuts, takes 4.3 s (ROADMAP item 5).  ``coprod --algebra hr`` enumerates no
-# cut; its products take about 5 us each with the JSON output: a 630-leaf
+# cut, so it refuses only what is above both the cut ceiling and its own;
+# its products take about 5 us each with the JSON output: a 630-leaf
 # corolla (398794 products, 632 terms) 2.1-2.4 s and 43 MB, and a root over
 # the 31- and the 15-vertex complete binary trees (467669 products, 152694
-# terms at most) 2.6 s and 265 MB.  Eight distinct trees whose coproduct has
-# at most 94498 terms take 0.55 s, nine with 944998 3.2 s and 307 MB.  The
-# 31-vertex complete binary tree, with 458328 cuts and 2279 terms, takes
+# terms at most) 2.6 s and 265 MB.  Eight distinct trees (196885 products,
+# 94498 cuts) take 0.55 s, nine (1967221 products) 3.2 s and 307 MB.  The
+# 31-vertex complete binary tree, with 458328 cuts and 9351 products, takes
 # 0.1 s.  Grafting a 9-leaf corolla onto a 12-vertex chain has
 # 167960 placements and takes 3.7 s, an 8-leaf one 75582 and 1.9 s; the
 # root fertility alone would pass a 12-leaf corolla on that chain, 30 s and
@@ -235,6 +234,7 @@ def _placements(a, b=Tree((LEAF,))) -> int:
 # 2.0 s and prints 10.7 MB, over 17 (131072) 5.2 s and 22.7 MB, and over
 # 20 it ran past 30 s.
 _STEEP = "about 3x per step"
+_CUT_CEILING = 65535
 _CEILINGS = {"xk": ("k", 14, _STEEP), "delta": ("k", 15, _STEEP),
              "enum": ("--size", 15, _STEEP),
              "enum --count-only": ("--size", 500, "with the cube of the size"),
@@ -244,7 +244,7 @@ _CEILINGS = {"xk": ("k", 14, _STEEP), "delta": ("k", 15, _STEEP),
              "prod --algebra gl": (_placements, 100_000, "with their number"),
              "mop --algebra gl": (_placements, 100_000, "with their number"),
              "coprod --algebra hr": (_products, 400_000, "with their number"),
-             "antipode --algebra hr": (_cuts, 65535, "with their number")}
+             "antipode --algebra hr": (_cuts, _CUT_CEILING, "with their number")}
 
 
 def _check_ceiling(row: str, args, inputs=()) -> None:

@@ -228,15 +228,26 @@ ABOVE_CEILINGS = [
     # a 631-leaf corolla: 633 terms, but 631 ** 2 + 3 * 631 + 4 products
     (["coprod", "--algebra", "hr", "[" + "[]" * 631 + "]"],
      "coprod --algebra hr products=400058", 400_000),
+    # a 300-vertex chain over a root whose children are the 8 smallest
+    # distinct trees: 227073 cuts, above the cut ceiling, and at most 84275
+    # terms, but the kernel regrows them at each of the chain's vertices
+    (["coprod", "--algebra", "hr", "[" * 275 + "".join(
+        t.encoding for n in range(1, 5) for t in enumerate_trees(n)) + "]" * 275],
+     "coprod --algebra hr products=46420132", 400_000),
     # a chain over a 16-leaf corolla: (2 ** 16 - 1) + 2 - 1 cuts
     (["antipode", "--algebra", "hr", "[[" + "[]" * 16 + "]]"],
      "antipode --algebra hr cuts=65536", 65535),
 ]
 
 
-@pytest.mark.parametrize("argv, named, limit", ABOVE_CEILINGS,
-                         ids=[named.rsplit(" ", 1)[0].replace(" --", "-")
-                              .replace(" ", "-") for _, named, _ in ABOVE_CEILINGS])
+_ROWS = [named.rsplit(" ", 1)[0].replace(" --", "-").replace(" ", "-")
+         for _, named, _ in ABOVE_CEILINGS]
+# a command's later rows are numbered from 2, so its first keeps its name
+_ROWS = [row + (f"-{_ROWS[:i].count(row) + 1}" if row in _ROWS[:i] else "")
+         for i, row in enumerate(_ROWS)]
+
+
+@pytest.mark.parametrize("argv, named, limit", ABOVE_CEILINGS, ids=_ROWS)
 def test_work_above_a_ceiling_is_refused(argv, named, limit, monkeypatch):
     def never(*args):
         raise AssertionError("a refused call must not start its work")
@@ -284,14 +295,14 @@ def test_forests_of_equal_trees_are_answered(command, trees):
 
 def test_forests_of_distinct_trees_multiply_their_terms(monkeypatch):
     # eight distinct trees, a leaf and a chain among them: 94498 terms at
-    # most (52680 in fact), fewer than the pairs multiplied, so the terms
-    # are the measure; a ninth tree takes it to 944998
+    # most (52680 in fact), above the cut ceiling, so the 196885 products
+    # are the measure; a ninth tree takes them to 1967221
     forest = "[[][][][]] [[][][]] [[[][]]] [[[]][]] [[[[]]]] [[[[]]]] [[]] []"
     monkeypatch.setattr(ck, "coproduct", lambda x: LinComb.zero())
     assert run(["coprod", "--algebra", "hr", forest]).exit_code == 0
     monkeypatch.setattr(ck, "coproduct", lambda x: pytest.fail("not refused"))
     result = run(["coprod", "--algebra", "hr", forest + " [[[]][][]]"])
-    assert result.payload.startswith("error: coprod --algebra hr products=944998 ")
+    assert result.payload.startswith("error: coprod --algebra hr products=1967221 ")
 
 
 @pytest.mark.parametrize("tree, terms", [
