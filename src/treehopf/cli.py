@@ -175,27 +175,22 @@ def _fertility(t) -> int:
     return t.fertility
 
 
-def _cuts(f, work=None) -> int:
+def _cuts(f) -> int:
     """The cut antipode's measure: the most admissible cuts of one of the
     forest's trees, or the bound on its coproduct's distinct non-trivial
     terms, whichever is more.  A one-tree forest measures its admissible
-    cuts.  It does not bound the antipode's own terms (ROADMAP item 5).
-    ``work`` is the ``_coproduct_work`` of the trees, when already counted."""
+    cuts.  It does not bound the antipode's own terms (ROADMAP item 5)."""
     widest = max((_tree_cuts(t.children) for t in f.items), default=0)
-    return max(widest, (work or _coproduct_work(f.items))[0] - 2)
+    return max(widest, _coproduct_work(f.items)[0] - 2)
 
 
 def _products(f) -> int:
     """What the recursive coproduct of a forest costs: the pairs of terms it
-    multiplies and the terms it regrows.  A forest within the cut ceiling
-    measures at most its ``_cuts``, so every input the cut measure passed
-    still passes; one above it passes only on few products.  A root over
-    many equal subtrees has few terms but many pairs: a 1600-leaf corolla
-    has 1602 terms and took 35 s.  The forest kernel peels its first tree,
-    so its products run from the last tree back."""
-    work = _coproduct_work(f.items[::-1])
-    cuts = _cuts(f, work)
-    return work[1] if cuts > _CUT_CEILING else min(work[1], cuts)
+    multiplies and the terms it regrows, with its trees taken in the order
+    the forest kernel multiplies them.  Terms and cuts both miss it: a
+    1600-leaf corolla has 1602 terms but took 35 s, and a 300-vertex chain
+    over a root with 7 distinct children has 25,499 cuts but took 14 s."""
+    return _coproduct_work(f.items)[1]
 
 
 def _placements(a, b=Tree((LEAF,))) -> int:
@@ -212,29 +207,30 @@ def _placements(a, b=Tree((LEAF,))) -> int:
 # ``verify --suite all --max-degree 10`` 86 s and 893 MB, and ``enum --size
 # 500 --count-only`` 0.85 s (``--size 600``: 2.3 s).
 # The measure of a command and its ``--algebra`` is a shape measure above,
-# from measured times on corollas: ``coprod --algebra gl`` on 18 leaves
-# 2.0 s (19 leaves: 4.1 s), ``antipode --algebra gl`` on 12 leaves 0.8 s
-# (13: 1.7 s), and ``antipode --algebra hr`` on 16 leaves, 65535 cuts,
-# 0.9 s; a complete binary tree of 15 vertices has 675 cuts, so the size is
-# the wrong measure.  The cuts do not bound the antipode: that of a chain
-# has a term per partition of its size, and one of 40 vertices, with 39
-# cuts, takes 4.3 s (ROADMAP item 5).  ``coprod --algebra hr`` enumerates no
-# cut, so it refuses only what is above both the cut ceiling and its own;
-# its products take about 5 us each with the JSON output: a 630-leaf
-# corolla (398794 products, 632 terms) 2.1-2.4 s and 43 MB, and a root over
-# the 31- and the 15-vertex complete binary trees (467669 products, 152694
-# terms at most) 2.6 s and 265 MB.  Eight distinct trees (196885 products,
-# 94498 cuts) take 0.55 s, nine (1967221 products) 3.2 s and 307 MB.  The
-# 31-vertex complete binary tree, with 458328 cuts and 9351 products, takes
-# 0.1 s.  Grafting a 9-leaf corolla onto a 12-vertex chain has
-# 167960 placements and takes 3.7 s, an 8-leaf one 75582 and 1.9 s; the
-# root fertility alone would pass a 12-leaf corolla on that chain, 30 s and
-# 112 MB of output.  ``mop`` is that product with the two-vertex chain on the
-# right: a root over the 16 smallest distinct trees (65536 placements) takes
-# 2.0 s and prints 10.7 MB, over 17 (131072) 5.2 s and 22.7 MB, and over
-# 20 it ran past 30 s.
+# from measured times on the widest shapes: ``coprod --algebra gl`` has a
+# term per split of the root subtrees, 2 ** r on distinct ones, and on a
+# root over the 18 smallest distinct trees takes 3.4-4.3 s and prints
+# 49 MB (a corolla has r + 1 terms); ``antipode --algebra gl`` on 12 leaves
+# 0.8 s (13: 1.7 s), and ``antipode --algebra hr`` on 16 leaves, 65535
+# cuts, 0.9 s; a complete binary tree of 15 vertices has 675 cuts, so the
+# size is the wrong measure.  The cuts do not bound the antipode: that of a
+# chain has a term per partition of its size, and one of 40 vertices, with
+# 39 cuts, takes 4.3 s (ROADMAP item 5).  ``coprod --algebra hr``
+# enumerates no cut and is measured by its products alone, about 5 us each
+# with the JSON output: a 630-leaf corolla (398794 products, 632 terms)
+# 2.1-2.4 s and 43 MB, and a root over the 31- and the 15-vertex complete
+# binary trees (467669 products, 152694 terms at most) 2.6 s and 265 MB.
+# Eight distinct trees (161387 products, 94498 cuts) take 0.4-0.6 s, nine
+# (1612748 products) 3.1 s and 307 MB.  The 31-vertex complete binary tree,
+# with 458328 cuts and 9351 products, takes 0.1 s.  Grafting a 9-leaf
+# corolla onto a 12-vertex chain has 167960 placements and takes 3.7 s, an
+# 8-leaf one 75582 and 1.9 s; the root fertility alone would pass a 12-leaf
+# corolla on that chain, 30 s and 112 MB of output.  ``mop`` is that
+# product with the two-vertex chain on the right: a root over the 16
+# smallest distinct trees (65536 placements) takes 2.0 s and prints
+# 10.7 MB, over 17 (131072) 5.2 s and 22.7 MB, and over 20 it ran past
+# 30 s.
 _STEEP = "about 3x per step"
-_CUT_CEILING = 65535
 _CEILINGS = {"xk": ("k", 14, _STEEP), "delta": ("k", 15, _STEEP),
              "enum": ("--size", 15, _STEEP),
              "enum --count-only": ("--size", 500, "with the cube of the size"),
@@ -244,7 +240,7 @@ _CEILINGS = {"xk": ("k", 14, _STEEP), "delta": ("k", 15, _STEEP),
              "prod --algebra gl": (_placements, 100_000, "with their number"),
              "mop --algebra gl": (_placements, 100_000, "with their number"),
              "coprod --algebra hr": (_products, 400_000, "with their number"),
-             "antipode --algebra hr": (_cuts, _CUT_CEILING, "with their number")}
+             "antipode --algebra hr": (_cuts, 65535, "with their number")}
 
 
 def _check_ceiling(row: str, args, inputs=()) -> None:

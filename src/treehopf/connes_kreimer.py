@@ -15,8 +15,10 @@ distinct terms rather than the number of cuts: the 31-vertex complete
 binary tree has 458,328 cuts but 2,279 terms.  ``tree_coproduct_recursive``
 holds the one memo of a tree's coproduct; ``tree_coproduct_by_cuts``, the
 sum over ``trees.admissible_cuts`` with no memo, is its oracle.  The
-antipode follows the cut recursion, read from the terms of the kernel, and
-extends multiplicatively over forest factors.
+antipode follows the cut recursion, read from the terms of the kernel.  On
+a forest, both maps are one loop over its trees (``_over_trees``) that
+multiplies each tree's memoized value in order, so a forest may have any
+number of trees.
 
 Leaf growth at every vertex is a weight +1 derivation; its iterates starting
 from the one-vertex tree give the chain ``delta(1), delta(2), ...`` whose
@@ -37,7 +39,7 @@ not attachment sites; double counting isomorphisms of the cut pair gives
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import operators as ops
 from .exactlin import (LinComb, add_to, extend_linear, ratio, solve_membership,
@@ -122,20 +124,23 @@ def star_by_cut_counting(t1: Tree, t2: Tree) -> LinComb:
     return LinComb(out)
 
 
+def _over_trees(f: Forest, value, multiply, unit: LinComb) -> LinComb:
+    """The product of ``value`` over a forest's trees, in order: the first
+    tree's own value times each later tree's, so a one-tree forest gives
+    its tree's value itself and the empty forest ``unit``.  A loop, so a
+    forest may have any number of trees."""
+    if not f.items:
+        return unit
+    first, *rest = f.items
+    return reduce(multiply, map(value, rest), value(first))
+
+
 @lru_cache(maxsize=None)
 def forest_coproduct(f: Forest) -> LinComb:
-    """Coproduct of a basis forest: product of its trees' kernel coproducts.
-
-    Peels the first tree, so every suffix forest is memoized on the way
-    and a one-tree forest is its tree's coproduct, with no product by 1.
-    """
-    items = f.items
-    if not items:
-        return LinComb.term(tensor_key(EMPTY_FOREST, EMPTY_FOREST))
-    if len(items) == 1:
-        return tree_coproduct_recursive(items[0])
-    return multiply_tensors(forest_coproduct(_forest(items[1:])),
-                            tree_coproduct_recursive(items[0]))
+    """Coproduct of a basis forest: product of its trees' kernel coproducts,
+    by ``_over_trees``."""
+    return _over_trees(f, tree_coproduct_recursive, multiply_tensors,
+                       LinComb.term(tensor_key(EMPTY_FOREST, EMPTY_FOREST)))
 
 
 def coproduct(x: LinComb) -> LinComb:
@@ -164,14 +169,9 @@ def tree_antipode(t: Tree) -> LinComb:
 
 @lru_cache(maxsize=None)
 def forest_antipode(f: Forest) -> LinComb:
-    """Antipode of a basis forest; multiplicative over the tree factors,
-    peeled one tree at a time like ``forest_coproduct``."""
-    items = f.items
-    if not items:
-        return UNIT
-    if len(items) == 1:
-        return tree_antipode(items[0])
-    return product(forest_antipode(_forest(items[1:])), tree_antipode(items[0]))
+    """Antipode of a basis forest: product of its trees' antipodes, by
+    ``_over_trees``."""
+    return _over_trees(f, tree_antipode, product, UNIT)
 
 
 def antipode(x: LinComb) -> LinComb:

@@ -6,13 +6,14 @@ a and attaches them to vertices of b in all ``size(b) ** r`` ways; isomorphic
 results merge, so the total coefficient mass is exactly ``size(b) ** r``.
 The assignments are not listed one by one: ``graft_forest`` recurses over
 the host, splitting the scions between the first child subtree of b and the
-rest of b (equal scions split as counts, weighted by binomials), and its
-memo shares each subtree's grafted results across every split that reaches
-it.  The tests check it against the product by multisets of host vertices,
-one ``graft_many`` per choice.
-``tree_coproduct`` splits the root subtrees over the ``2 ** r`` ordered
-subset pairs (one binary choice per child slot, so repeated subtrees create
-multiplicities) and regrows a root on each side.
+rest of b, and its memo shares each subtree's grafted results across every
+split that reaches it.  The tests check it against the product by multisets
+of host vertices, one ``graft_many`` per choice.
+``tree_coproduct`` splits the root subtrees between its two legs and regrows
+a root on each side.  Both read one multiset split, ``_splits``: a run of n
+equal items splits as k + (n - k) in C(n, k) ways, so a tree whose runs have
+lengths m_1, m_2, ... has prod (m_i + 1) coproduct terms with mass ``2 ** r``,
+and the tests check it against the ``2 ** r`` ordered subset pairs.
 
 The degree of a tree is its vertex count minus one; the product and
 coproduct are degree-additive, and the antipode comes from the connected
@@ -25,8 +26,8 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-from .exactlin import (LinComb, add_to, extend_bilinear, extend_linear, rank,
-                       tensor, tensor_key)
+from .exactlin import (LinComb, extend_bilinear, extend_linear, rank, tensor,
+                       tensor_key)
 from .trees import LEAF, Tree, _tree, enumerate_trees, runs, with_child
 
 UNIT = LinComb.term(LEAF)
@@ -34,6 +35,20 @@ UNIT = LinComb.term(LEAF)
 
 def tree_degree(t: Tree) -> int:
     return t.size - 1
+
+
+def _splits(items: tuple):
+    """Each split of a sorted tuple into two sorted sub-multisets, as
+    ``(count, left, right)``: a run of n equal items splits as k + (n - k)
+    in C(n, k) ways, so the counts sum to ``2 ** len(items)``."""
+    split = list(runs(items))
+    for taken in itertools.product(*(range(n + 1) for _, n in split)):
+        count, left, right = 1, (), ()
+        for (item, n), k in zip(split, taken):
+            count *= comb(n, k)
+            left += (item,) * k
+            right += (item,) * (n - k)
+        yield count, left, right
 
 
 @lru_cache(maxsize=None)
@@ -45,31 +60,24 @@ def graft_forest(scions: tuple, host: Tree) -> LinComb:
     many of the ``host.size ** len(scions)`` assignments of scions to host
     vertices give it.
 
-    For ``host = B+(c1, ..., cm)`` the scions split into those that land in
-    c1 and those that land in the rest of the host, ``B+(c2, ..., cm)``,
-    root included.  Equal scions are interchangeable, so a run of n equal
-    scions splits as k + (n - k) in C(n, k) ways.  Both parts recurse, and
-    each pair of results joins by hanging the grown c1 back under the grown
-    rest.  Unrolled, this deals the scions over c1, ..., cm and the root
-    with weight prod C(n, k) per run; the memo shares each child's results
-    across every deal that reaches it, and isomorphic partial results merge
-    before the next child joins.  This memo is the only cache of the
-    product; the returned combination is shared and must not be mutated.
+    For ``host = B+(c1, ..., cm)`` the scions split, by ``_splits``, into
+    those that land in c1 and those that land in the rest of the host,
+    ``B+(c2, ..., cm)``, root included; equal scions are interchangeable.
+    Both parts recurse, and each pair of results joins by hanging the grown
+    c1 back under the grown rest.  Unrolled, this deals the scions over c1,
+    ..., cm and the root with weight prod C(n, k) per run; the memo shares
+    each child's results across every deal that reaches it, and isomorphic
+    partial results merge before the next child joins.  This memo is the
+    only cache of the product; the returned combination is shared and must
+    not be mutated.
     """
     if not scions:
         return LinComb.term(host)
     if host.size == 1:
         return LinComb.term(_tree(scions))
     first, rest = host.children[0], _tree(host.children[1:])
-    split = list(runs(scions))
     out: dict = {}
-    for taken in itertools.product(*(range(n + 1) for _, n in split)):
-        # the split's weight and its scions for c1 and for the rest, in order
-        weight, down, up = 1, (), ()
-        for (scion, n), k in zip(split, taken):
-            weight *= comb(n, k)
-            down += (scion,) * k
-            up += (scion,) * (n - k)
+    for weight, down, up in _splits(scions):
         grown_terms = graft_forest(down, first).terms.items()
         for base, d in graft_forest(up, rest).terms.items():
             kids, scale = base.children, weight * d
@@ -95,16 +103,14 @@ def product(a: LinComb, b: LinComb) -> LinComb:
 
 @lru_cache(maxsize=None)
 def tree_coproduct(t: Tree) -> LinComb:
-    """Subset-split coproduct of a basis tree; tensor legs are trees."""
-    subtrees = t.children
-    r = len(subtrees)
-    out: dict = {}
-    for mask in range(1 << r):
-        # each leg is a subsequence of a canonical tuple, so already sorted
-        left = _tree(tuple(subtrees[i] for i in range(r) if mask >> i & 1))
-        right = _tree(tuple(subtrees[i] for i in range(r) if not mask >> i & 1))
-        add_to(out, tensor_key(left, right), 1)
-    return LinComb(out)
+    """Split coproduct of a basis tree; tensor legs are trees.
+
+    Each split of the root subtrees between the legs, by ``_splits``, is one
+    term, counted by how many of the ``2 ** r`` subsets of child slots give
+    it.
+    """
+    return LinComb({tensor_key(_tree(left), _tree(right)): count
+                    for count, left, right in _splits(t.children)})
 
 
 def coproduct(x: LinComb) -> LinComb:

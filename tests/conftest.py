@@ -148,6 +148,19 @@ def multiset_site_product(t1: Tree, t2: Tree) -> LinComb:
     return LinComb(out)
 
 
+def subset_split_coproduct(t: Tree) -> LinComb:
+    """The grafting coproduct by the ``2 ** r`` ordered subset pairs, as an
+    oracle: one binary choice per child slot, so repeated subtrees give
+    multiplicities."""
+    kids, r = t.children, t.fertility
+    out: dict = {}
+    for mask in range(1 << r):
+        left = Tree(tuple(kids[i] for i in range(r) if mask >> i & 1))
+        right = Tree(tuple(kids[i] for i in range(r) if not mask >> i & 1))
+        add_to(out, tensor_key(left, right), 1)
+    return LinComb(out)
+
+
 def dense_solve_membership(target: LinComb, generators) -> list | None:
     """Dense Gauss-Jordan membership solve over ``Fraction`` rows, as an oracle.
 

@@ -229,11 +229,18 @@ ABOVE_CEILINGS = [
     (["coprod", "--algebra", "hr", "[" + "[]" * 631 + "]"],
      "coprod --algebra hr products=400058", 400_000),
     # a 300-vertex chain over a root whose children are the 8 smallest
-    # distinct trees: 227073 cuts, above the cut ceiling, and at most 84275
-    # terms, but the kernel regrows them at each of the chain's vertices
+    # distinct trees: 227073 cuts and at most 84275 terms, but the kernel
+    # regrows them at each of the chain's vertices
     (["coprod", "--algebra", "hr", "[" * 275 + "".join(
         t.encoding for n in range(1, 5) for t in enumerate_trees(n)) + "]" * 275],
      "coprod --algebra hr products=46420132", 400_000),
+    # a 300-vertex chain over a root whose children are the 7 smallest
+    # distinct trees: only 25499 cuts, but its terms are regrown at each of
+    # the chain's vertices (14 s and 541 MB when it was let through)
+    (["coprod", "--algebra", "hr", "[" * 301 + "".join(
+        [t.encoding for n in range(1, 5) for t in enumerate_trees(n)][:7])
+      + "]" * 301],
+     "coprod --algebra hr products=10233191", 400_000),
     # a chain over a 16-leaf corolla: (2 ** 16 - 1) + 2 - 1 cuts
     (["antipode", "--algebra", "hr", "[[" + "[]" * 16 + "]]"],
      "antipode --algebra hr cuts=65536", 65535),
@@ -280,29 +287,32 @@ def test_shape_measures_count_without_enumerating():
     assert cli._cuts(parse_forest(" ".join(["[]"] * 17))) == 18 - 2
 
 
-@pytest.mark.parametrize("trees", [["[]"] * 17, ["[[]]"] * 11],
-                         ids=["17-leaves", "11-chains"])
+@pytest.mark.parametrize("trees", [["[]"] * 17, ["[[]]"] * 11, ["[]"] * 600],
+                         ids=["17-leaves", "11-chains", "600-leaves"])
 @pytest.mark.parametrize("command", ["coprod", "antipode"])
 def test_forests_of_equal_trees_are_answered(command, trees):
     # the kernels multiply one memoized result per distinct tree, so a run
-    # of equal trees costs little however long it is
+    # of equal trees costs little however long it is; they loop over the
+    # trees, so 600 of them do not reach the recursion limit (360601
+    # products, within the coproduct's ceiling)
     result = run([command, "--algebra", "hr", " ".join(trees)])
     assert result.exit_code == 0, result.payload
     assert len(json.loads(result.payload)["terms"]) == (
-        {"coprod": 18, "antipode": 1}[command] if trees[0] == "[]" else
-        {"coprod": comb(3 + 11 - 1, 11), "antipode": 12}[command])
+        {"coprod": len(trees) + 1, "antipode": 1}[command] if trees[0] == "[]"
+        else {"coprod": comb(3 + 11 - 1, 11), "antipode": 12}[command])
 
 
 def test_forests_of_distinct_trees_multiply_their_terms(monkeypatch):
     # eight distinct trees, a leaf and a chain among them: 94498 terms at
-    # most (52680 in fact), above the cut ceiling, so the 196885 products
-    # are the measure; a ninth tree takes them to 1967221
+    # most (52680 in fact), but the 161387 products are the measure; a
+    # ninth tree takes them to 1612748
     forest = "[[][][][]] [[][][]] [[[][]]] [[[]][]] [[[[]]]] [[[[]]]] [[]] []"
+    assert cli._products(parse_forest(forest)) == 161387
     monkeypatch.setattr(ck, "coproduct", lambda x: LinComb.zero())
     assert run(["coprod", "--algebra", "hr", forest]).exit_code == 0
     monkeypatch.setattr(ck, "coproduct", lambda x: pytest.fail("not refused"))
     result = run(["coprod", "--algebra", "hr", forest + " [[[]][][]]"])
-    assert result.payload.startswith("error: coprod --algebra hr products=1967221 ")
+    assert result.payload.startswith("error: coprod --algebra hr products=1612748 ")
 
 
 @pytest.mark.parametrize("tree, terms", [
@@ -334,7 +344,7 @@ def test_products_bound_the_kernel_work(monkeypatch, fresh_caches):
         clear_caches()
         work[0] = 0
         ck.forest_coproduct(f)
-        assert cli._coproduct_work(f.items[::-1])[1] >= work[0], f
+        assert cli._coproduct_work(f.items)[1] >= work[0], f
 
 
 @pytest.mark.parametrize("command", ["coprod", "grow"])

@@ -2,13 +2,14 @@
 
 import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from conftest import multiset_site_product, product_pairs
+from conftest import multiset_site_product, product_pairs, subset_split_coproduct
 from treehopf import grossman_larson as gl
 from treehopf.exactlin import LinComb, combine, swap_legs, tensor, tensor_key
-from treehopf.trees import LEAF, enumerate_trees, graft_many, parse_tree
+from treehopf.trees import LEAF, enumerate_trees, graft_many, parse_tree, runs
 
 E = LEAF
 L2 = parse_tree("[[]]")
@@ -108,6 +109,24 @@ def test_coproduct_examples():
     assert gl.tree_coproduct(FORK) == (
         LinComb.term(tensor_key(E, FORK)) + LinComb.term(tensor_key(FORK, E))
         + LinComb.term(tensor_key(L3, L2)) + LinComb.term(tensor_key(L2, L3)))
+
+
+def test_coproduct_matches_subset_enumeration():
+    # one term per subset of child slots, 2 ** r of them
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            assert gl.tree_coproduct(t) == subset_split_coproduct(t), t
+
+
+def test_splits_take_one_count_per_run():
+    # a run of m equal subtrees splits m + 1 ways: a 30-leaf corolla has 31
+    # splits, not 2 ** 30 subsets
+    splits = list(gl._splits(parse_tree("[" + "[]" * 30 + "]").children))
+    assert len(splits) == 31
+    assert sum(count for count, _, _ in splits) == 2 ** 30
+    for t in (t for n in range(1, 9) for t in enumerate_trees(n)):
+        assert len(list(gl._splits(t.children))) == \
+            prod(m + 1 for _, m in runs(t.children)), t
 
 
 def test_coproduct_mass_and_cocommutativity():

@@ -103,6 +103,9 @@ BREAKS = [
     ("dual", gl, "tree_coproduct",
      lambda k: lambda t: _drop_last(k(t)) if t.fertility >= 2 else k(t),
      "dual.convolution_commutative"),
+    # a split counted twice: the counts no longer sum to 2 ** r
+    ("gl", gl, "tree_coproduct", lambda k: lambda t: _extra_term(k(t)),
+     "gl.coproduct_mass"),
 ]
 
 
