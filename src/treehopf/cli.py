@@ -37,12 +37,15 @@ A command whose work grows steeply with one integer argument refuses a
 value above its row in ``_CEILINGS`` with one ``error:`` line and exit 2,
 before any kernel module is imported, rather than run for minutes.  ``enum
 --count-only`` has a row of its own: it counts by a recurrence that is
-cubic in ``--size``, so its ceiling is far above the listing's.  A command
-whose work grows with the shape of its input (the root fertility, the
-admissible cuts, the coproduct's products, the placements of a product's
-scions) has a row too, for the command and its ``--algebra``, whose
-measure is a function of the parsed inputs, again checked before any
-kernel module is imported.
+cubic in ``--size``, so its ceiling is far above the listing's.  Any other
+input of a compute command is bounded by its time, not by a model of its
+kernel's cost: once its inputs are read, the kernel and the rendering of
+its result run under a ``SIGALRM`` timer of ``_TIME_LIMIT`` seconds, and a
+call that runs past it gives one ``error:`` line and exit 2.  Where no
+handler can be set (a thread other than the main one, a platform without
+``SIGALRM``) the call runs with no limit.  Reading the inputs is not timed,
+so that a slow ``@file`` pipe is not refused; the digit cap bounds the
+parse.
 
 Each call imports only the modules its command runs: ``serialize`` when an
 ``@file`` is read or a combination rendered, ``verify`` only for
@@ -62,18 +65,16 @@ longer than the cap: the square of a 4000-digit coefficient.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
 from collections import namedtuple
 from importlib import import_module
-from math import comb, prod
 
 from . import SUITES
 from .exactlin import LinComb
-from .trees import (LEAF, Tree, count_trees_recurrence, enumerate_trees,
-                    parse_forest, parse_tree, runs)
+from .trees import (count_trees_recurrence, enumerate_trees, parse_forest,
+                    parse_tree)
 
 
 # What one CLI call produced; exit_code is 0 ok, 1 verification failure, 2
@@ -143,120 +144,37 @@ _COMMANDS = {
 }
 
 
-def _tree_cuts(children) -> int:
-    """Admissible cuts of a tree with these children, by the recurrence on
-    them: each is severed, kept or cut in one of its own ways, and keeping
-    all of them is no cut.  No cut is enumerated."""
-    return prod((_tree_cuts(c.children) + 2) ** m for c, m in runs(children)) - 1
-
-
-def _coproduct_work(trees) -> tuple:
-    """``(terms, pairs)`` of the product of these trees' coproducts, as the
-    recursive kernel builds it, one tree after another.  ``terms`` bounds
-    its distinct terms: a run of m equal trees takes a multiset of m of the
-    tree's own terms, which are its children's product, each regrown, and
-    ``t | 1``.  ``pairs`` counts the pairs of terms multiplied on the way
-    and the terms regrown, each tree's own coproduct included."""
-    terms, pairs = 1, 0
-    for tree, m in runs(trees):
-        kids, inner = _coproduct_work(tree.children)
-        # copy k < m of the run multiplies terms * C(kids + k, k) terms by
-        # kids + 1, summed over k by the hockey-stick identity
-        pairs += inner + kids + terms * (kids + 1) * comb(kids + m, m - 1)
-        terms *= comb(kids + m, m)
-    return terms, pairs
-
-
-# The shape measures, each of one basis element of every input; a row takes
-# the largest over the terms.
-
-
-def _fertility(t) -> int:
-    return t.fertility
-
-
-def _cuts(f) -> int:
-    """The cut antipode's measure: the most admissible cuts of one of the
-    forest's trees, or the bound on its coproduct's distinct non-trivial
-    terms, whichever is more.  A one-tree forest measures its admissible
-    cuts.  It does not bound the antipode's own terms (ROADMAP item 5)."""
-    widest = max((_tree_cuts(t.children) for t in f.items), default=0)
-    return max(widest, _coproduct_work(f.items)[0] - 2)
-
-
-def _products(f) -> int:
-    """What the recursive coproduct of a forest costs: the pairs of terms it
-    multiplies and the terms it regrows, with its trees taken in the order
-    the forest kernel multiplies them.  Terms and cuts both miss it: a
-    1600-leaf corolla has 1602 terms but took 35 s, and a 300-vertex chain
-    over a root with 7 distinct children has 25,499 cuts but took 14 s."""
-    return _coproduct_work(f.items)[1]
-
-
-def _placements(a, b=Tree((LEAF,))) -> int:
-    """Distinct ways to attach the root subtrees of ``a`` to the vertices of
-    ``b``: a run of m equal subtrees lands as a multiset.  ``b`` defaults to
-    the two-vertex chain, the right factor of ``mop``."""
-    return prod(comb(b.size + m - 1, m) for _, m in runs(a.children))
-
-
-# row: (measure, largest accepted value, how the work grows).  The measure
-# of a command's row is the integer argument it names, from measured
-# growth: ``xk 14`` takes 3.3 s and prints 5.6 MB (``xk 15``: 9.7 s),
-# ``delta 14`` 1.5 s, a listing ``enum --size 15`` 1.9 s and 3.0 MB,
-# ``verify --suite all --max-degree 10`` 86 s and 893 MB, and ``enum --size
-# 500 --count-only`` 0.85 s (``--size 600``: 2.3 s).
-# The measure of a command and its ``--algebra`` is a shape measure above,
-# from measured times on the widest shapes: ``coprod --algebra gl`` has a
-# term per split of the root subtrees, 2 ** r on distinct ones, and on a
-# root over the 18 smallest distinct trees takes 3.4-4.3 s and prints
-# 49 MB (a corolla has r + 1 terms); ``antipode --algebra gl`` on 12 leaves
-# 0.8 s (13: 1.7 s), and ``antipode --algebra hr`` on 16 leaves, 65535
-# cuts, 0.9 s; a complete binary tree of 15 vertices has 675 cuts, so the
-# size is the wrong measure.  The cuts do not bound the antipode: that of a
-# chain has a term per partition of its size, and one of 40 vertices, with
-# 39 cuts, takes 4.3 s (ROADMAP item 5).  ``coprod --algebra hr``
-# enumerates no cut and is measured by its products alone, about 5 us each
-# with the JSON output: a 630-leaf corolla (398794 products, 632 terms)
-# 2.1-2.4 s and 43 MB, and a root over the 31- and the 15-vertex complete
-# binary trees (467669 products, 152694 terms at most) 2.6 s and 265 MB.
-# Eight distinct trees (161387 products, 94498 cuts) take 0.4-0.6 s, nine
-# (1612748 products) 3.1 s and 307 MB.  The 31-vertex complete binary tree,
-# with 458328 cuts and 9351 products, takes 0.1 s.  Grafting a 9-leaf
-# corolla onto a 12-vertex chain has 167960 placements and takes 3.7 s, an
-# 8-leaf one 75582 and 1.9 s; the root fertility alone would pass a 12-leaf
-# corolla on that chain, 30 s and 112 MB of output.  ``mop`` is that
-# product with the two-vertex chain on the right: a root over the 16
-# smallest distinct trees (65536 placements) takes 2.0 s and prints
-# 10.7 MB, over 17 (131072) 5.2 s and 22.7 MB, and over 20 it ran past
-# 30 s.
+# row: (integer argument, largest accepted value, how the work grows), from
+# measured growth (Python 3.11.7, 2 vCPUs): ``xk 14`` takes 1.6-1.7 s and
+# prints 5.6 MB (``xk 15``: 5.6 s and 15.6 MB), ``delta 15`` 2.1-2.2 s, a
+# listing ``enum --size 15`` 0.7 s and 3.0 MB, ``verify --suite all
+# --max-degree 10`` 67 s and 452 MB, and ``enum --size 500 --count-only``
+# 0.85 s (``--size 600``: 2.3 s).
 _STEEP = "about 3x per step"
 _CEILINGS = {"xk": ("k", 14, _STEEP), "delta": ("k", 15, _STEEP),
              "enum": ("--size", 15, _STEEP),
              "enum --count-only": ("--size", 500, "with the cube of the size"),
-             "verify": ("--max-degree", 10, _STEEP),
-             "coprod --algebra gl": (_fertility, 18, "2x per step"),
-             "antipode --algebra gl": (_fertility, 12, _STEEP),
-             "prod --algebra gl": (_placements, 100_000, "with their number"),
-             "mop --algebra gl": (_placements, 100_000, "with their number"),
-             "coprod --algebra hr": (_products, 400_000, "with their number"),
-             "antipode --algebra hr": (_cuts, 65535, "with their number")}
+             "verify": ("--max-degree", 10, _STEEP)}
+
+# seconds a compute command may spend in its kernel and rendering its result
+_TIME_LIMIT = 10
 
 
-def _check_ceiling(row: str, args, inputs=()) -> None:
-    """Raise ``ValueError`` when the row's measure is above its ceiling: the
-    integer argument it names, or its shape measure at its widest over
-    every choice of one term from each input."""
+class _TimeLimit(Exception):
+    pass
+
+
+def _time_out(signum, frame):
+    raise _TimeLimit
+
+
+def _check_ceiling(row: str, args) -> None:
+    """Raise ``ValueError`` when the integer argument the row names is above
+    its ceiling."""
     if row not in _CEILINGS:
         return
-    measure, limit, growth = _CEILINGS[row]
-    if isinstance(measure, str):
-        name = measure
-        value = getattr(args, measure.lstrip("-").replace("-", "_"))
-    else:
-        name = measure.__name__.lstrip("_")
-        value = max(itertools.starmap(measure, itertools.product(
-            *(x.terms for x in inputs))), default=0)
+    name, limit, growth = _CEILINGS[row]
+    value = getattr(args, name.lstrip("-").replace("-", "_"))
     if value > limit:
         raise ValueError(f"{row} {name}={value} is above its ceiling "
                          f"of {limit}: the work grows {growth}")
@@ -314,18 +232,9 @@ def _cmd_verify(args) -> CommandResult:
     return CommandResult(payload, 1 if report["violations"] else 0)
 
 
-def _compute(args) -> CommandResult:
-    """Load the row's inputs, call its kernel and render the result."""
-    _, params, kernels, encode = _COMMANDS[args.command]
-    family = getattr(args, "algebra", next(iter(kernels)))
-    module, attr = kernels[family]
-    inputs = [getattr(args, param) for param in params.split()]
-    if family is not int:
-        inputs = [_load_element(arg, family) for arg in inputs]
-        _check_ceiling(f"{args.command} --algebra {family}", args, inputs)
-    result = getattr(import_module(f".{module}", __package__), attr)(*inputs)
-    # the digit cap lifted while the result renders (Python 3.10.0 to 3.10.6
-    # have none)
+def _render(result, encode, fmt: str) -> CommandResult:
+    """A kernel's result as the payload, with the digit cap lifted while it
+    renders (Python 3.10.0 to 3.10.6 have none)."""
     cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     set_cap = getattr(sys, "set_int_max_str_digits", lambda cap: None)
     set_cap(0)
@@ -333,11 +242,40 @@ def _compute(args) -> CommandResult:
         if encode is None:
             return CommandResult(str(result), 0)
         from . import serialize
-        render = (serialize.lincomb_to_text if args.format == "text"
+        render = (serialize.lincomb_to_text if fmt == "text"
                   else serialize.lincomb_to_json)
         return CommandResult(render(result, getattr(serialize, encode)), 0)
     finally:
         set_cap(cap)
+
+
+def _compute(args) -> CommandResult:
+    """Load the row's inputs, then call its kernel and render the result
+    within ``_TIME_LIMIT`` seconds.  Without a ``SIGALRM`` handler (another
+    thread than the main one, or no ``SIGALRM`` on the platform) the call
+    runs with no limit."""
+    import signal
+    _, params, kernels, encode = _COMMANDS[args.command]
+    family = getattr(args, "algebra", next(iter(kernels)))
+    module, attr = kernels[family]
+    inputs = [getattr(args, param) for param in params.split()]
+    if family is not int:
+        inputs = [_load_element(arg, family) for arg in inputs]
+    kernel = getattr(import_module(f".{module}", __package__), attr)
+    try:
+        previous = signal.signal(signal.SIGALRM, _time_out)
+    except (AttributeError, ValueError):
+        return _render(kernel(*inputs), encode, args.format)
+    # an alarm due just as the timer is disarmed raises there, so the handler
+    # is put back in a finally of its own
+    try:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, _TIME_LIMIT)
+            return _render(kernel(*inputs), encode, args.format)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
 
 
 _HANDLERS = {"enum": _cmd_enum, "verify": _cmd_verify}
@@ -346,8 +284,11 @@ _HANDLERS = {"enum": _cmd_enum, "verify": _cmd_verify}
 def run(argv) -> CommandResult:
     """Execute one invocation; an error returns exit 2 instead of raising.
 
-    Bad input gives one ``error:`` line, and so does any other exception,
-    named in that line instead of a traceback.
+    Bad input gives one ``error:`` line, and so does a compute command that
+    runs past ``_TIME_LIMIT`` seconds, or any other exception, named in
+    that line instead of a traceback.  While a compute command runs in the
+    main thread it holds ``SIGALRM``, and it puts back the handler that was
+    there before once it returns.
     """
     parser = _build_parser()
     try:
@@ -365,6 +306,9 @@ def run(argv) -> CommandResult:
         return CommandResult(f"error: {exc}", 2)
     except RecursionError:
         return CommandResult("error: input nested too deeply", 2)
+    except _TimeLimit:
+        return CommandResult(f"error: {args.command} ran past its time limit "
+                             f"of {_TIME_LIMIT} s", 2)
     except Exception as exc:  # anything else: one line, never a traceback
         detail = " ".join(str(exc).split())
         return CommandResult(f"error: unexpected {type(exc).__name__}: {detail}", 2)

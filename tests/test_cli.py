@@ -4,22 +4,25 @@ import argparse
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from math import comb
 
 import pytest
 
 from conftest import child_env, roundtrip_ok, run_python
-from treehopf import SUITES, clear_caches, cli, verify
+from treehopf import SUITES, cli, verify
 from treehopf import connes_kreimer as ck
 from treehopf import grossman_larson as gl
 from treehopf import operators as ops
 from treehopf import tree_lie
 from treehopf.cli import _build_parser, run
 from treehopf.exactlin import LinComb
-from treehopf.trees import (Forest, admissible_cuts, enumerate_forests,
-                            enumerate_trees, parse_forest, parse_tree)
+from treehopf.trees import (enumerate_forests, enumerate_trees, parse_forest,
+                            parse_tree)
 
 
 def ok(argv):
@@ -212,46 +215,11 @@ ABOVE_CEILINGS = [
     (["verify", "--suite", "trees", "--max-degree", "11"],
      "verify --max-degree=11", 10),
     (["enum", "--size", "501", "--count-only"], "enum --count-only --size=501", 500),
-    # the input's shape: root fertility, placements of the left factor's
-    # root subtrees (two distinct ones on 316 vertices give 99856), and cuts
-    (["coprod", "--algebra", "gl", "[" + "[]" * 19 + "]"],
-     "coprod --algebra gl fertility=19", 18),
-    (["antipode", "--algebra", "gl", "[" + "[]" * 13 + "]"],
-     "antipode --algebra gl fertility=13", 12),
-    (["prod", "--algebra", "gl", "[[][[]]]", "[" + "[]" * 316 + "]"],
-     "prod --algebra gl placements=100489", 100000),
-    # a root over the 17 smallest distinct trees, each placed on one of the
-    # chain's two vertices
-    (["mop", "[" + "".join(t.encoding for n in range(1, 6)
-                           for t in enumerate_trees(n)) + "]"],
-     "mop --algebra gl placements=131072", 100000),
-    # a 631-leaf corolla: 633 terms, but 631 ** 2 + 3 * 631 + 4 products
-    (["coprod", "--algebra", "hr", "[" + "[]" * 631 + "]"],
-     "coprod --algebra hr products=400058", 400_000),
-    # a 300-vertex chain over a root whose children are the 8 smallest
-    # distinct trees: 227073 cuts and at most 84275 terms, but the kernel
-    # regrows them at each of the chain's vertices
-    (["coprod", "--algebra", "hr", "[" * 275 + "".join(
-        t.encoding for n in range(1, 5) for t in enumerate_trees(n)) + "]" * 275],
-     "coprod --algebra hr products=46420132", 400_000),
-    # a 300-vertex chain over a root whose children are the 7 smallest
-    # distinct trees: only 25499 cuts, but its terms are regrown at each of
-    # the chain's vertices (14 s and 541 MB when it was let through)
-    (["coprod", "--algebra", "hr", "[" * 301 + "".join(
-        [t.encoding for n in range(1, 5) for t in enumerate_trees(n)][:7])
-      + "]" * 301],
-     "coprod --algebra hr products=10233191", 400_000),
-    # a chain over a 16-leaf corolla: (2 ** 16 - 1) + 2 - 1 cuts
-    (["antipode", "--algebra", "hr", "[[" + "[]" * 16 + "]]"],
-     "antipode --algebra hr cuts=65536", 65535),
 ]
 
 
 _ROWS = [named.rsplit(" ", 1)[0].replace(" --", "-").replace(" ", "-")
          for _, named, _ in ABOVE_CEILINGS]
-# a command's later rows are numbered from 2, so its first keeps its name
-_ROWS = [row + (f"-{_ROWS[:i].count(row) + 1}" if row in _ROWS[:i] else "")
-         for i, row in enumerate(_ROWS)]
 
 
 @pytest.mark.parametrize("argv, named, limit", ABOVE_CEILINGS, ids=_ROWS)
@@ -260,9 +228,7 @@ def test_work_above_a_ceiling_is_refused(argv, named, limit, monkeypatch):
         raise AssertionError("a refused call must not start its work")
 
     for module, attr in [(cli, "enumerate_trees"), (cli, "count_trees_recurrence"),
-                         (verify, "run_suite"), (ops, "x_k"), (ck, "delta"),
-                         (gl, "coproduct"), (gl, "antipode"), (gl, "product"),
-                         (ck, "coproduct"), (ck, "antipode"), (ops, "m_apply")]:
+                         (verify, "run_suite"), (ops, "x_k"), (ck, "delta")]:
         monkeypatch.setattr(module, attr, never)
     result = run(argv)
     assert result.exit_code == 2
@@ -270,21 +236,86 @@ def test_work_above_a_ceiling_is_refused(argv, named, limit, monkeypatch):
     assert "\n" not in result.payload
 
 
-def test_shape_measures_count_without_enumerating():
-    # the cut recurrence is exact, and the placements bound every product
-    for t in (t for n in range(1, 9) for t in enumerate_trees(n)):
-        assert cli._tree_cuts(t.children) == len(admissible_cuts(t)), t
-        assert cli._cuts(Forest((t,))) == len(admissible_cuts(t)), t
-        assert cli._coproduct_work((t,))[0] >= len(ck.tree_coproduct_by_cuts(t).terms), t
-    for a in (t for n in range(1, 6) for t in enumerate_trees(n)):
-        for b in (t for n in range(1, 5) for t in enumerate_trees(n)):
-            assert cli._placements(a, b) >= len(gl.tree_product(a, b).terms)
-    # a forest's measure bounds its coproduct's non-trivial terms, a run of
-    # equal trees counted as a multiset
-    for f in (f for w in range(1, 8) for f in enumerate_forests(w)):
-        assert cli._cuts(f) >= len(ck.forest_coproduct(f).terms) - 2, f
-    assert cli._cuts(parse_forest("[[]] [[][]]")) == 3 * 4 - 2
-    assert cli._cuts(parse_forest(" ".join(["[]"] * 17))) == 18 - 2
+def _chain(n):
+    return "[" * n + "]" * n
+
+
+# the smallest distinct trees, by size
+_SMALL = [t.encoding for n in range(1, 6) for t in enumerate_trees(n)]
+
+# inputs that take from about 8 s to minutes in a fresh process (times and
+# memory are in CHANGES.md); ``@size9`` is a file of the 286 trees with 9
+# vertices
+PAST_THE_TIME_LIMIT = {
+    # a long chain over a root whose children are the 8 or 7 smallest
+    # distinct trees: the kernel regrows their terms at each chain vertex
+    "coprod-chain-over-8": ["coprod", "--algebra", "hr",
+                            "[" * 275 + "".join(_SMALL[:8]) + "]" * 275],
+    "coprod-chain-over-7": ["coprod", "--algebra", "hr",
+                            "[" * 301 + "".join(_SMALL[:7]) + "]" * 301],
+    "coprod-forest-of-10": ["coprod", "--algebra", "hr", " ".join(_SMALL[:10])],
+    # a chain's antipode has a term per partition of its size
+    "antipode-three-20-chains": ["antipode", "--algebra", "hr",
+                                 " ".join([_chain(20)] * 3)],
+    "antipode-50-chain": ["antipode", "--algebra", "hr", _chain(50)],
+    "antipode-root-over-6": ["antipode", "--algebra", "gl",
+                             "[" + "".join(_SMALL[:6]) + "]"],
+    "prod-286-by-286": ["prod", "--algebra", "gl", "@size9", "@size9"],
+}
+
+
+@pytest.mark.parametrize("argv", PAST_THE_TIME_LIMIT.values(), ids=PAST_THE_TIME_LIMIT)
+def test_work_past_the_time_limit_is_refused(argv, tmp_path, monkeypatch, fresh_caches):
+    size9 = tmp_path / "size9.json"
+    size9.write_text(json.dumps({"terms": [{"basis": t.encoding, "coeff": "1"}
+                                           for t in enumerate_trees(9)]}))
+    argv = [f"@{size9}" if arg == "@size9" else arg for arg in argv]
+    monkeypatch.setattr(cli, "_TIME_LIMIT", 0.5)
+    start = time.perf_counter()
+    result = run(argv)
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 2
+    assert result.payload == f"error: {argv[0]} ran past its time limit of 0.5 s"
+
+
+def test_the_time_limit_puts_back_the_timer_handler_and_cap(monkeypatch, fresh_caches):
+    def earlier(signum, frame):
+        pass
+
+    monkeypatch.setattr(cli, "_TIME_LIMIT", 0.5)
+    cap = sys.get_int_max_str_digits()
+    previous = signal.signal(signal.SIGALRM, earlier)
+    try:
+        # a refusal, a success, and a bad input the kernel itself rejects
+        for argv, exit_code in [(PAST_THE_TIME_LIMIT["antipode-50-chain"], 2),
+                                (["prod", "--algebra", "gl", "[[]]", "[]"], 0),
+                                (["phi", "[[][]]"], 2)]:
+            assert run(argv).exit_code == exit_code, argv
+            assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+            assert signal.getsignal(signal.SIGALRM) is earlier
+            assert sys.get_int_max_str_digits() == cap
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_run_off_the_main_thread_still_answers(monkeypatch):
+    # no handler can be set there, so the call runs with no limit
+    monkeypatch.setattr(cli, "_TIME_LIMIT", 0.5)
+    results = []
+    thread = threading.Thread(
+        target=lambda: results.append(run(["prod", "--algebra", "gl", "[[]]", "[[]]"])))
+    thread.start()
+    thread.join()
+    assert results == [('{"terms": [{"basis": "[[[]]]", "coeff": "1"}, '
+                        '{"basis": "[[][]]", "coeff": "1"}]}', 0)]
+
+
+def test_a_fresh_process_past_the_time_limit_exits_two():
+    proc = run_python("-c", "import treehopf.cli as c; c._TIME_LIMIT = 0.5; c.main()",
+                      *PAST_THE_TIME_LIMIT["antipode-three-20-chains"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: antipode ran past its time limit of 0.5 s\n"
 
 
 @pytest.mark.parametrize("trees", [["[]"] * 17, ["[[]]"] * 11, ["[]"] * 600],
@@ -293,8 +324,7 @@ def test_shape_measures_count_without_enumerating():
 def test_forests_of_equal_trees_are_answered(command, trees):
     # the kernels multiply one memoized result per distinct tree, so a run
     # of equal trees costs little however long it is; they loop over the
-    # trees, so 600 of them do not reach the recursion limit (360601
-    # products, within the coproduct's ceiling)
+    # trees, so 600 of them do not reach the recursion limit
     result = run([command, "--algebra", "hr", " ".join(trees)])
     assert result.exit_code == 0, result.payload
     assert len(json.loads(result.payload)["terms"]) == (
@@ -302,49 +332,19 @@ def test_forests_of_equal_trees_are_answered(command, trees):
         else {"coprod": comb(3 + 11 - 1, 11), "antipode": 12}[command])
 
 
-def test_forests_of_distinct_trees_multiply_their_terms(monkeypatch):
-    # eight distinct trees, a leaf and a chain among them: 94498 terms at
-    # most (52680 in fact), but the 161387 products are the measure; a
-    # ninth tree takes them to 1612748
-    forest = "[[][][][]] [[][][]] [[[][]]] [[[]][]] [[[[]]]] [[[[]]]] [[]] []"
-    assert cli._products(parse_forest(forest)) == 161387
-    monkeypatch.setattr(ck, "coproduct", lambda x: LinComb.zero())
-    assert run(["coprod", "--algebra", "hr", forest]).exit_code == 0
-    monkeypatch.setattr(ck, "coproduct", lambda x: pytest.fail("not refused"))
-    result = run(["coprod", "--algebra", "hr", forest + " [[[]][][]]"])
-    assert result.payload.startswith("error: coprod --algebra hr products=1612748 ")
-
-
-@pytest.mark.parametrize("tree, terms", [
-    ("[" + "[]" * 17 + "]", 19),
-    ("[[[[[][]][[][]]][[[][]][[][]]]][[[[][]][[][]]][[[][]][[][]]]]]", 2279)],
-    ids=["17-leaf-corolla", "31-vertex-binary"])
-def test_wide_trees_with_few_terms_are_answered(tree, terms):
-    # 131071 and 458328 cuts: the kernel enumerates none of them
-    assert len(json.loads(ok(["coprod", "--algebra", "hr", tree]))["terms"]) == terms
-
-
-def test_products_bound_the_kernel_work(monkeypatch, fresh_caches):
-    # the pairs of terms the coproduct kernel multiplies, and the terms it
-    # regrows, counted on a cold memo for every forest up to weight 7
-    work = [0]
-    multiply, regrow = ck.multiply_tensors, LinComb.map_keys
-
-    def counted_multiply(x, y):
-        work[0] += len(x.terms) * len(y.terms)
-        return multiply(x, y)
-
-    def counted_regrow(x, f):
-        work[0] += len(x.terms)
-        return regrow(x, f)
-
-    monkeypatch.setattr(ck, "multiply_tensors", counted_multiply)
-    monkeypatch.setattr(LinComb, "map_keys", counted_regrow)
-    for f in (f for w in range(1, 8) for f in enumerate_forests(w)):
-        clear_caches()
-        work[0] = 0
-        ck.forest_coproduct(f)
-        assert cli._coproduct_work(f.items)[1] >= work[0], f
+@pytest.mark.parametrize("argv, terms", [
+    (["coprod", "--algebra", "hr", "[" + "[]" * 17 + "]"], 19),
+    (["coprod", "--algebra", "hr",
+      "[[[[[][]][[][]]][[[][]][[][]]]][[[[][]][[][]]][[[][]][[][]]]]]"], 2279),
+    (["antipode", "--algebra", "hr", "[" + "[]" * 17 + "]"], 18),
+    (["antipode", "--algebra", "hr", "[[" + "[]" * 16 + "]]"], 33),
+    (["coprod", "--algebra", "gl", "[" + "[]" * 40 + "]"], 41)],
+    ids=["17-leaf-corolla", "31-vertex-binary", "antipode-17-leaf-corolla",
+         "antipode-chain-over-16-leaf-corolla", "gl-coprod-40-leaf-corolla"])
+def test_wide_trees_with_few_terms_are_answered(argv, terms):
+    # 131071, 458328, 131071 and 65536 admissible cuts, and 2 ** 40 subsets
+    # of the root's children: no kernel enumerates them
+    assert len(json.loads(ok(argv))["terms"]) == terms
 
 
 @pytest.mark.parametrize("command", ["coprod", "grow"])
