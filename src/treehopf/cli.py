@@ -21,17 +21,31 @@ the Lie commands, a forest for the forest algebra, with ``1`` as its unit)
 or ``@path`` pointing to a JSON file in the serialization schema.  A
 Lie-side literal may carry the ``Z:`` prefix that Lie-side output prints.
 
-Every compute command is one row of ``_COMMANDS``; ``_build_parser`` adds
-its subparser and ``_compute`` runs it.  A row's kernels map an input family
-(``"gl"``, ``"hr"``, ``"lie"``) to the kernel's ``(module name, attribute)``
-in this package.  The module is imported on first use and the attribute
-looked up at call time, so that a kernel rebound at run time (a test's
-stub, a tracer's wrapper) is the one called.  Two families add
-``--algebra``, and the family ``int`` makes the positionals integers.  To
-add a command, add ``"name": (help, "a b", {"gl": ("module", "kernel")},
-"encoding")`` to the table, naming the key encoder as ``serialize`` holds
-it (``"encoding"``, which it imports from ``exactlin``, or
-``"encode_z_key"`` for Lie-side output) or ``None`` for a scalar.
+Every compute command is one row of ``_COMMANDS``; ``_grammar`` reads its
+options and positionals from the row, and ``_compute`` runs it.  A row's
+kernels map an input family (``"gl"``, ``"hr"``, ``"lie"``) to the
+kernel's ``(module name, attribute)`` in this package.  The module is
+imported on first use and the attribute looked up at call time, so that a
+kernel rebound at run time (a test's stub, a tracer's wrapper) is the one
+called.  Two families add ``--algebra``, and the family ``int`` makes the
+positionals integers.  To add a command, add ``"name": (help, "a b",
+{"gl": ("module", "kernel")}, "encoding")`` to the table, naming the key
+encoder as ``serialize`` holds it (``"encoding"``, which it imports from
+``exactlin``, or ``"encode_z_key"`` for Lie-side output) or ``None`` for a
+scalar.
+
+A well-formed argv is read straight from the rows (``_read_argv``):
+``_FORMAT``, ``_OPTIONS`` and ``_grammar`` give each option as its argparse
+keywords, and ``_build_parser`` builds its parser from the same rows.
+argparse, and the ``gettext`` and ``locale`` its messages load, are
+imported only when that read declines: for help, a usage error, or a form
+it does not take (``--opt=value``, an abbreviation, ``--``, a repeated
+option, any other token that starts with ``-``).  argparse then reads the
+argv, and words the help or the error, as before.  Without bytecode, ``enum
+--size 1 --count-only`` took 17.4 ms above a bare interpreter that also
+ends through ``os._exit`` when argparse read every argv, and 13.3 ms with
+this read (medians of 60 interleaved fresh processes, Python 3.11.7, 2
+vCPUs).
 
 A command whose work grows steeply with one integer argument refuses a
 value above its row in ``_CEILINGS`` with one ``error:`` line and exit 2,
@@ -64,12 +78,12 @@ longer than the cap: the square of a 4000-digit coefficient.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from collections import namedtuple
 from importlib import import_module
+from types import SimpleNamespace
 
 from . import SUITES
 from .exactlin import LinComb
@@ -84,11 +98,6 @@ CommandResult = namedtuple("CommandResult", "payload exit_code")
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(f"{self.format_usage()}error: {message}")
 
 
 def _parse_lie_literal(text: str):
@@ -144,6 +153,34 @@ _COMMANDS = {
 }
 
 
+# the top-level option, then ``enum``'s and ``verify``'s (help, options),
+# each option as its argparse keywords; ``_build_parser`` and ``_read_argv``
+# both read these rows, and ``_grammar`` the rows of ``_COMMANDS``
+_FORMAT = {"--format": {"choices": ("json", "text"), "default": "json",
+                        "help": "output format for compute commands (default json)"}}
+_OPTIONS = {
+    "enum": ("enumerate trees of a given size",
+             {"--size": {"type": int, "required": True},
+              "--count-only": {"action": "store_true", "default": False}}),
+    "verify": ("run a verification suite",
+               {"--suite": {"choices": SUITES + ("all",), "default": "all"},
+                "--max-degree": {"type": int, "default": 5}}),
+}
+
+
+def _grammar(name: str) -> tuple:
+    """A subcommand's help, its options by flag and its positionals by
+    name, each as its argparse keywords.  Two kernel families add
+    ``--algebra``, and the family ``int`` makes the positionals integers."""
+    if name in _OPTIONS:
+        return (*_OPTIONS[name], {})
+    help_text, params, kernels, _ = _COMMANDS[name]
+    options = ({"--algebra": {"choices": tuple(kernels), "required": True}}
+               if len(kernels) > 1 else {})
+    kind = {"type": int} if int in kernels else {}
+    return help_text, options, dict.fromkeys(params.split(), kind)
+
+
 # row: (integer argument, largest accepted value, how the work grows), from
 # measured growth (Python 3.11.7, 2 vCPUs): ``xk 14`` takes 1.6-1.7 s and
 # prints 5.6 MB (``xk 15``: 5.6 s and 15.6 MB), ``delta 15`` 2.1-2.2 s, a
@@ -180,27 +217,77 @@ def _check_ceiling(row: str, args) -> None:
                          f"of {limit}: the work grows {growth}")
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The argparse parser: the reference reading of argv, and the one place
+    that words help and usage errors."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(f"{self.format_usage()}error: {message}")
+
     parser = _Parser(prog="treehopf", description=__doc__.splitlines()[0])
-    parser.add_argument("--format", choices=("json", "text"), default="json",
-                        help="output format for compute commands (default json)")
+    for flag, keywords in _FORMAT.items():
+        parser.add_argument(flag, **keywords)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enum", help="enumerate trees of a given size")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
-
-    for name, (help_text, params, kernels, _) in _COMMANDS.items():
+    for name in ("enum", *_COMMANDS, "verify"):
+        help_text, options, positionals = _grammar(name)
         p = sub.add_parser(name, help=help_text)
-        if len(kernels) > 1:
-            p.add_argument("--algebra", choices=tuple(kernels), required=True)
-        for param in params.split():
-            p.add_argument(param, type=int if int in kernels else None)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    p.add_argument("--max-degree", type=int, default=5)
+        for flag, keywords in {**options, **positionals}.items():
+            p.add_argument(flag, **keywords)
     return parser
+
+
+def _value(keywords: dict, text: str):
+    """``text`` converted and checked as argparse does for one argument;
+    ``ValueError`` where argparse would refuse it, and for a value that
+    starts with ``-``, which argparse alone reads."""
+    value = keywords.get("type", str)(text)
+    if text.startswith("-") or value not in keywords.get("choices", (value,)):
+        raise ValueError(text)
+    return value
+
+
+def _read(tokens: list, options: dict, positionals: dict) -> dict:
+    """The values one parser gives ``tokens``, with its defaults.  Any token
+    that starts with ``-`` must be one of its options, given once."""
+    given, args = {}, []
+    tokens = iter(tokens)
+    for token in tokens:
+        if not token.startswith("-"):
+            args.append(token)
+        elif token not in options or token in given:
+            raise ValueError(token)
+        elif options[token].get("action") == "store_true":
+            given[token] = True
+        else:
+            given[token] = _value(options[token], next(tokens, "-"))
+    if len(args) != len(positionals) or any(
+            keywords.get("required") and flag not in given
+            for flag, keywords in options.items()):
+        raise ValueError(args)
+    values = {name: _value(keywords, arg)
+              for (name, keywords), arg in zip(positionals.items(), args)}
+    for flag, keywords in options.items():
+        values[flag.lstrip("-").replace("-", "_")] = given.get(flag, keywords.get("default"))
+    return values
+
+
+def _read_argv(argv):
+    """The namespace argparse gives a well-formed ``argv``, read from the
+    same rows without importing argparse, or ``None``: for help, a usage
+    error, and any form it does not take (``--opt=value``, an abbreviation,
+    ``--``, a repeated option, any other token that starts with ``-``)."""
+    argv = list(argv)
+    at = 0  # the command's index; each top-level option takes a value
+    while at < len(argv) and argv[at] in _FORMAT:
+        at += 2
+    try:
+        _, options, positionals = _grammar(argv[at])
+        return SimpleNamespace(**_read(argv[:at], _FORMAT, {}), command=argv[at],
+                               **_read(argv[at + 1:], options, positionals))
+    except (ValueError, LookupError):
+        return None
 
 
 def _report_text(report: dict) -> str:
@@ -290,9 +377,10 @@ def run(argv) -> CommandResult:
     main thread it holds ``SIGALRM``, and it puts back the handler that was
     there before once it returns.
     """
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _read_argv(argv)
+        if args is None:
+            args = _build_parser().parse_args(list(argv))
     except _UsageError as exc:
         return CommandResult(str(exc), 2)
     except SystemExit as exc:  # argparse --help path

@@ -4,6 +4,8 @@ import argparse
 import hashlib
 import json
 import os
+import random
+import shlex
 import signal
 import subprocess
 import sys
@@ -366,6 +368,33 @@ def test_usage_errors():
     assert run(["phi", "[[][]]"]).exit_code == 2
     assert run(["verify", "--suite", "trees", "--max-degree", "0"]).exit_code == 2
     assert run([]).exit_code == 2
+    # values are read as int() reads them: "²" is a digit to str.isdigit,
+    # and a 5000-digit value is past Python's conversion cap
+    big = "7" * 5000
+    for argv, line in [(["enum", "--size", big],
+                        f"error: argument --size: invalid int value: '{big}'"),
+                       (["xk", "²"], "error: argument k: invalid int value: '²'")]:
+        result = run(argv)
+        assert result.exit_code == 2
+        assert result.payload.startswith(f"usage: treehopf {argv[0]} ")
+        assert result.payload.splitlines()[-1] == line
+    # forms only argparse reads still answer, through argparse
+    for argv, same in [(["prod", "--alg", "gl", "[]", "[]"],
+                        ["prod", "--algebra", "gl", "[]", "[]"]),
+                       (["verify", "--max-degree=3"], ["verify", "--max-degree", "3"])]:
+        assert cli._read_argv(argv) is None
+        assert run(argv) == (ok(same), 0)
+    assert run(["--help"]) == ("", 0)
+    assert run(["prod", "--help"]) == ("", 0)
+
+
+def test_usage_errors_in_a_fresh_process():
+    """A refused value gives argparse's two lines on stderr and no traceback."""
+    for argv in (["enum", "--size", "7" * 5000], ["xk", "²"]):
+        proc = run_python("-m", "treehopf", *argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == run(argv).payload + "\n"
 
 
 def test_verify_small_suites():
@@ -631,6 +660,60 @@ def test_parser_shape_pinned():
     assert shape == EXPECTED_PARSER_SHAPE
 
 
+def _readme_calls() -> list:
+    """The argv of each ``$ treehopf ...`` example in the README."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        return [shlex.split(line)[2:] for line in handle
+                if line.startswith("$ treehopf ")]
+
+
+def _fuzzed_argvs(count: int, seed: int = 30):
+    """Seeded argvs over every command, option and value the grammar names,
+    forms only argparse reads, and values int() and str.isdigit disagree on.
+    Most tokens after the command come from its own options and values, so
+    that many argvs are well formed."""
+    commands = ["enum", *cli._COMMANDS, "verify"]
+    words = [*commands, "--format", "json", "text", "--size", "--count-only",
+             "--algebra", "gl", "hr", "lie", "--suite", *SUITES, "all",
+             "--max-degree", "-h", "--help", "--", "--size=3", "--alg", "-1", "+3",
+             "07", "٣", "²", "", "7" * 5000, "0", "3", "[]", "[[]]", "1", "Z:[]"]
+    rng = random.Random(seed)
+    for _ in range(count):
+        command = rng.choice(commands)
+        _, options, _ = cli._grammar(command)
+        own = [*options, *(c for o in options.values() for c in o.get("choices", ())),
+               "3", "+3", "٣", "[]", "1"]
+        head = rng.choices(["--format", "json", "text"], k=rng.choice((0, 0, 1, 2)))
+        tail = [rng.choice(own if rng.random() < 0.8 else words)
+                for _ in range(rng.randint(0, 5))]
+        yield head + [command] + tail
+
+
+def test_the_table_read_agrees_with_argparse(tmp_path, cli_corpus):
+    """``_read_argv`` gives exactly argparse's namespace or declines, and no
+    well-formed call of the corpora is declined: each takes the path that
+    imports no argparse."""
+    parser = _build_parser()
+
+    def read(argv):
+        """The command of the namespace read from the table, or None."""
+        args = cli._read_argv(argv)
+        if args is not None:
+            assert vars(args) == vars(parser.parse_args(argv)), argv
+        return args and args.command
+
+    readme = _readme_calls()
+    assert len(readme) == 4
+    corpora = (_pinned_corpus(tmp_path) + [argv for argv, _ in cli_corpus]
+               + [argv for argv, _, _ in MODULES_LOADED + ABOVE_CEILINGS] + readme)
+    # the usage error is the only call of the corpora argparse reads
+    assert [argv for argv in corpora if read(argv) is None] == [
+        ["prod", "--algebra", "xx", "[]", "[]"]]
+    fuzzed = {read(argv) for argv in _fuzzed_argvs(100_000)}
+    assert fuzzed == {None, "enum", *cli._COMMANDS, "verify"}
+
+
 def test_cli_calls_kernels_through_module_attributes(monkeypatch):
     """A kernel rebound at run time is the one called: perfbench's tracer
     counts CLI calls by rebinding module attributes the same way."""
@@ -663,6 +746,8 @@ _LIE = _GL | _SER | {"treehopf.tree_lie"}
 _VERIFY = _CORE | {"treehopf.verify", "treehopf.laws"}
 # the standard library's rationals, loaded only where a Fraction is made
 _FRACTIONS = {"fractions", "decimal"}
+# argparse and what its messages load, only for help or a usage error
+_ARGPARSE = {"argparse", "gettext", "locale"}
 
 # one call per command: its exit code and the modules loaded after it
 MODULES_LOADED = [
@@ -684,6 +769,7 @@ MODULES_LOADED = [
     (["--format", "text", "phi", "[[]]"], 0, _LIE),
     (["psi", "[[]]"], 0, _LIE),
     (["prod", "--algebra", "gl", "[[", "[]"], 2, _CORE),
+    (["prod", "--algebra", "xx", "[]", "[]"], 2, _CORE | _ARGPARSE),
     # a suite loads its own laws and the kernels they read, and a clean
     # report no serialize; ``all`` loads every suite's laws.  Every quotient
     # of a suite is integral, so none loads ``fractions``
@@ -705,7 +791,10 @@ def test_each_command_loads_only_its_modules(tmp_path):
     cached, so a command loads only what it runs: a ``verify`` suite loads
     only its own laws and the kernels they read, ``serialize`` only for an
     input file or an output, and ``fractions`` only where a Fraction is
-    made, such as a rational coefficient read from a file."""
+    made, such as a rational coefficient read from a file.  A well-formed
+    call reads its argv from the command table: argparse, and the
+    ``gettext`` and ``locale`` its messages load, come only with a usage
+    error."""
     half = tmp_path / "half.json"
     half.write_text('{"terms": [{"basis": "[[]]", "coeff": "1/2"}]}')
     rows = MODULES_LOADED + [
@@ -713,7 +802,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
     probe = ("import sys, json, treehopf.cli; "
              "code = treehopf.cli.run(json.loads(sys.argv[1])).exit_code; "
              "print(code, *sorted(m for m in sys.modules if m.startswith('treehopf') "
-             "or m in ('fractions', 'decimal')))")
+             f"or m in {tuple(sorted(_FRACTIONS | _ARGPARSE))}))")
     for argv, exit_code, expected in rows:
         proc = run_python("-c", probe, json.dumps(argv))
         assert proc.returncode == 0, proc.stderr
