@@ -41,11 +41,7 @@ argparse, and the ``gettext`` and ``locale`` its messages load, are
 imported only when that read declines: for help, a usage error, or a form
 it does not take (``--opt=value``, an abbreviation, ``--``, a repeated
 option, any other token that starts with ``-``).  argparse then reads the
-argv, and words the help or the error, as before.  Without bytecode, ``enum
---size 1 --count-only`` took 17.4 ms above a bare interpreter that also
-ends through ``os._exit`` when argparse read every argv, and 13.3 ms with
-this read (medians of 60 interleaved fresh processes, Python 3.11.7, 2
-vCPUs).
+argv, and words the help or the error.
 
 A command whose work grows steeply with one integer argument refuses a
 value above its row in ``_CEILINGS`` with one ``error:`` line and exit 2,
@@ -75,8 +71,6 @@ keeps the cap, which bounds the quadratic parse of a hostile file, and
 rendering a result lifts it, since an accepted input can have a result
 longer than the cap: the square of a 4000-digit coefficient.
 """
-
-from __future__ import annotations
 
 import json
 import os

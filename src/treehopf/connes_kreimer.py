@@ -9,16 +9,16 @@ the coproduct is defined as a sum over admissible cuts,
 
 and on a monomial the coproduct acts factor by factor, since it is an
 algebra map.  The kernel computes it by the equal root recursion
-``Delta(B+(f)) = B+(f) (x) 1 + (id (x) B+) Delta(f)``, with Delta(f) the
-product of the children's coproducts, so its cost follows the number of
-distinct terms rather than the number of cuts: the 31-vertex complete
-binary tree has 458,328 cuts but 2,279 terms.  ``tree_coproduct_recursive``
-holds the one memo of a tree's coproduct; ``tree_coproduct_by_cuts``, the
-sum over ``trees.admissible_cuts`` with no memo, is its oracle.  The
-antipode follows the cut recursion, read from the terms of the kernel.  On
-a forest, both maps are one loop over its trees (``_over_trees``) that
-multiplies each tree's memoized value in order, so a forest may have any
-number of trees.
+``Delta(B+(f)) = B+(f) (x) 1 + (id (x) B+) Delta(f)``, so its cost follows
+the number of distinct terms rather than the number of cuts: the 31-vertex
+complete binary tree has 458,328 cuts but 2,279 terms.
+``tree_coproduct_recursive`` holds the one memo of a tree's coproduct;
+``tree_coproduct_by_cuts``, the sum over ``trees.admissible_cuts`` with no
+memo, is its oracle.  The antipode follows the cut recursion, read from the
+terms of the kernel.  A product over trees is one loop (``_over_trees``)
+that multiplies each tree's memoized value in order: Delta(f) of the
+children inside the recursion, and both maps on a forest, so a forest may
+have any number of trees.
 
 Leaf growth at every vertex is a weight +1 derivation; its iterates starting
 from the one-vertex tree give the chain ``delta(1), delta(2), ...`` whose
@@ -36,8 +36,6 @@ not attachment sites; double counting isomorphisms of the cut pair gives
 ``sites * |Aut(t)| = edges * |Aut(t1)| * |Aut(t2)|``, so
 ``star_by_cut_counting`` rescales each raw count accordingly.
 """
-
-from __future__ import annotations
 
 from functools import lru_cache, reduce
 
@@ -95,14 +93,14 @@ def tree_coproduct_recursive(t: Tree) -> LinComb:
     """The tree coproduct by the root recursion; the kernel.
 
     ``Delta(t) = t (x) 1 + (id (x) B+) Delta(B-(t))``, where Delta(B-(t)) is
-    the product of the children's coproducts.  This memo is the only cache
-    of a tree's coproduct; the returned combination is shared and must not
-    be mutated.  ``tree_coproduct_by_cuts`` must match it.
+    the product of the children's coproducts, by ``_over_trees``.  This memo
+    is the only cache of a tree's coproduct; the returned combination is
+    shared and must not be mutated.  ``tree_coproduct_by_cuts`` must match
+    it.
     """
-    acc = LinComb.term(tensor_key(EMPTY_FOREST, EMPTY_FOREST))
-    for child in t.children:
-        acc = multiply_tensors(acc, tree_coproduct_recursive(child))
-    return LinComb.term(tensor_key(_forest((t,)), EMPTY_FOREST)) + acc.map_keys(
+    below = _over_trees(t.children, tree_coproduct_recursive, multiply_tensors,
+                        LinComb.term(tensor_key(EMPTY_FOREST, EMPTY_FOREST)))
+    return LinComb.term(tensor_key(_forest((t,)), EMPTY_FOREST)) + below.map_keys(
         lambda key: tensor_key(key[0], _forest((b_plus(key[1]),))))
 
 
@@ -124,14 +122,14 @@ def star_by_cut_counting(t1: Tree, t2: Tree) -> LinComb:
     return LinComb(out)
 
 
-def _over_trees(f: Forest, value, multiply, unit: LinComb) -> LinComb:
-    """The product of ``value`` over a forest's trees, in order: the first
-    tree's own value times each later tree's, so a one-tree forest gives
-    its tree's value itself and the empty forest ``unit``.  A loop, so a
-    forest may have any number of trees."""
-    if not f.items:
+def _over_trees(trees: tuple, value, multiply, unit: LinComb) -> LinComb:
+    """The product of ``value`` over ``trees``, a forest's item tuple, in
+    order: the first tree's own value times each later tree's, so one tree
+    gives its value itself and no tree ``unit``.  A loop, so a forest may
+    have any number of trees."""
+    if not trees:
         return unit
-    first, *rest = f.items
+    first, *rest = trees
     return reduce(multiply, map(value, rest), value(first))
 
 
@@ -139,7 +137,7 @@ def _over_trees(f: Forest, value, multiply, unit: LinComb) -> LinComb:
 def forest_coproduct(f: Forest) -> LinComb:
     """Coproduct of a basis forest: product of its trees' kernel coproducts,
     by ``_over_trees``."""
-    return _over_trees(f, tree_coproduct_recursive, multiply_tensors,
+    return _over_trees(f.items, tree_coproduct_recursive, multiply_tensors,
                        LinComb.term(tensor_key(EMPTY_FOREST, EMPTY_FOREST)))
 
 
@@ -171,7 +169,7 @@ def tree_antipode(t: Tree) -> LinComb:
 def forest_antipode(f: Forest) -> LinComb:
     """Antipode of a basis forest: product of its trees' antipodes, by
     ``_over_trees``."""
-    return _over_trees(f, tree_antipode, product, UNIT)
+    return _over_trees(f.items, tree_antipode, product, UNIT)
 
 
 def antipode(x: LinComb) -> LinComb:

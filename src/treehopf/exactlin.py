@@ -32,8 +32,6 @@ cleared, reduced by integer cross-multiples and divided by its gcd, so
 every check stays bit-exact without dense or ``Fraction`` rows.
 """
 
-from __future__ import annotations
-
 from math import gcd, lcm
 
 

@@ -24,8 +24,6 @@ its index lists, so no dual map accumulates by hand.  The rows of the
 every dual-side map transposes.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .exactlin import LinComb, extend_bilinear, extend_linear

@@ -20,8 +20,6 @@ coproduct are degree-additive, and the antipode comes from the connected
 graded recursion through the reduced coproduct.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import lru_cache
 from math import comb

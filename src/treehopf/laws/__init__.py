@@ -33,8 +33,6 @@ the per-law counts in ``tests/test_verify.py`` and the report digests in
 ``tests/test_acceptance.py``.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from ..exactlin import LinComb, add_to, extend_linear

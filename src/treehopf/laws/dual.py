@@ -2,8 +2,6 @@
 grafting product against the cut coproduct, and the convolution product,
 each built as sparse sides (see ``sparse_cases``)."""
 
-from __future__ import annotations
-
 import itertools
 
 from .. import connes_kreimer as ck

@@ -1,7 +1,5 @@
 """The ``gl`` suite: the grafting Hopf algebra and its primitives."""
 
-from __future__ import annotations
-
 from .. import grossman_larson as gl
 from ..exactlin import LinComb, swap_legs, tensor, tensor_multiply
 from ..trees import LEAF, enumerate_trees

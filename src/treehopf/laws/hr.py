@@ -1,7 +1,5 @@
 """The ``hr`` suite: the forest Hopf algebra with the cut coproduct."""
 
-from __future__ import annotations
-
 from .. import connes_kreimer as ck
 from ..exactlin import LinComb, map_right, swap_legs, tensor
 from ..trees import EMPTY_FOREST, LEAF, Forest, Tree, b_plus, enumerate_forests

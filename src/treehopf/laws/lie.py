@@ -1,8 +1,6 @@
 """The ``lie`` suite: the tree Lie algebra, its star against the cut-count
 oracle, and the maps to and from the primitive trees."""
 
-from __future__ import annotations
-
 from .. import connes_kreimer as ck
 from .. import grossman_larson as gl
 from .. import tree_lie

@@ -1,8 +1,6 @@
 """The ``operators`` suite: leaf growth, the ``x_k`` chain and the chain
 multiplication on the grafting algebra."""
 
-from __future__ import annotations
-
 from math import comb
 
 from .. import grossman_larson as gl

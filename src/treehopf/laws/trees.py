@@ -3,8 +3,6 @@ canonical form, on the tree kernels alone.  The three cut rows read each
 tree's cuts from one table that ``laws(D)`` builds and that ends with the
 suite, since ``admissible_cuts`` caches nothing."""
 
-from __future__ import annotations
-
 from ..trees import (Tree, admissible_cuts, b_minus, b_plus, canonicalize,
                      count_trees_recurrence, enumerate_forests, enumerate_trees,
                      leaf_growth, parse_tree, preorder_subtrees)

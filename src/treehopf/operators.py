@@ -16,8 +16,6 @@ right action factors through the counit, and its transpose is studied in
 which reads ``x_k``, load no grafting kernel.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .exactlin import LinComb, extend_linear

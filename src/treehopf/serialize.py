@@ -12,8 +12,6 @@ back, with a parser per leg, to the shared tuple of ``tensor_key``.  The
 Lie-side basis renders with a ``"Z:"`` prefix on the tree encoding.
 """
 
-from __future__ import annotations
-
 import json
 import re
 

@@ -14,8 +14,6 @@ Root deletion maps the single-child-root trees of the grafting algebra onto
 this Lie algebra; root attachment is its inverse.
 """
 
-from __future__ import annotations
-
 from .exactlin import LinComb, extend_bilinear
 from .grossman_larson import graft_forest
 from .trees import Tree

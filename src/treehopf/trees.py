@@ -22,8 +22,6 @@ coproduct, but its kernel in ``connes_kreimer`` never enumerates them: only
 its oracle ``tree_coproduct_by_cuts`` and the ``trees`` suite do.
 """
 
-from __future__ import annotations
-
 import itertools
 from bisect import bisect_right
 from collections import namedtuple
@@ -338,8 +336,11 @@ def enumerate_trees(n: int) -> tuple[Tree, ...]:
         raise ValueError("tree size must be >= 1")
     if n == 1:
         return (LEAF,)
-    return tuple(sorted((b_plus(f) for f in enumerate_forests(n - 1)),
-                        key=_by_encoding))
+    # B+ keeps the forests' encoding order.  Where two forest encodings of
+    # one weight first differ, both hold a bracket: a space there would end
+    # a tree in both, after the same prefix.  So dropping the spaces changes
+    # no comparison.
+    return tuple(map(b_plus, enumerate_forests(n - 1)))
 
 
 def trees_up_to_degree(bound: int) -> list[Tree]:

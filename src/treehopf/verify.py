@@ -15,8 +15,6 @@ imports this one.  To add
 a law, see ``laws``.
 """
 
-from __future__ import annotations
-
 from importlib import import_module
 
 from . import SUITES

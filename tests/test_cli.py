@@ -794,7 +794,8 @@ def test_each_command_loads_only_its_modules(tmp_path):
     made, such as a rational coefficient read from a file.  A well-formed
     call reads its argv from the command table: argparse, and the
     ``gettext`` and ``locale`` its messages load, come only with a usage
-    error."""
+    error.  No module postpones its annotations, so none loads
+    ``__future__``."""
     half = tmp_path / "half.json"
     half.write_text('{"terms": [{"basis": "[[]]", "coeff": "1/2"}]}')
     rows = MODULES_LOADED + [
@@ -802,12 +803,13 @@ def test_each_command_loads_only_its_modules(tmp_path):
     probe = ("import sys, json, treehopf.cli; "
              "code = treehopf.cli.run(json.loads(sys.argv[1])).exit_code; "
              "print(code, *sorted(m for m in sys.modules if m.startswith('treehopf') "
-             f"or m in {tuple(sorted(_FRACTIONS | _ARGPARSE))}))")
+             f"or m in {tuple(sorted(_FRACTIONS | _ARGPARSE | {'__future__'}))}))")
     for argv, exit_code, expected in rows:
         proc = run_python("-c", probe, json.dumps(argv))
         assert proc.returncode == 0, proc.stderr
         code, *loaded = proc.stdout.split()
         assert int(code) == exit_code, argv
+        assert "__future__" not in loaded, argv
         assert set(loaded) == expected, argv
         if argv[0] != "verify":
             assert not {"treehopf.verify", "treehopf.laws",

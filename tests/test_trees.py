@@ -228,10 +228,11 @@ def test_enumeration_matches_recurrence():
 
 
 def test_enumerate_all_distinct_and_sized():
-    for n in range(1, 8):
-        trees = enumerate_trees(n)
-        assert len({t.encoding for t in trees}) == len(trees)
-        assert all(t.size == n for t in trees)
+    for n in range(1, 13):
+        encodings = [t.encoding for t in enumerate_trees(n)]
+        assert len(set(encodings)) == len(encodings)
+        assert all(t.size == n for t in enumerate_trees(n))
+        assert encodings == sorted(encodings)
 
 
 def test_recurrence_examples():
