@@ -178,9 +178,9 @@ def _grammar(name: str) -> tuple:
 # row: (integer argument, largest accepted value, how the work grows), from
 # measured growth (Python 3.11.7, 2 vCPUs): ``xk 14`` takes 1.6-1.7 s and
 # prints 5.6 MB (``xk 15``: 5.6 s and 15.6 MB), ``delta 15`` 2.1-2.2 s, a
-# listing ``enum --size 15`` 0.7 s and 3.0 MB, ``verify --suite all
+# listing ``enum --size 15`` 0.4-0.6 s and 3.0 MB, ``verify --suite all
 # --max-degree 10`` 67 s and 452 MB, and ``enum --size 500 --count-only``
-# 0.85 s (``--size 600``: 2.3 s).
+# 0.03 s of counting (``--size 1000``: 0.22 s, ``--size 2000``: 2.4 s).
 _STEEP = "about 3x per step"
 _CEILINGS = {"xk": ("k", 14, _STEEP), "delta": ("k", 15, _STEEP),
              "enum": ("--size", 15, _STEEP),

@@ -331,16 +331,22 @@ def leaf_growth(t: Tree) -> LinComb:
 
 @lru_cache(maxsize=None)
 def enumerate_trees(n: int) -> tuple[Tree, ...]:
-    """All canonical trees with exactly n vertices, sorted by encoding."""
+    """All canonical trees with exactly n vertices, sorted by encoding.
+
+    By the recurrence on the last child: a tree of n vertices is its last
+    child c, in canonical order, added to a tree of n - |c| vertices whose
+    children all sort no later than c, so each tree is built exactly once
+    and no forest is built on the way.
+    """
     if n < 1:
         raise ValueError("tree size must be >= 1")
     if n == 1:
         return (LEAF,)
-    # B+ keeps the forests' encoding order.  Where two forest encodings of
-    # one weight first differ, both hold a bracket: a space there would end
-    # a tree in both, after the same prefix.  So dropping the spaces changes
-    # no comparison.
-    return tuple(map(b_plus, enumerate_forests(n - 1)))
+    found = [_tree(s.children + (c,))
+             for k in range(1, n) for c in enumerate_trees(k)
+             for s in enumerate_trees(n - k)
+             if not s.children or s.children[-1].encoding <= c.encoding]
+    return tuple(sorted(found, key=_by_encoding))
 
 
 def trees_up_to_degree(bound: int) -> list[Tree]:
@@ -350,21 +356,16 @@ def trees_up_to_degree(bound: int) -> list[Tree]:
 
 @lru_cache(maxsize=None)
 def enumerate_forests(weight: int) -> tuple[Forest, ...]:
-    """All canonical forests with the given total vertex count, sorted.
-
-    By the recurrence on the last tree: a forest of weight w is its last
-    tree t, in canonical order, added to a forest of weight w - |t| whose
-    trees all sort no later than t, so each forest is built exactly once.
-    """
+    """All canonical forests with the given total vertex count, sorted: the
+    B- images of the trees of ``weight + 1`` vertices."""
     if weight < 0:
         raise ValueError("forest weight must be >= 0")
-    if weight == 0:
-        return (EMPTY_FOREST,)
-    found = [_forest(f.items + (t,))
-             for k in range(1, weight + 1) for t in enumerate_trees(k)
-             for f in enumerate_forests(weight - k)
-             if not f.items or f.items[-1].encoding <= t.encoding]
-    return tuple(sorted(found, key=_by_encoding))
+    # B- keeps the trees' encoding order.  Where the forest encodings of two
+    # same-size trees first differ, both hold a bracket: a space in one would
+    # end a tree in both, after the same prefix, and the encodings have one
+    # length.  So dropping the roots' brackets and adding the spaces changes
+    # no comparison.
+    return tuple(map(b_minus, enumerate_trees(weight + 1)))
 
 
 def count_trees_recurrence(n: int) -> int:
@@ -377,12 +378,10 @@ def count_trees_recurrence(n: int) -> int:
     if n < 1:
         raise ValueError("tree size must be >= 1")
     counts = [0, 1]
-    while len(counts) <= n:
-        m = len(counts) - 1
-        total = 0
-        for k in range(1, m + 1):
-            divisor_sum = sum(d * counts[d] for d in range(1, k + 1) if k % d == 0)
-            total += divisor_sum * counts[m - k + 1]
+    divisor_sums = [0]  # entry k: the sum of d * r(d) over d | k
+    for m in range(1, n):
+        divisor_sums.append(sum(d * counts[d] for d in range(1, m + 1) if m % d == 0))
+        total = sum(divisor_sums[k] * counts[m - k + 1] for k in range(1, m + 1))
         assert total % m == 0
         counts.append(total // m)
     return counts[n]

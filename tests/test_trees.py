@@ -4,7 +4,8 @@ from math import factorial
 
 import pytest
 
-from conftest import antichain_filter_cuts, cut_signature, graft_per_vertex_growth
+from conftest import (antichain_filter_cuts, cut_signature, graft_per_vertex_growth,
+                      run_python)
 from treehopf.trees import (EMPTY_FOREST, LEAF, Forest, Tree, TreeParseError,
                             admissible_cuts, aut_order, b_minus, b_plus,
                             canonicalize, count_trees_recurrence,
@@ -233,12 +234,34 @@ def test_enumerate_all_distinct_and_sized():
         assert len(set(encodings)) == len(encodings)
         assert all(t.size == n for t in enumerate_trees(n))
         assert encodings == sorted(encodings)
+    for w in range(12):
+        forests = enumerate_forests(w)
+        encodings = [f.encoding for f in forests]
+        assert len(set(encodings)) == len(encodings)
+        assert all(f.weight == w for f in forests)
+        assert encodings == sorted(encodings)
+        assert forests == tuple(map(b_minus, enumerate_trees(w + 1)))
+        assert len(forests) == count_trees_recurrence(w + 1)
+
+
+def test_enumerating_trees_builds_no_forest():
+    # trees recurse on their own results; the forests are read off them only
+    # when asked for, so a fresh process interns nothing but the empty forest
+    probe = ("from treehopf import trees\n"
+             "for n in range(1, 13): trees.enumerate_trees(n)\n"
+             "print(list(trees._forests.values()) == [trees.EMPTY_FOREST])")
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 def test_recurrence_examples():
     assert count_trees_recurrence(1) == 1
     assert count_trees_recurrence(4) == 4
     assert count_trees_recurrence(7) == 48
+    # at the ``enum --count-only`` ceiling
+    big = count_trees_recurrence(500)
+    assert len(str(big)) == 231 and big % 10 ** 12 == 849529634520
     with pytest.raises(ValueError):
         count_trees_recurrence(0)
 
