@@ -11,9 +11,8 @@ the structural identities.
 import sys
 
 from .exactlin import (LinComb, combine, encoding, exact, extend_bilinear,
-                       extend_linear, map_left, map_right, rank,
-                       solve_membership, swap_legs, tensor, tensor_key,
-                       tensor_multiply)
+                       extend_linear, map_each_leg, rank, solve_membership,
+                       swap_legs, tensor, tensor_key, tensor_multiply)
 from .trees import (EMPTY_FOREST, LEAF, Cut, Forest, Tree, TreeParseError,
                     admissible_cuts, aut_order, b_minus, b_plus, canonicalize,
                     count_trees_recurrence, enumerate_forests, enumerate_trees,
@@ -30,8 +29,8 @@ __all__ = [
     "TreeParseError", "admissible_cuts", "aut_order", "b_minus", "b_plus",
     "canonicalize", "clear_caches", "combine", "count_trees_recurrence",
     "encoding", "enumerate_forests", "enumerate_trees", "exact",
-    "extend_bilinear", "extend_linear", "graft_many", "map_left",
-    "map_right", "parse_forest", "parse_tree", "preorder_subtrees", "rank",
+    "extend_bilinear", "extend_linear", "graft_many", "map_each_leg",
+    "parse_forest", "parse_tree", "preorder_subtrees", "rank",
     "solve_membership", "swap_legs", "tensor", "tensor_key", "tensor_multiply",
 ]
 

@@ -18,13 +18,18 @@ coproducts repeat the same pairs.  ``encoding`` gives a key's text, which
 orders keys deterministically for serialization.  Products, coproducts and
 brackets are defined on basis keys elsewhere and lifted here.
 
-The rule for lifting: a basis map that returns a ``LinComb`` is made linear
-only through ``extend_linear`` / ``extend_bilinear``, called at use time so
-that the basis map is looked up by name on each call.  A map that builds a
-single key per input (a forest union, or a tensor key of two legs as in
-``tensor``, ``map_left``, ``map_right`` and ``tensor_multiply`` here) stays
-a direct loop: wrapping every key in a one-term ``LinComb`` only to unpack
-it again costs time on the hottest paths.
+The rule for lifting has three primitives.  A basis map that returns a
+``LinComb`` is made linear only through ``extend_linear`` /
+``extend_bilinear``, called at use time so that the basis map is looked up
+by name on each call; a map from one key to one key (``swap_legs``, or B+
+on one leg of a tensor) goes through ``LinComb.map_keys``.  The loops
+written by hand are measured forks.  ``map_each_leg`` applies a basis map
+to each leg of a tensor in one pass (through ``extend_linear`` and
+``tensor`` it took twice as long), and ``tensor_multiply`` multiplies two
+tensors leg by leg (through ``extend_bilinear`` and ``tensor`` it took
+``verify --suite gl --max-degree 8`` from 0.83 to 0.95 s).  ``tensor``,
+like the forest union products of the cut algebra, builds one key per pair
+of keys; a generic pair lift slowed those loops by 14-22 %.
 
 ``solve_membership`` and ``rank`` share one sparse elimination,
 ``_echelon``: each row is a ``{column: int}`` dict with its denominators
@@ -198,19 +203,13 @@ def tensor(a: LinComb, b: LinComb) -> LinComb:
     return LinComb(out)
 
 
-def map_left(f, x: LinComb) -> LinComb:
-    """Apply a linear basis map to the left leg of a tensor combination."""
+def map_each_leg(f, x: LinComb) -> LinComb:
+    """(f (x) id + id (x) f)(x): a linear basis map applied to each leg of a
+    tensor combination, the other leg kept, in one pass."""
     out: dict = {}
     for (left, right), c in x.terms.items():
         for image_key, image_c in f(left).terms.items():
             add_to(out, tensor_key(image_key, right), c * image_c)
-    return LinComb(out)
-
-
-def map_right(f, x: LinComb) -> LinComb:
-    """Apply a linear basis map to the right leg of a tensor combination."""
-    out: dict = {}
-    for (left, right), c in x.terms.items():
         for image_key, image_c in f(right).terms.items():
             add_to(out, tensor_key(left, image_key), c * image_c)
     return LinComb(out)

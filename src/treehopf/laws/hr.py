@@ -1,7 +1,7 @@
 """The ``hr`` suite: the forest Hopf algebra with the cut coproduct."""
 
 from .. import connes_kreimer as ck
-from ..exactlin import LinComb, map_right, swap_legs, tensor
+from ..exactlin import LinComb, swap_legs, tensor, tensor_key
 from ..trees import EMPTY_FOREST, LEAF, Forest, Tree, b_plus, enumerate_forests
 from . import _each, _forests, _hopf_laws, _law, _trees, _tuples
 
@@ -17,7 +17,7 @@ def laws(D: int) -> list:
     # the paper's cocycle identity; the kernel is built by this recursion,
     # so the row restates it, and coproduct_forms_agree ties it to the cuts
     def root_cocycle(f):
-        grafted = map_right(lambda g: term(Forest((b_plus(g),))), cop(f))
+        grafted = cop(f).map_keys(lambda k: tensor_key(k[0], Forest((b_plus(k[1]),))))
         rooted = ck.add_root(term(f))
         return ck.coproduct(rooted), tensor(rooted, ck.UNIT) + grafted
 

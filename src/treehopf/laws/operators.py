@@ -5,7 +5,7 @@ from math import comb
 
 from .. import grossman_larson as gl
 from .. import operators as ops
-from ..exactlin import LinComb, map_left, map_right, rank, tensor
+from ..exactlin import LinComb, map_each_leg, rank, tensor
 from ..trees import LEAF
 from . import _each, _law, _sizes, _trees, _tuples
 
@@ -17,8 +17,7 @@ def laws(D: int) -> list:
     chain, term, x_k = LinComb.term(ops.CHAIN2), LinComb.term, ops.x_k
 
     def coderivation(op, b):
-        db = gl.tree_coproduct(b)
-        return map_right(op, db) + map_left(op, db)
+        return map_each_leg(op, gl.tree_coproduct(b))
 
     def reduced(b):
         return term(b) - (gl.UNIT if b == LEAF else LinComb.zero())

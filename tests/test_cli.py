@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -12,6 +13,7 @@ import sys
 import threading
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -623,6 +625,20 @@ def test_cli_outputs_pinned(tmp_path):
         line = json.dumps([argv, result.exit_code, result.payload])
         digest.update(line.replace(str(tmp_path), "<tmp>").encode() + b"\n")
     assert digest.hexdigest() == PINNED_CLI_DIGEST
+
+
+def test_benchmark_verify_digests_hold(monkeypatch):
+    """Each ``verify`` report that the benchmark pins in
+    ``perfbench/workloads.py`` (read there, not copied) prints, with its
+    newline, as text of that sha256."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    # imported by name: the module's @dataclass looks itself up in sys.modules
+    pinned = importlib.import_module("workloads").PINNED_DIGESTS
+    assert len(pinned) == 6
+    for (suite, degree), digest in pinned.items():
+        payload = ok(["verify", "--suite", suite, "--max-degree", str(degree)])
+        text = payload + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (suite, degree)
 
 
 EXPECTED_PARSER_SHAPE = [

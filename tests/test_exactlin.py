@@ -13,7 +13,7 @@ from treehopf import grossman_larson as gl
 from treehopf import operators as ops
 from treehopf import tree_lie
 from treehopf.exactlin import (LinComb, combine, encoding, exact, extend_bilinear,
-                               extend_linear, map_left, map_right, rank, ratio,
+                               extend_linear, map_each_leg, rank, ratio,
                                solve_membership, swap_legs, tensor, tensor_key)
 from treehopf.serialize import lincomb_from_obj
 from treehopf.trees import Forest, LEAF, enumerate_trees, parse_tree
@@ -95,9 +95,28 @@ def test_tensor_helpers():
     x = tensor(LinComb({E: 1, L2: 2}), LinComb.term(L3))
     assert x == LinComb({tensor_key(E, L3): 1, tensor_key(L2, L3): 2})
     assert swap_legs(x) == LinComb({tensor_key(L3, E): 1, tensor_key(L3, L2): 2})
-    grown = map_left(lambda k: LinComb.term(k, -1), x)
-    assert grown == -x
-    assert map_right(lambda k: LinComb.zero(), x) == LinComb.zero()
+    grown = map_each_leg(lambda k: LinComb.term(k, -1), x)
+    assert grown == -2 * x
+    assert map_each_leg(lambda k: LinComb.zero(), x) == LinComb.zero()
+
+
+def _each_leg_oracle(f):
+    """(f (x) id + id (x) f) lifted through ``extend_linear`` and ``tensor``."""
+    term = LinComb.term
+    return extend_linear(lambda k: tensor(f(k[0]), term(k[1]))
+                         + tensor(term(k[0]), f(k[1])))
+
+
+def test_map_each_leg_matches_the_lift_through_tensor():
+    maps = [lambda k: LinComb.zero(), lambda k: LinComb.term(k, Fraction(-3, 2)),
+            lambda k: LinComb.term(E) if k.size > 1 else LinComb.zero(),
+            ops.n_tree, ops.m_tree]
+    rng = random.Random(13)
+    for _ in range(40):
+        x = tensor(random_lincomb(rng), random_lincomb(rng))
+        x = x + tensor(random_lincomb(rng), random_lincomb(rng))
+        for f in maps:
+            assert map_each_leg(f, x) == _each_leg_oracle(f)(x)
 
 
 def test_tensor_encoding_is_unambiguous():

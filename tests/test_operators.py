@@ -7,7 +7,7 @@ import pytest
 
 from treehopf import grossman_larson as gl
 from treehopf import operators as ops
-from treehopf.exactlin import LinComb, map_left, map_right, rank, tensor
+from treehopf.exactlin import LinComb, extend_linear, rank, tensor
 from treehopf.trees import (LEAF, aut_order, enumerate_trees, parse_tree,
                             preorder_subtrees)
 
@@ -19,6 +19,13 @@ CHERRY = parse_tree("[[][]]")
 
 def elem(t):
     return LinComb.term(t)
+
+
+def coderivation(op, x):
+    """(op (x) id + id (x) op)(x), lifted through ``extend_linear`` and
+    ``tensor``, independently of ``exactlin.map_each_leg``."""
+    return extend_linear(lambda k: tensor(op(k[0]), elem(k[1]))
+                         + tensor(elem(k[0]), op(k[1])))(x)
 
 
 def test_growth_examples():
@@ -86,8 +93,7 @@ def test_growth_coderivation():
     for n in range(1, 5):
         for t in enumerate_trees(n):
             dt = gl.tree_coproduct(t)
-            assert gl.coproduct(ops.n_tree(t)) == \
-                map_right(ops.n_tree, dt) + map_left(ops.n_tree, dt)
+            assert gl.coproduct(ops.n_tree(t)) == coderivation(ops.n_tree, dt)
 
 
 def test_xk_product_adds_indices():
@@ -158,6 +164,6 @@ def test_m_coproduct_identity():
             eps = Fraction(1 if t == E else 0)
             reduced = elem(t) - eps * gl.UNIT
             dt = gl.tree_coproduct(t)
-            expected = (map_right(ops.m_tree, dt) + map_left(ops.m_tree, dt)
+            expected = (coderivation(ops.m_tree, dt)
                         + tensor(reduced, chain) + tensor(chain, reduced))
             assert gl.coproduct(ops.m_tree(t)) == expected
