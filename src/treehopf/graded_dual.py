@@ -11,10 +11,12 @@ its bound.
 Every dual-side map reads a support index, built once from the kernel it
 transposes, instead of evaluating that kernel against each coordinate:
 ``product_index`` inverts the grafting product over the pairs within a bound
-(t -> the pairs whose product contains t), ``m_dual`` reads the ``m_tree``
-images transposed once per bound, and ``dual_product`` reads the
-``tree_coproduct`` terms inverted once per bound, keyed by their tensor
-keys, which a plain ``(left, right)`` tuple looks up.
+(t -> the pairs whose product contains t), taking its pairs from
+``trees.tuples_up_to_size``, the enumerator every bounded law domain reads;
+``m_dual`` reads the ``m_tree`` images transposed once per bound, and
+``dual_product`` reads the ``tree_coproduct`` terms inverted once per
+bound, keyed by their tensor keys, which a plain ``(left, right)`` tuple
+looks up.
 ``support_index`` is the one inversion behind all three.  Each dual map is
 the lift, through ``extend_linear`` or ``extend_bilinear``, of the basis
 map that sends a coordinate (or a pair of coordinates) to the combination
@@ -27,7 +29,7 @@ every dual-side map transposes.
 from functools import lru_cache
 
 from .exactlin import LinComb, extend_bilinear, extend_linear
-from .trees import enumerate_trees, trees_up_to_degree
+from .trees import trees_up_to_degree, tuples_up_to_size
 from . import grossman_larson as gl
 from .grossman_larson import tree_degree
 from . import operators as ops
@@ -51,14 +53,13 @@ def product_index(degree_bound: int) -> dict:
     """``{t: [((a, b), c), ...]}``: c is the coefficient of t in ``a * b``.
 
     One pass over ``gl.tree_product`` on every tree pair with degrees
-    summing within the bound, ordered by the two degrees, then by the
-    encodings; it indexes the dual coproduct of every coordinate at once.
+    summing within the bound, as ``tuples_up_to_size`` lists them: by the
+    two degrees, then by the encodings.  It indexes the dual coproduct of
+    every coordinate at once.
     Built once per bound and shared by its readers, which never mutate it.
     """
-    pairs = ((a, b) for da in range(degree_bound + 1)
-             for db in range(degree_bound - da + 1)
-             for a in enumerate_trees(da + 1) for b in enumerate_trees(db + 1))
-    return support_index(((a, b), gl.tree_product(a, b)) for a, b in pairs)
+    return support_index((p, gl.tree_product(*p))
+                         for p in tuples_up_to_size(2, degree_bound + 2))
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,8 @@ read from the indexes of ``graded_dual`` (``support_index``, and
 ``product_index``, built once per bound), and ``sparse_cases`` yields the
 keys either side holds as cases and the rest as ints, in the original
 order.  Most rows are ``_law(name, domain, sides)`` over a shared domain:
-trees by size, forests up to a weight, or tuples of bounded total size.  A
+trees by size, forests up to a weight, or tuples of bounded total size,
+which ``trees.tuples_up_to_size`` lists for every row that reads them.  A
 row whose cases share costly per-element work is a short generator that
 does that work once per element.  The bounds at ``D = 5`` give antipode
 laws at weight/degree 5, most laws at 6, the two forest coproducts at tree
@@ -27,16 +28,15 @@ package imports only the standard library, ``exactlin`` and ``trees`` at
 module level; each suite's module imports the kernel modules its laws read,
 and ``verify`` imports a suite's module only to run it, so a ``verify``
 call compiles the laws and kernels of its own suites and no others.
-To add a law, append ``_law("gl.name", _trees(D + 1), lambda t: (lhs, rhs))``,
-or a generator row, to the list its suite's ``laws`` returns; then re-pin
+To add a law, append ``_law("gl.name", _trees(D + 1), lambda t: (lhs, rhs))``
+(or, over pairs, ``_law("gl.name", tuples_up_to_size(2, D + 1), ...)``), or a
+generator row, to the list its suite's ``laws`` returns; then re-pin
 the per-law counts in ``tests/test_verify.py`` and the report digests in
 ``tests/test_acceptance.py``.
 """
 
-import itertools
-
 from ..exactlin import LinComb, add_to, extend_linear
-from ..trees import enumerate_forests, enumerate_trees, trees_up_to_degree
+from ..trees import enumerate_forests, trees_up_to_degree
 
 
 def sparse_cases(position: dict, head: tuple, lhs: dict, rhs: dict):
@@ -84,25 +84,6 @@ def _primitives(n: int) -> list:
     """The primitive basis trees of degree 1 to n, by degree."""
     from .. import grossman_larson as gl
     return [p for d in range(1, n + 1) for p in gl.primitive_basis(d)]
-
-
-def _sizes(k: int, total: int, least: int) -> list:
-    """k-tuples of sizes, each ``least`` or more, summing to at most ``total``."""
-    if k == 0:
-        return [()]
-    return [(s,) + rest for s in range(least, total - (k - 1) * least + 1)
-            for rest in _sizes(k - 1, total - s, least)]
-
-
-def _tuples(k: int, total: int, by_size=None, least: int = 1) -> list:
-    """k-tuples of basis elements, each of size ``least`` or more, of total size
-    at most ``total``, ordered by the tuple of sizes, then by encodings;
-    ``by_size`` (default ``enumerate_trees``, looked up per call) lists the
-    elements of one size.
-    """
-    by_size = by_size or enumerate_trees
-    return [args for sizes in _sizes(k, total, least)
-            for args in itertools.product(*map(by_size, sizes))]
 
 
 # Flattened by hand: lifting cop onto one leg at a time, then flattening by

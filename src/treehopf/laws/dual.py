@@ -8,7 +8,7 @@ from .. import connes_kreimer as ck
 from .. import graded_dual as gd
 from .. import operators as ops
 from ..exactlin import LinComb, add_to, ratio
-from ..trees import LEAF, Forest, aut_order, b_minus, trees_up_to_degree
+from ..trees import LEAF, aut_order, b_plus, trees_up_to_degree, tuples_up_to_size
 from . import _law, sparse_cases
 
 
@@ -33,9 +33,7 @@ def hochschild_cases(degree_bound: int, m_tree_func=None):
         raise ValueError("degree_bound must be >= 1")
     action = m_tree_func or ops.m_tree
     arguments = trees_up_to_degree(degree_bound - 1)
-    position = {p: i for i, p in enumerate(
-        (a, b) for a in arguments for b in arguments
-        if a.size + b.size <= degree_bound + 1)}
+    position = {p: i for i, p in enumerate(tuples_up_to_size(2, degree_bound + 1))}
     # the action's images transposed, s -> [(b, coeff of s in M(b))]; the
     # action depends on its argument alone: one evaluation per tree
     transposed = gd.support_index((b, action(b)) for b in arguments)
@@ -57,7 +55,6 @@ def hochschild_cases(degree_bound: int, m_tree_func=None):
 
 def laws(D: int) -> list:
     basis = trees_up_to_degree(D)
-    pairs = [(a, b) for a in basis for b in basis if a.size + b.size <= D + 2]
     bound = min(D, 4)
     small = trees_up_to_degree(bound)
 
@@ -73,18 +70,18 @@ def laws(D: int) -> list:
 
     def product_pairing():
         # coeff_t(a b) = s(a) s(b) / s(t) * [B-(a) (x) b] coproduct(t),
-        # with s the automorphism order: grafting against cutting
-        position = {p: i for i, p in enumerate(pairs)}
-        legs = {(b_minus(a), Forest((b,))): ((a, b), aut_order(a) * aut_order(b))
-                for a, b in pairs}
-        # the same pairs as ``pairs``: both degrees within D, and their sum
+        # with s the automorphism order: grafting against cutting.  The cases
+        # are the pairs of ``products``, of total degree within D
+        position = {p: i for i, p in enumerate(tuples_up_to_size(2, D + 2))}
         products = gd.product_index(D)
         for t in basis:
             sigma, rhs = aut_order(t), {}
-            for key, c in ck.tree_coproduct_recursive(t).terms.items():
-                if key in legs:
-                    p, weight = legs[key]
-                    rhs[p] = ratio(c * weight, sigma)
+            # each cut term with a trunk, B-(a) (x) b, names the one pair
+            # (a, b), of total size |t| + 1 and so within the bound
+            for (branch, trunk), c in ck.tree_coproduct_recursive(t).terms.items():
+                if trunk.items:
+                    a, b = b_plus(branch), trunk.items[0]
+                    rhs[a, b] = ratio(c * aut_order(a) * aut_order(b), sigma)
             yield from sparse_cases(position, (t,), dict(products.get(t, ())), rhs)
 
     def perturbed_m(t):

@@ -2,14 +2,14 @@
 
 from .. import grossman_larson as gl
 from ..exactlin import LinComb, swap_legs, tensor, tensor_multiply
-from ..trees import LEAF, enumerate_trees
-from . import _each, _hopf_laws, _law, _primitives, _trees, _tuples
+from ..trees import LEAF, enumerate_trees, tuples_up_to_size
+from . import _each, _hopf_laws, _law, _primitives, _trees
 
 
 def laws(D: int) -> list:
     singles = _trees(D + 2)
     # the left factor stops at size D + 1, the total at D + 3
-    pairs = [p for p in _tuples(2, D + 3) if p[0].size <= D + 1]
+    pairs = [p for p in tuples_up_to_size(2, D + 3) if p[0].size <= D + 1]
     degrees = _each(range(1, D + 2))
     cop, product, term = gl.tree_coproduct, gl.tree_product, LinComb.term
 
@@ -33,13 +33,13 @@ def laws(D: int) -> list:
         _law("gl.coproduct_multiplicative", pairs,
              lambda a, b: (gl.coproduct(product(a, b)),
                            tensor_multiply(cop(a), cop(b), product))),
-        _law("gl.associativity", _tuples(3, D + 3),
+        _law("gl.associativity", tuples_up_to_size(3, D + 3),
              lambda a, b, c: (gl.product(product(a, b), term(c)),
                               gl.product(term(a), product(b, c)))),
         # smallest non-commuting pair sits at total size 5 (total degree 3)
         _law("gl.noncommutative_witness", [()],
              lambda: (any(product(a, b) != product(b, a)
-                          for a, b in _tuples(2, 5)), True)),
+                          for a, b in tuples_up_to_size(2, 5)), True)),
         _law("gl.primitive_count", degrees,
              lambda n: (len(gl.primitive_basis(n)), len(enumerate_trees(n)))),
         _law("gl.primitive_dimension", degrees,

@@ -5,12 +5,12 @@ from .. import connes_kreimer as ck
 from .. import grossman_larson as gl
 from .. import tree_lie
 from ..exactlin import LinComb
-from ..trees import LEAF
-from . import _each, _law, _primitives, _trees, _tuples
+from ..trees import LEAF, tuples_up_to_size
+from . import _each, _law, _primitives, _trees
 
 
 def laws(D: int) -> list:
-    pairs = _tuples(2, D + 1)
+    pairs = tuples_up_to_size(2, D + 1)
     primitive = _primitives(D - 1)
     primitive_pairs = [(p, q) for p in primitive for q in primitive
                        if p.size + q.size <= D + 1]
@@ -31,7 +31,7 @@ def laws(D: int) -> list:
                            ck.star_by_cut_counting(a, b))),
         _law("lie.bracket_antisymmetry", pairs,
              lambda a, b: (bracket(term(a), term(b)), -bracket(term(b), term(a)))),
-        _law("lie.jacobi", _tuples(3, D + 1), jacobi),
+        _law("lie.jacobi", tuples_up_to_size(3, D + 1), jacobi),
         _law("lie.phi_after_psi", _trees(D + 2),
              lambda t: (phi(psi(term(t))), term(t))),
         _law("lie.psi_after_phi", _each(_primitives(D + 1)),

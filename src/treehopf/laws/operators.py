@@ -6,13 +6,13 @@ from math import comb
 from .. import grossman_larson as gl
 from .. import operators as ops
 from ..exactlin import LinComb, map_each_leg, rank, tensor
-from ..trees import LEAF
-from . import _each, _law, _sizes, _trees, _tuples
+from ..trees import LEAF, tuples_up_to_size
+from . import _each, _law, _trees
 
 
 def laws(D: int) -> list:
     basis = _trees(D + 1)
-    pairs = _tuples(2, D + 1)
+    pairs = tuples_up_to_size(2, D + 1)
     orders = _each(range(D + 2))
     chain, term, x_k = LinComb.term(ops.CHAIN2), LinComb.term, ops.x_k
 
@@ -57,7 +57,8 @@ def laws(D: int) -> list:
         _law("op.growth_chain", _each(range(1, D + 1)),
              lambda k: ((gl.product(x_k(k), x_k(1)), gl.product(x_k(1), x_k(k))),
                         (x_k(k + 1), x_k(k + 1)))),
-        _law("op.xk_product", _sizes(2, D + 2, 0),
+        _law("op.xk_product",
+             [(m, n) for m in range(D + 3) for n in range(D + 3 - m)],
              lambda m, n: (gl.product(x_k(m), x_k(n)), x_k(m + n))),
         _law("op.xk_counit", orders, lambda m: (gl.counit(x_k(m)), 1 if m == 0 else 0)),
         _law("op.xk_degree", orders,

@@ -41,13 +41,12 @@ def _sorted_terms(x: LinComb, encode) -> list:
     return sorted((encode(k), c) for k, c in x.terms.items())
 
 
-def lincomb_to_obj(x: LinComb, encode=encoding) -> dict:
-    return {"terms": [{"basis": basis, "coeff": str(coeff)}
-                      for basis, coeff in _sorted_terms(x, encode)]}
-
-
 def lincomb_to_json(x: LinComb, encode=encoding) -> str:
-    return json.dumps(lincomb_to_obj(x, encode), sort_keys=True)
+    """The schema's text, as ``json.dumps(obj, sort_keys=True)`` gives it,
+    joined term by term so that no dict is built per term."""
+    return '{"terms": [' + ", ".join(
+        f'{{"basis": {json.dumps(basis)}, "coeff": "{coeff}"}}'
+        for basis, coeff in _sorted_terms(x, encode)) + "]}"
 
 
 # "p" or "p/q" with q != 0; [0-9] keeps out non-ASCII digits

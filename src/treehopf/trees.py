@@ -14,6 +14,11 @@ are not supported.  The constructor sorts its children and then looks the
 sorted tuple up; ``with_child`` adds one child to a tuple that is already
 sorted by inserting it in place, and looks up the same table.
 
+Enumeration lists the trees of one size, those up to a degree, the forests
+of one weight, and (``tuples_up_to_size``) the k-tuples of trees or forests
+of bounded total size: the one domain of every pair and triple law, and of
+the graded dual's product index.
+
 Vertices are addressed by preorder index on the canonical form: the root is
 0 and children are visited in canonical order.  All values are immutable
 after construction and every operation is pure.  Admissible cuts are
@@ -352,6 +357,25 @@ def enumerate_trees(n: int) -> tuple[Tree, ...]:
 def trees_up_to_degree(bound: int) -> list[Tree]:
     """Each tree of degree (size - 1) at most ``bound``, by size, then encoding."""
     return [t for d in range(bound + 1) for t in enumerate_trees(d + 1)]
+
+
+def _sizes(k: int, total: int, least: int) -> list:
+    """k-tuples of sizes, each ``least`` or more, summing to at most ``total``."""
+    if k == 0:
+        return [()]
+    return [(s,) + rest for s in range(least, total - (k - 1) * least + 1)
+            for rest in _sizes(k - 1, total - s, least)]
+
+
+def tuples_up_to_size(k: int, total: int, by_size=None, least: int = 1) -> list:
+    """k-tuples of basis elements, each of size ``least`` or more, of total size
+    at most ``total``, ordered by the tuple of sizes, then by encodings;
+    ``by_size`` (default ``enumerate_trees``, looked up per call) lists the
+    elements of one size.
+    """
+    by_size = by_size or enumerate_trees
+    return [args for sizes in _sizes(k, total, least)
+            for args in itertools.product(*map(by_size, sizes))]
 
 
 @lru_cache(maxsize=None)

@@ -6,8 +6,8 @@ sides differ, records a violation with the args and both sides as text: a
 combination by its terms, a tree, forest or tensor by its encoding, and a
 tuple element by element.  The rows themselves, the case protocol they
 follow and the domains they share live in the ``laws`` subpackage, one
-module per suite.  Each ``_LAWS`` entry imports its suite's module only
-when called, and ``_render`` imports ``serialize`` only for a violation,
+module per suite.  ``run_suite`` imports a suite's module only as its rows
+are reached, and ``_render`` imports ``serialize`` only for a violation,
 so a ``verify`` call compiles the laws and kernels of the suites it runs
 and nothing more; at module level this module imports only the standard
 library, ``exactlin`` and the package's ``SUITES``.  No module but ``cli``
@@ -55,22 +55,13 @@ def check(rows) -> dict:
     return {"checked": checked, "violations": violations}
 
 
-def _suite_laws(name: str):
-    """The function of D that builds the rows of suite ``name``: it imports
-    ``laws.<name>`` when called, and returns its ``laws(D)``."""
-    return lambda D: import_module(f".laws.{name}", __package__).laws(D)
-
-
-# suite name -> the function of D that builds its rows
-_LAWS = {name: _suite_laws(name) for name in SUITES}
-
-
 def run_suite(name: str, max_degree: int = 5) -> dict:
     """Run one suite (or ``"all"``) and return its report."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    if name != "all" and name not in _LAWS:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     names = SUITES if name == "all" else (name,)
-    rows = (row for suite in names for row in _LAWS[suite](max_degree))
+    rows = (row for suite in names
+            for row in import_module(f".laws.{suite}", __package__).laws(max_degree))
     return {"suite": name, "maxDegree": max_degree, **check(rows)}

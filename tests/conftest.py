@@ -233,13 +233,6 @@ def dense_rank(vectors) -> int:
     return rnk
 
 
-def product_pairs(max_size: int) -> list:
-    """Every pair of trees (a, b) whose product has at most max_size vertices."""
-    return [(a, b) for na in range(1, max_size + 1)
-            for nb in range(1, max_size + 2 - na)
-            for a in enumerate_trees(na) for b in enumerate_trees(nb)]
-
-
 def count_cases(cases) -> int:
     """The number of cases in a row's ``cases``; an ``int`` item counts as
     that many cases, as ``verify.check`` counts it."""
@@ -316,8 +309,10 @@ def dense_hochschild_cases(degree_bound: int, m_tree_func=None):
     action = m_tree_func or ops.m_tree
     arguments = trees_up_to_degree(degree_bound - 1)
     images = {b: action(b) for b in arguments}
-    argument_pairs = [(a, b) for a in arguments for b in arguments
-                      if a.size + b.size <= degree_bound + 1]
+    # the square scan, listed by the two sizes as the sparse row lists it
+    argument_pairs = sorted(((a, b) for a in arguments for b in arguments
+                             if a.size + b.size <= degree_bound + 1),
+                            key=lambda p: (p[0].size, p[1].size))
     for t in trees_up_to_degree(degree_bound):
         f = LinComb.term(t)
         transpose = {a: pair(f, images[a]) for a in arguments}
@@ -348,8 +343,10 @@ def dense_transpose_coherence(D: int):
 def dense_product_pairing(D: int):
     """``dual.product_pairing`` with every (t, a, b) case computed."""
     basis = trees_up_to_degree(D)
-    legs = [(a, b, (b_minus(a), Forest((b,))), aut_order(a) * aut_order(b))
-            for a in basis for b in basis if a.size + b.size <= D + 2]
+    # the square scan, listed by the two sizes as the sparse row lists it
+    legs = sorted(((a, b, (b_minus(a), Forest((b,))), aut_order(a) * aut_order(b))
+                   for a in basis for b in basis if a.size + b.size <= D + 2),
+                  key=lambda leg: (leg[0].size, leg[1].size))
     for t in basis:
         cop, sigma = ck.tree_coproduct_recursive(t), aut_order(t)
         for a, b, key, weight in legs:

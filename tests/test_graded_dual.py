@@ -15,8 +15,8 @@ from treehopf import connes_kreimer as ck
 from treehopf import graded_dual as gd
 from treehopf import grossman_larson as gl
 from treehopf import operators as ops
-from treehopf import verify
 from treehopf.exactlin import LinComb, tensor_key
+from treehopf.laws import dual as dual_laws
 from treehopf.laws import sparse_cases
 from treehopf.laws.dual import hochschild_cases
 from treehopf.trees import LEAF, parse_tree, trees_up_to_degree
@@ -157,7 +157,7 @@ def test_dual_coefficients_are_normalised():
 
 @pytest.mark.parametrize("D", range(1, 7))
 def test_sparse_dual_rows_match_dense_oracles(D):
-    rows = dict(verify._LAWS["dual"](D))
+    rows = dict(dual_laws.laws(D))
     for law, dense in (("dual.hochschild", dense_hochschild_cases(D)),
                        ("dual.transpose_coherence", dense_transpose_coherence(D)),
                        ("dual.product_pairing", dense_product_pairing(D))):
@@ -191,7 +191,7 @@ def test_sparse_dual_rows_match_dense_oracles_under_broken_kernels(
     # a sparse row and its dense oracle read the same broken kernel, so
     # they agree case by case, violations included
     monkeypatch.setattr(module, kernel, breaker(getattr(module, kernel)))
-    rows = dict(verify._LAWS["dual"](D))
+    rows = dict(dual_laws.laws(D))
     violated = False
     for law, dense in (("dual.hochschild", dense_hochschild_cases(D)),
                        ("dual.transpose_coherence", dense_transpose_coherence(D)),

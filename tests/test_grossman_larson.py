@@ -6,10 +6,11 @@ from math import prod
 
 import pytest
 
-from conftest import multiset_site_product, product_pairs, subset_split_coproduct
+from conftest import multiset_site_product, subset_split_coproduct
 from treehopf import grossman_larson as gl
 from treehopf.exactlin import LinComb, combine, swap_legs, tensor, tensor_key
-from treehopf.trees import LEAF, enumerate_trees, graft_many, parse_tree, runs
+from treehopf.trees import (LEAF, enumerate_trees, graft_many, parse_tree, runs,
+                            tuples_up_to_size)
 
 E = LEAF
 L2 = parse_tree("[[]]")
@@ -71,7 +72,7 @@ def test_product_matches_tuple_enumeration():
 def test_product_matches_multiset_oracle():
     # the product by multisets of host vertices, on every pair whose
     # product has at most 9 vertices
-    pairs = product_pairs(9)
+    pairs = tuples_up_to_size(2, 10)
     assert len(pairs) == 2025
     for a, b in pairs:
         assert gl.tree_product(a, b) == multiset_site_product(a, b), (a, b)

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import KEY_PARSERS
+from conftest import KEY_ENCODERS, KEY_PARSERS
 from treehopf.exactlin import LinComb, tensor_key
 from treehopf.serialize import (encode_z_key, lincomb_from_obj, lincomb_to_json,
-                                lincomb_to_obj, lincomb_to_text, parse_z_key)
-from treehopf.trees import Forest, parse_forest, parse_tree
+                                lincomb_to_text, parse_z_key)
+from treehopf.trees import EMPTY_FOREST, Forest, parse_forest, parse_tree
 
 E = parse_tree("[]")
 L2 = parse_tree("[[]]")
@@ -18,9 +18,33 @@ L3 = parse_tree("[[[]]]")
 
 def test_obj_terms_sorted_by_basis():
     x = LinComb({L2: 2, E: 1, L3: Fraction(1, 3)})
-    obj = lincomb_to_obj(x)
+    obj = json.loads(lincomb_to_json(x))
     assert [t["basis"] for t in obj["terms"]] == ["[[[]]]", "[[]]", "[]"]
     assert [t["coeff"] for t in obj["terms"]] == ["1/3", "2", "1"]
+
+
+FAMILY_KEYS = {
+    "tree": [E, L2, L3],
+    "forest": [EMPTY_FOREST, parse_forest("[] [[]]"), Forest((L3,))],
+    "tensor-tree": [tensor_key(E, L2), tensor_key(L2, E), tensor_key(L3, L3)],
+    "tensor-forest": [tensor_key(parse_forest("[] [[]]"), Forest((E,))),
+                      tensor_key(EMPTY_FOREST, Forest((L2,))),
+                      tensor_key(Forest((E,)), EMPTY_FOREST)],
+    "z": [E, L2, L3],
+}
+
+
+@pytest.mark.parametrize("family", KEY_ENCODERS)
+@pytest.mark.parametrize("coeffs", [(), (-1, Fraction(2, 3), 5),
+                                    (Fraction(-7, 2), -3, Fraction(1, 9))])
+def test_json_text_is_the_sorted_dump_of_the_schema_object(family, coeffs):
+    # the terms are joined by hand; the text is the one json.dumps gives
+    encode = KEY_ENCODERS[family]
+    x = LinComb(zip(FAMILY_KEYS[family], coeffs))
+    obj = {"terms": [{"basis": basis, "coeff": str(coeff)} for basis, coeff
+                     in sorted((encode(k), c) for k, c in x.terms.items())]}
+    assert lincomb_to_json(x, encode) == json.dumps(obj, sort_keys=True)
+    assert len(obj["terms"]) == len(coeffs)
 
 
 def test_json_roundtrip_tree_basis():

@@ -1,6 +1,7 @@
 """Tree and forest primitives: parsing, surgery, and enumeration."""
 
-from math import factorial
+import itertools
+from math import factorial, prod
 
 import pytest
 
@@ -12,7 +13,8 @@ from treehopf.trees import (EMPTY_FOREST, LEAF, Forest, Tree, TreeParseError,
                             enumerate_forests, enumerate_trees, graft_many,
                             leaf_growth, parse_forest, parse_tree,
                             preorder_subtrees, runs, trees_up_to_degree,
-                            with_child)
+                            tuples_up_to_size, with_child)
+from treehopf.laws import _forests, _trees
 
 E = parse_tree("[]")
 L2 = parse_tree("[[]]")
@@ -253,6 +255,33 @@ def test_enumerating_trees_builds_no_forest():
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True\n"
+
+
+def test_pairs_up_to_size_are_the_square_scan():
+    # the whole basis square once, at the largest bound; each smaller bound
+    # keeps the pairs of its total size
+    basis = trees_up_to_degree(10)
+    square = {(a, b) for a in basis for b in basis if a.size + b.size <= 12}
+    for n in range(13):
+        pairs = tuples_up_to_size(2, n)
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) == {p for p in square if p[0].size + p[1].size <= n}
+        assert pairs == sorted(pairs, key=lambda p: (p[0].size, p[1].size,
+                                                     p[0].encoding, p[1].encoding))
+
+
+def test_single_tuples_are_the_law_domains():
+    for n in range(13):
+        assert tuples_up_to_size(1, n) == _trees(n)
+        assert tuples_up_to_size(1, n, enumerate_forests, 0) == _forests(n)
+
+
+def test_triples_up_to_size_match_the_recurrence():
+    for n in range(13):
+        expected = sum(prod(map(count_trees_recurrence, sizes))
+                       for sizes in itertools.product(range(1, n + 1), repeat=3)
+                       if sum(sizes) <= n)
+        assert len(tuples_up_to_size(3, n)) == expected
 
 
 def test_recurrence_examples():
