@@ -15,10 +15,10 @@ complete binary tree has 458,328 cuts but 2,279 terms.
 ``tree_coproduct_recursive`` holds the one memo of a tree's coproduct;
 ``tree_coproduct_by_cuts``, the sum over ``trees.admissible_cuts`` with no
 memo, is its oracle.  The antipode follows the cut recursion, read from the
-terms of the kernel.  A product over trees is one loop (``_over_trees``)
+terms of the kernel.  A product over trees is one loop (``_product_over``)
 that multiplies each tree's memoized value in order: Delta(f) of the
 children inside the recursion, and both maps on a forest, so a forest may
-have any number of trees.
+have any number of trees; the delta monomials are the same loop over parts.
 
 Leaf growth at every vertex is a weight +1 derivation; its iterates starting
 from the one-vertex tree give the chain ``delta(1), delta(2), ...`` whose
@@ -93,13 +93,13 @@ def tree_coproduct_recursive(t: Tree) -> LinComb:
     """The tree coproduct by the root recursion; the kernel.
 
     ``Delta(t) = t (x) 1 + (id (x) B+) Delta(B-(t))``, where Delta(B-(t)) is
-    the product of the children's coproducts, by ``_over_trees``.  This memo
+    the product of the children's coproducts, by ``_product_over``.  This memo
     is the only cache of a tree's coproduct; the returned combination is
     shared and must not be mutated.  ``tree_coproduct_by_cuts`` must match
     it.
     """
-    below = _over_trees(t.children, tree_coproduct_recursive, multiply_tensors,
-                        LinComb.term(tensor_key(EMPTY_FOREST, EMPTY_FOREST)))
+    below = _product_over(t.children, tree_coproduct_recursive, multiply_tensors,
+                          LinComb.term(tensor_key(EMPTY_FOREST, EMPTY_FOREST)))
     return LinComb.term(tensor_key(_forest((t,)), EMPTY_FOREST)) + below.map_keys(
         lambda key: tensor_key(key[0], _forest((b_plus(key[1]),))))
 
@@ -122,23 +122,23 @@ def star_by_cut_counting(t1: Tree, t2: Tree) -> LinComb:
     return LinComb(out)
 
 
-def _over_trees(trees: tuple, value, multiply, unit: LinComb) -> LinComb:
-    """The product of ``value`` over ``trees``, a forest's item tuple, in
-    order: the first tree's own value times each later tree's, so one tree
-    gives its value itself and no tree ``unit``.  A loop, so a forest may
-    have any number of trees."""
-    if not trees:
+def _product_over(items: tuple, value, multiply, unit: LinComb) -> LinComb:
+    """The product of ``value`` over ``items`` (a forest's trees, a node's
+    children, a partition's parts), in order: the first item's own value
+    times each later item's, so one item gives its value itself and no item
+    ``unit``.  A loop, so there may be any number of items."""
+    if not items:
         return unit
-    first, *rest = trees
+    first, *rest = items
     return reduce(multiply, map(value, rest), value(first))
 
 
 @lru_cache(maxsize=None)
 def forest_coproduct(f: Forest) -> LinComb:
     """Coproduct of a basis forest: product of its trees' kernel coproducts,
-    by ``_over_trees``."""
-    return _over_trees(f.items, tree_coproduct_recursive, multiply_tensors,
-                       LinComb.term(tensor_key(EMPTY_FOREST, EMPTY_FOREST)))
+    by ``_product_over``."""
+    return _product_over(f.items, tree_coproduct_recursive, multiply_tensors,
+                         LinComb.term(tensor_key(EMPTY_FOREST, EMPTY_FOREST)))
 
 
 def coproduct(x: LinComb) -> LinComb:
@@ -168,8 +168,8 @@ def tree_antipode(t: Tree) -> LinComb:
 @lru_cache(maxsize=None)
 def forest_antipode(f: Forest) -> LinComb:
     """Antipode of a basis forest: product of its trees' antipodes, by
-    ``_over_trees``."""
-    return _over_trees(f.items, tree_antipode, product, UNIT)
+    ``_product_over``."""
+    return _product_over(f.items, tree_antipode, product, UNIT)
 
 
 def antipode(x: LinComb) -> LinComb:
@@ -230,11 +230,9 @@ def partitions(n: int) -> list[tuple[int, ...]]:
 
 
 def delta_monomial(parts) -> LinComb:
-    """Product of delta(k) over the parts; the empty partition is the unit."""
-    out = UNIT
-    for k in parts:
-        out = product(out, delta(k))
-    return out
+    """Product of delta(k) over the parts, by ``_product_over``; the empty
+    partition is the unit."""
+    return _product_over(tuple(parts), delta, product, UNIT)
 
 
 def delta_membership(x: LinComb, weight: int):

@@ -14,8 +14,11 @@ read from the indexes of ``graded_dual`` (``support_index``, and
 ``product_index``, built once per bound), and ``sparse_cases`` yields the
 keys either side holds as cases and the rest as ints, in the original
 order.  Most rows are ``_law(name, domain, sides)`` over a shared domain:
-trees by size, forests up to a weight, or tuples of bounded total size,
-which ``trees.tuples_up_to_size`` lists for every row that reads them.  A
+trees by size, forests up to a weight, or tuples of trees of bounded total
+size, which ``trees.tuples_up_to_size`` lists for every row that reads them.
+Forest and primitive domains are images of tree tuples, never scans: the
+``hr`` forest pairs are B- of tree pairs and the ``lie`` primitive pairs B+
+of them, so no row filters a square of the basis.  A
 row whose cases share costly per-element work is a short generator that
 does that work once per element.  The bounds at ``D = 5`` give antipode
 laws at weight/degree 5, most laws at 6, the two forest coproducts at tree

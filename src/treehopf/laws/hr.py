@@ -2,7 +2,7 @@
 
 from .. import connes_kreimer as ck
 from ..exactlin import LinComb, swap_legs, tensor, tensor_key
-from ..trees import (EMPTY_FOREST, LEAF, Forest, Tree, b_plus, enumerate_forests,
+from ..trees import (EMPTY_FOREST, LEAF, Forest, Tree, b_minus, b_plus,
                      tuples_up_to_size)
 from . import _each, _forests, _hopf_laws, _law, _trees
 
@@ -11,7 +11,7 @@ CHERRY = Tree((LEAF, LEAF))
 
 def laws(D: int) -> list:
     forests = _forests(D + 1)
-    pairs = tuples_up_to_size(2, D + 1, enumerate_forests, 0)
+    pairs = [(b_minus(a), b_minus(b)) for a, b in tuples_up_to_size(2, D + 3)]
     ks = _each(range(1, max(2, D - 1) + 1))
     cop, growth, term = ck.forest_coproduct, ck.forest_growth, LinComb.term
 

@@ -5,15 +5,13 @@ from .. import connes_kreimer as ck
 from .. import grossman_larson as gl
 from .. import tree_lie
 from ..exactlin import LinComb
-from ..trees import LEAF, tuples_up_to_size
+from ..trees import LEAF, Tree, tuples_up_to_size
 from . import _each, _law, _primitives, _trees
 
 
 def laws(D: int) -> list:
     pairs = tuples_up_to_size(2, D + 1)
-    primitive = _primitives(D - 1)
-    primitive_pairs = [(p, q) for p in primitive for q in primitive
-                       if p.size + q.size <= D + 1]
+    primitive_pairs = [(Tree((a,)), Tree((b,))) for a, b in tuples_up_to_size(2, D - 1)]
     star, bracket, term = tree_lie.star, tree_lie.bracket, LinComb.term
     phi, psi = tree_lie.phi, tree_lie.psi
 

@@ -10,9 +10,11 @@ A basis key renders as ``exactlin.encoding``, the default encoder, gives
 it: a tensor key as ``"<left> | <right>"``, which ``parse_tensor_key`` reads
 back, with a parser per leg, to the shared tuple of ``tensor_key``.  The
 Lie-side basis renders with a ``"Z:"`` prefix on the tree encoding.
+Encodings are JSON-safe as they stand: ``encoding`` and ``encode_z_key``
+write only ``[``, ``]``, space, ``|``, ``1``, ``Z`` and ``:``, none of which
+JSON escapes, so ``lincomb_to_json`` quotes them without ``json.dumps``.
 """
 
-import json
 import re
 
 from .exactlin import LinComb, encoding, ratio, tensor_key
@@ -43,9 +45,10 @@ def _sorted_terms(x: LinComb, encode) -> list:
 
 def lincomb_to_json(x: LinComb, encode=encoding) -> str:
     """The schema's text, as ``json.dumps(obj, sort_keys=True)`` gives it,
-    joined term by term so that no dict is built per term."""
+    joined term by term so that no dict is built per term; each encoding is
+    quoted as it stands, since none needs escaping."""
     return '{"terms": [' + ", ".join(
-        f'{{"basis": {json.dumps(basis)}, "coeff": "{coeff}"}}'
+        f'{{"basis": "{basis}", "coeff": "{coeff}"}}'
         for basis, coeff in _sorted_terms(x, encode)) + "]}"
 
 

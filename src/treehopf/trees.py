@@ -14,10 +14,13 @@ are not supported.  The constructor sorts its children and then looks the
 sorted tuple up; ``with_child`` adds one child to a tuple that is already
 sorted by inserting it in place, and looks up the same table.
 
-Enumeration lists the trees of one size, those up to a degree, the forests
-of one weight, and (``tuples_up_to_size``) the k-tuples of trees or forests
-of bounded total size: the one domain of every pair and triple law, and of
-the graded dual's product index.
+Enumeration lists the trees of one size, those up to a degree, and
+(``tuples_up_to_size``) the k-tuples of trees of bounded total size: the one
+domain of every pair and triple law, and of the graded dual's product index.
+Forests and primitives are images of trees, never enumerated on their own:
+the forests of one weight are the B- images of the trees one vertex larger,
+so forest pairs are B- of tree pairs, and primitive pairs are B+ of them.
+The ``enumerate_trees`` memo is the one memo of the enumeration.
 
 Vertices are addressed by preorder index on the canonical form: the root is
 0 and children are visited in canonical order.  All values are immutable
@@ -359,29 +362,30 @@ def trees_up_to_degree(bound: int) -> list[Tree]:
     return [t for d in range(bound + 1) for t in enumerate_trees(d + 1)]
 
 
-def _sizes(k: int, total: int, least: int) -> list:
-    """k-tuples of sizes, each ``least`` or more, summing to at most ``total``."""
+def _sizes(k: int, total: int) -> list:
+    """k-tuples of positive sizes summing to at most ``total``."""
     if k == 0:
         return [()]
-    return [(s,) + rest for s in range(least, total - (k - 1) * least + 1)
-            for rest in _sizes(k - 1, total - s, least)]
+    return [(s,) + rest for s in range(1, total - k + 2)
+            for rest in _sizes(k - 1, total - s)]
 
 
-def tuples_up_to_size(k: int, total: int, by_size=None, least: int = 1) -> list:
-    """k-tuples of basis elements, each of size ``least`` or more, of total size
-    at most ``total``, ordered by the tuple of sizes, then by encodings;
-    ``by_size`` (default ``enumerate_trees``, looked up per call) lists the
-    elements of one size.
+def tuples_up_to_size(k: int, total: int) -> list:
+    """k-tuples of trees of total size at most ``total``, ordered by the tuple
+    of sizes, then by encodings.
+
+    Forest and primitive domains are images of these: B- of each tree of a
+    pair lists the forest pairs of total weight at most ``total - 2`` in the
+    order of their weights, then encodings (see ``enumerate_forests``).
     """
-    by_size = by_size or enumerate_trees
-    return [args for sizes in _sizes(k, total, least)
-            for args in itertools.product(*map(by_size, sizes))]
+    return [args for sizes in _sizes(k, total)
+            for args in itertools.product(*map(enumerate_trees, sizes))]
 
 
-@lru_cache(maxsize=None)
 def enumerate_forests(weight: int) -> tuple[Forest, ...]:
     """All canonical forests with the given total vertex count, sorted: the
-    B- images of the trees of ``weight + 1`` vertices."""
+    B- images of the trees of ``weight + 1`` vertices, read off the tree
+    memo on each call."""
     if weight < 0:
         raise ValueError("forest weight must be >= 0")
     # B- keeps the trees' encoding order.  Where the forest encodings of two

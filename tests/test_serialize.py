@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import KEY_ENCODERS, KEY_PARSERS
-from treehopf.exactlin import LinComb, tensor_key
+from treehopf.exactlin import LinComb, encoding, tensor_key
 from treehopf.serialize import (encode_z_key, lincomb_from_obj, lincomb_to_json,
                                 lincomb_to_text, parse_z_key)
-from treehopf.trees import EMPTY_FOREST, Forest, parse_forest, parse_tree
+from treehopf.trees import (EMPTY_FOREST, Forest, b_minus, enumerate_forests,
+                            parse_forest, parse_tree, trees_up_to_degree,
+                            tuples_up_to_size)
 
 E = parse_tree("[]")
 L2 = parse_tree("[[]]")
@@ -45,6 +47,19 @@ def test_json_text_is_the_sorted_dump_of_the_schema_object(family, coeffs):
                      in sorted((encode(k), c) for k, c in x.terms.items())]}
     assert lincomb_to_json(x, encode) == json.dumps(obj, sort_keys=True)
     assert len(obj["terms"]) == len(coeffs)
+
+
+def test_every_basis_encoding_is_json_safe():
+    # lincomb_to_json quotes encodings as they stand, so none may need escaping
+    trees = trees_up_to_degree(8)
+    forests = [f for w in range(9) for f in enumerate_forests(w)]
+    pairs = tuples_up_to_size(2, 10)
+    keys = [*trees, *forests, *(tensor_key(a, b) for a, b in pairs),
+            *(tensor_key(b_minus(a), b_minus(b)) for a, b in pairs)]
+    texts = [encoding(k) for k in keys] + [encode_z_key(t) for t in trees]
+    assert len(trees) == len(forests) == 486 and len(pairs) == 2025
+    for text in texts:
+        assert json.dumps(text) == f'"{text}"'
 
 
 def test_json_roundtrip_tree_basis():

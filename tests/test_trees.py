@@ -14,7 +14,8 @@ from treehopf.trees import (EMPTY_FOREST, LEAF, Forest, Tree, TreeParseError,
                             leaf_growth, parse_forest, parse_tree,
                             preorder_subtrees, runs, trees_up_to_degree,
                             tuples_up_to_size, with_child)
-from treehopf.laws import _forests, _trees
+from treehopf import grossman_larson as gl
+from treehopf.laws import _forests, _trees, hr, lie
 
 E = parse_tree("[]")
 L2 = parse_tree("[[]]")
@@ -273,7 +274,47 @@ def test_pairs_up_to_size_are_the_square_scan():
 def test_single_tuples_are_the_law_domains():
     for n in range(13):
         assert tuples_up_to_size(1, n) == _trees(n)
-        assert tuples_up_to_size(1, n, enumerate_forests, 0) == _forests(n)
+        by_weight = [(f,) for w in range(n + 1) for f in enumerate_forests(w)]
+        assert _forests(n) == by_weight
+        assert [(b_minus(t),) for (t,) in tuples_up_to_size(1, n + 1)] == by_weight
+
+
+def _row_domains(module, D: int, monkeypatch) -> dict:
+    """The domain of each ``_law`` row that ``module.laws(D)`` builds itself."""
+    domains = {}
+    monkeypatch.setattr(module, "_law",
+                        lambda law, domain, sides: domains.setdefault(law, domain))
+    module.laws(D)
+    return domains
+
+
+def test_hr_forest_pairs_are_b_minus_of_tree_pairs(monkeypatch):
+    # the forest pairs of weight (w1, w2), w1 + w2 <= D + 1, in that order
+    for D in range(9):
+        by_weight = [p for w1 in range(D + 2) for w2 in range(D + 2 - w1)
+                     for p in itertools.product(enumerate_forests(w1),
+                                                enumerate_forests(w2))]
+        domains = _row_domains(hr, D, monkeypatch)
+        assert domains["hr.coproduct_multiplicative"] == by_weight
+        assert domains["hr.growth_leibniz"] == by_weight
+
+
+def test_lie_primitive_pairs_are_the_square_scan(monkeypatch):
+    for D in range(1, 12):
+        primitive = [p for d in range(1, D) for p in gl.primitive_basis(d)]
+        square = {(p, q) for p in primitive for q in primitive
+                  if p.size + q.size <= D + 1}
+        domains = _row_domains(lie, D, monkeypatch)
+        for law in ("lie.commutator_primitive_support", "lie.phi_morphism"):
+            pairs = domains[law]
+            assert len(set(pairs)) == len(pairs)
+            assert set(pairs) == square
+
+
+def test_forests_keep_no_memo_of_their_own():
+    # the tree memo is the only memo of the enumeration
+    assert not hasattr(enumerate_forests, "cache_info")
+    assert hasattr(enumerate_trees, "cache_info")
 
 
 def test_triples_up_to_size_match_the_recurrence():
